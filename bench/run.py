@@ -4,13 +4,14 @@
     python3 bench/run.py --workload all --seed N --seconds S
 
 Each pass runs in a fresh process (bench/child.py), which pins the BLAS
-and OpenMP pools to one thread.  Passes start until the next one would end
-after `--seconds`, with at least three passes, or two untraced/traced
-pairs under `--trace 1`.  With `--trace 0` the result holds the end-to-end
-metrics.  With `--trace 1` the run makes pairs of one untraced and one
-traced pass, in alternating order, and the result holds the per-layer
-metrics of the traced passes plus the tracing overhead.  `all` runs every
-workload untraced and traced.
+and OpenMP pools to one thread.  A run starts with one untraced warm-up
+pass, checked but not measured.  Then measured passes start until the next
+one would end more than `--seconds` after the run began, with at least
+three measured passes, or two untraced/traced pairs under `--trace 1`.
+With `--trace 0` the result holds the end-to-end metrics.  With `--trace 1`
+the run makes pairs of one untraced and one traced pass, in alternating
+order, and the result holds the per-layer metrics of the traced passes plus
+the tracing overhead.  `all` runs every workload untraced and traced.
 
 Human-readable lines come first; the last line of standard output is one
 JSON object {"correct", "attempted", "failed", "metrics"}.  Full records
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,12 +35,15 @@ CHILD = Path(__file__).resolve().parent / "child.py"
 WORKDIR = ROOT / ".bench_work"
 WORKLOADS = ("pipeline-128x256", "solve-256x512", "cross-identity-synthetic")
 DEADLINE_S = 165.0        # every run ends well inside 180 s
-# (unit, statistic over a run's passes): times are medians; the peak memory
-# of a run is the largest of its passes' peaks, which moves between a few
-# levels from pass to pass as SuperLU's allocations land
-END_TO_END = {"wall_s": ("s", statistics.median),
+# (unit, statistic over a run's measured passes).  A pass's wall time is
+# its work plus whatever the shared host's other tenants take from its
+# core, which only ever adds time and drifts over minutes; the fastest pass
+# of a run is the steadiest estimate of the work.  Set-up and peak memory
+# are medians; a pass's peak moves between a few levels as SuperLU's
+# allocations land, and the median level is the one most passes reach.
+END_TO_END = {"wall_s": ("s", min),
               "setup_s": ("s", statistics.median),
-              "peak_rss_mb": ("MB", max)}
+              "peak_rss_mb": ("MB", statistics.median)}
 PHASES = ("cli.solve", "cli.transform", "cli.verify")
 
 
@@ -63,10 +68,13 @@ def run_child(workload, seed, index, traced, timeout):
     try:
         out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
         return {"ok": False, "pass": index, "traced": traced,
                 "failures": [f"timed out after {timeout:.0f} s"]}
+    finally:
+        # also on an interrupt or a SIGTERM: no pass outlives the run
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
     lines = out.strip().splitlines()
     try:
         record = json.loads(lines[-1])
@@ -81,11 +89,18 @@ def run_child(workload, seed, index, traced, timeout):
 
 
 def run_workload(workload, seed, seconds, trace):
-    """All passes of one run: a list of records, in order."""
+    """(warm-up record, records of the measured passes in order).
+
+    The warm-up pass is checked like any other but measures nothing: it
+    brings the files, the page cache and the host's core back from whatever
+    ran before, so the first measured pass starts like the rest.
+    """
     kinds = (False, True) if trace else (False,)
     min_rounds = 2 if trace else 3
-    records = []
     t0 = time.monotonic()
+    warmup = run_child(workload, seed, 0, False, DEADLINE_S)
+    records = []
+    longest = 0.0
     while True:
         t_round = time.monotonic()
         # alternate which kind goes first, so a drift in machine speed
@@ -93,31 +108,39 @@ def run_workload(workload, seed, seconds, trace):
         order = kinds[::-1] if len(records) // 2 % 2 else kinds
         for traced in order:
             left = DEADLINE_S - (time.monotonic() - t0)
-            records.append(run_child(workload, seed, len(records), traced,
-                                     max(left, 1.0)))
+            records.append(run_child(workload, seed, len(records) + 1,
+                                     traced, max(left, 1.0)))
         now = time.monotonic()
+        longest = max(longest, now - t_round)
         rounds = len(records) // len(kinds)
-        if now - t0 > DEADLINE_S - 2 * (now - t_round):
+        if now - t0 > DEADLINE_S - 2 * longest:
             break
-        if rounds >= min_rounds and now - t0 + (now - t_round) > seconds:
+        # a round starts only if one as long as the longest so far ends
+        # within `seconds` of the start, warm-up included
+        if rounds >= min_rounds and now - t0 + longest > seconds:
             break
-    return records
+    return warmup, records
 
 
 def median(values):
     return statistics.median(values) if values else float("nan")
 
 
-def summarize(workload, seed, trace, records):
-    """(result JSON object or None, lines of the human-readable report)."""
+def summarize(workload, seed, trace, warmup, records):
+    """(result JSON object or None, lines of the human-readable report).
+
+    The warm-up pass counts as attempted, and as failed when its check
+    fails, but gives no metric.
+    """
     good = [r for r in records if r["ok"]]
     plain = [r for r in good if not r["traced"]]
     traced = [r for r in good if r["traced"]]
-    failed = len(records) - len(good)
+    attempted = len(records) + 1
+    failed = attempted - len(good) - warmup["ok"]
     lines = [f"== {workload}  seed {seed}  trace {trace}: "
-             f"{len(records)} passes, {failed} failed, "
-             f"error_rate {failed / len(records):.3g}"]
-    for r in records:
+             f"{attempted} passes (1 warm-up), {failed} failed, "
+             f"error_rate {failed / attempted:.3g}"]
+    for r in [warmup] + records:
         if not r["ok"]:
             lines.append(f"   pass {r['pass']} FAILED: "
                          + "; ".join(r["failures"]))
@@ -158,7 +181,7 @@ def summarize(workload, seed, trace, records):
             top = sorted(self_s.items(), key=lambda kv: -kv[1])[:8]
             lines.append("   largest self times (median s): " + ", ".join(
                 f"{k} {v:.4f}" for k, v in top))
-    result = {"correct": failed == 0, "attempted": len(records),
+    result = {"correct": failed == 0, "attempted": attempted,
               "failed": failed, "metrics": metrics}
     return (result if usable else None), lines
 
@@ -196,9 +219,9 @@ def save(workload, seed, trace, seconds, records, result):
 
 def one(workload, seed, seconds, trace):
     """Run, save and report one workload; None when it gave no metrics."""
-    records = run_workload(workload, seed, seconds, trace)
-    result, lines = summarize(workload, seed, trace, records)
-    fp = save(workload, seed, trace, seconds, records, result)
+    warmup, records = run_workload(workload, seed, seconds, trace)
+    result, lines = summarize(workload, seed, trace, warmup, records)
+    fp = save(workload, seed, trace, seconds, [warmup] + records, result)
     print("\n".join(lines + [f"   fingerprint: {json.dumps(fp)}"]), flush=True)
     return result
 
@@ -210,6 +233,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     a = ap.parse_args(argv)
+    # turn SIGTERM into SystemExit, so run_child's cleanup stops the pass
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if not (ROOT / "src" / "steadywaves" / "__init__.py").is_file():
         print(f"error: no steadywaves sources under {ROOT / 'src'}",
               file=sys.stderr)

@@ -97,6 +97,23 @@ def test_check_functions_flag_each_condition():
     assert len(workloads.check_cross([[3e-6], [2e-6], [2e-6]], [1.0])) == 2
 
 
+def test_warmup_counts_as_attempted_but_not_measured():
+    def rec(ok, wall):
+        return {"ok": ok, "pass": 0, "traced": False, "failures": [],
+                "wall_s": wall, "setup_s": 0.3, "peak_rss_mb": 100.0,
+                "phases": {}}
+
+    passes = [rec(True, 2.0), rec(True, 3.0), rec(True, 4.0)]
+    result, _ = run.summarize("w", 1, 0, rec(True, 1.0), passes)
+    assert (result["attempted"], result["failed"]) == (4, 0)
+    assert result["metrics"]["wall_s"]["value"] == 2.0
+
+    bad = dict(rec(False, 1.0), failures=["Q off reference"])
+    result, lines = run.summarize("w", 1, 0, bad, passes)
+    assert (result["correct"], result["failed"]) == (False, 1)
+    assert any("Q off reference" in line for line in lines)
+
+
 def _attributes():
     """Identity of every attribute the tracer may replace."""
     seen = {}
