@@ -197,57 +197,55 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
     fields = transform_mod.reconstruct_fields(hf, v, params)
     g = hf.grid
 
-    reports = []
-    rows = []  # flat CSV rows: formulation, q0, pc, level, value, normalizer
-
     # quadrature: q is refined to resolve the bump sums (the field's trig
     # interpolant is exact, so extra q-nodes cost nothing in accuracy);
     # p stays on field-node multiples, where the sampled field is exact
     nq_base = g.Nq * max(1, -(-256 // g.Nq))
     npp_base = g.Np
 
-    def run_formulation(name, fn):
+    # one pass per level: every field is resampled once, then each bump is
+    # paired against all five formulations; the cross identity is read at
+    # the base level
+    names = ("height", "stream") + wf.EULER_NAMES
+    norms = [wf.norm_grad_rect(tf) for tf in tfs]
+    ev = hf.evaluator()
+    values = {}   # (formulation, level) -> [value per bump]
+    cross = []
+    for lvl in dict.fromkeys([*cfg.levels, 1]):
+        level = wf.QuadratureLevel(params, nq_base * lvl, npp_base * lvl, v,
+                                   field_like=ev, fields=fields)
+        for tf in tfs:
+            vals = level.pairings(tf, with_cross=lvl == 1)
+            for name in names:
+                values.setdefault((name, lvl), []).append(vals[name])
+            if lvl == 1:
+                lhs, rhs, gap = vals["cross"]
+                cross.append({"center": list(tf.center), "lhs": lhs,
+                              "rhs": rhs, "gap": gap})
+
+    reports = []
+    rows = []  # flat CSV rows: formulation, q0, pc, level, value, normalizer
+    for name in names:
         rep = wf.PairingReport(formulation=name)
         for lvl in cfg.levels:
-            nq, npp = nq_base * lvl, npp_base * lvl
-            vals = []
-            for tf in tfs:
-                val = fn(tf, nq, npp)
-                norm = wf.norm_grad_rect(tf)
-                vals.append(abs(val) / max(norm, 1e-300))
+            vals = values[name, lvl]
+            for tf, val, norm in zip(tfs, vals, norms):
                 if lvl == cfg.levels[0]:
                     rep.per_testfn.append({
                         "center": list(tf.center), "radii": list(tf.radii),
                         "value": val, "normalizer": norm})
                 rows.append([name, tf.center[0], tf.center[1], lvl, val, norm])
-            rep.refinement.append({"level": lvl, "max_abs": max(vals)})
+            rep.refinement.append({
+                "level": lvl,
+                "max_abs": max(abs(val) / max(norm, 1e-300)
+                               for val, norm in zip(vals, norms))})
         if len(rep.refinement) >= 2 and rep.refinement[-1]["max_abs"] > 0:
             l0, l1 = rep.refinement[0], rep.refinement[-1]
             rep.fitted_rates["refinement_order"] = float(
                 np.log(l0["max_abs"] / l1["max_abs"])
                 / np.log(l1["level"] / l0["level"]))
         reports.append(rep)
-        return rep
 
-    run_formulation(
-        "height", lambda tf, nq, npp: wf.pair_height(hf, v, params, tf,
-                                                     nq=nq, npp=npp))
-    run_formulation(
-        "stream", lambda tf, nq, npp: wf.pair_stream(
-            fields, v, params, wf.pushforward_testfn(tf, hf, params),
-            nq=nq, npp=npp))
-    for i, name in enumerate(("euler_R1", "euler_R2", "euler_R3")):
-        run_formulation(
-            name, lambda tf, nq, npp, i=i: wf.pair_euler(
-                fields, params, wf.pushforward_testfn(tf, hf, params),
-                nq=nq, npp=npp, v=v)[i])
-
-    cross = []
-    for tf in tfs:
-        lhs, rhs, gap = wf.cross_identity(hf, v, params, tf,
-                                          nq=nq_base, npp=npp_base)
-        cross.append({"center": list(tf.center), "lhs": lhs, "rhs": rhs,
-                      "gap": gap})
     surf = wf.surface_identity(hf, params)
     out = {
         "pairings": [r.to_dict() for r in reports],

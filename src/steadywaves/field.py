@@ -42,13 +42,56 @@ def _trig_coeffs(rows, grid):
     return c
 
 
+def _q_nodes(nq):
+    """The nq uniform periodic nodes q_j = -pi + 2 pi j / nq."""
+    return -np.pi + 2.0 * np.pi / nq * np.arange(nq)
+
+
 def _trig_eval(c, q, deriv=False):
-    """Evaluate the series (nh+1, M) at q (nq,): real result (nq, M)."""
+    """Evaluate the series (nh+1, M) at q (nq,): real result (nq, M).
+
+    When q are the nodes `_q_nodes(nq)` with nq a multiple of the sample
+    count 2 nh, they refine the sample grid and the series is resampled
+    exactly by a zero-padded inverse FFT; at any other q it is summed
+    densely.
+    """
+    q = np.asarray(q, dtype=float)
+    nh = c.shape[0] - 1
+    if (q.ndim == 1 and nh > 0 and q.size % (2 * nh) == 0
+            and np.array_equal(q, _q_nodes(q.size))):
+        return _trig_resample(c, q.size, deriv)
+    return _trig_dense(c, q, deriv)
+
+
+def _trig_dense(c, q, deriv=False):
+    """The series (nh+1, M) at any q (nq,), by the dense exp(i k q) sum."""
     ks = np.arange(c.shape[0])
-    phase = np.exp(1j * np.outer(np.asarray(q, dtype=float), ks))
+    phase = np.exp(1j * np.outer(q, ks))
     if deriv:
         phase = phase * (1j * ks)
     return np.real(phase @ c)
+
+
+def _trig_resample(c, nq, deriv=False):
+    """The series (nh+1, M) at `_q_nodes(nq)`, nq a multiple of 2 nh.
+
+    exp(i k q_j) = (-1)^k exp(2 pi i k j / nq), so the values are an inverse
+    real FFT of length nq of the coefficients, zero-padded above nh.
+    irfft counts its first bin once and every other bin twice, up to its own
+    Nyquist bin (once, real part only); the sample Nyquist term k = nh is
+    real (cosine-only) and lands on that bin only when nq = 2 nh.
+    """
+    nh = c.shape[0] - 1
+    ks = np.arange(nh + 1)
+    a = c * np.where(ks % 2, -0.5 * nq, 0.5 * nq)[:, None]
+    if deriv:
+        a = a * (1j * ks)[:, None]
+    spec = np.zeros((nq // 2 + 1, c.shape[1]), dtype=complex)
+    spec[:nh + 1] = a
+    spec[0] *= 2.0
+    if nq == 2 * nh:
+        spec[nh] *= 2.0
+    return np.fft.irfft(spec, n=nq, axis=0)
 
 
 @dataclass

@@ -318,7 +318,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag):
                 step *= 0.5
                 continue
             rc = sys_.residual_vector(Hc, Qc, mode, a, eps_stag=0.0)
-            if np.max(np.abs(rc)) < rn or step < 1e-6:
+            if np.max(np.abs(rc)) < rn:
                 H, Q = Hc, Qc
                 accepted = True
                 break

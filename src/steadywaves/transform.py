@@ -88,17 +88,19 @@ def invert_height(hf: HeightField, params: FlowParameters, x, y, rtol=1e-12):
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 
+def stream_gradient(h_q, h_p, params: FlowParameters):
+    """(psi_x, psi_y) = (-p0 h_q / (1 + h_p), p0 / (d (1 + h_p)))."""
+    one = 1.0 + h_p
+    return -params.p0 * h_q / one, params.p0 / (params.d * one)
+
+
 def reconstruct_stream(hf: HeightField, params: FlowParameters):
     """(psi, psi_x, psi_y) at the curvilinear nodes."""
-    d, p0 = params.d, params.p0
-    hq = hf.h_q()
     hp = hf.h_p()
-    one = 1.0 + hp
-    if np.min(one) <= 0:
+    if np.min(1.0 + hp) <= 0:
         raise StagnationError("1 + h_p <= 0 during reconstruction")
-    psi = np.broadcast_to(p0 * hf.grid.p[None, :], hf.h.shape).copy()
-    psi_x = -p0 * hq / one
-    psi_y = p0 / (d * one)
+    psi = np.broadcast_to(params.p0 * hf.grid.p[None, :], hf.h.shape).copy()
+    psi_x, psi_y = stream_gradient(hf.h_q(), hp, params)
     return psi, psi_x, psi_y
 
 

@@ -12,19 +12,28 @@ the change-of-variables identity
 
 holds with a gap that vanishes under refinement for any admissible field,
 solution or not.
+
+A `QuadratureLevel` holds every field-only array of the pairings at one
+(nq, npp) rule and pairs any number of test functions against them, so a
+field is resampled once per level, not once per pairing.  On the uniform
+q-nodes of a refinement of the field grid the resampling is an exact
+zero-padded inverse FFT (see `field._trig_eval`).  The public `pair_*`
+functions and `cross_identity` are one-level, one-test-function calls of
+the same integrands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
-from .field import HeightField, _trig_coeffs, _trig_eval
+from .field import HeightField, _q_nodes, _trig_coeffs, _trig_eval
 from .grid import Grid
-from .transform import PhysicalFields
+from .transform import PhysicalFields, stream_gradient
 
 
 class SupportError(ValueError):
@@ -150,10 +159,9 @@ class PushforwardTestFunction:
 
     def grad_xy_at_qp(self, q, p):
         tq, tp = self.tf.grad(q, p)
-        hq = self.field.hq_at(q, p)
-        hp = self.field.hp_at(q, p)
-        one = 1.0 + hp
-        return tq - hq / one * tp, tp / (self.params.d * one)
+        psi_x, psi_y = stream_gradient(self.field.hq_at(q, p),
+                                       self.field.hp_at(q, p), self.params)
+        return _pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0)
 
     def value_xy(self, x, y):
         from .transform import invert_height
@@ -187,6 +195,11 @@ def pushforward_testfn(tf: TestFunction, field_like,
     return PushforwardTestFunction(tf, field_like, params)
 
 
+def _pushforward_grad(tq, tp, psi_x, psi_y, p0):
+    """(phi_x, phi_y) of phi = phi~(x, psi/p0) from phi~'s (q, p) gradient."""
+    return tq + tp * (psi_x / p0), tp * (psi_y / p0)
+
+
 # -- quadrature helpers --------------------------------------------------------
 
 
@@ -208,7 +221,7 @@ def _check_aligned(v: VorticityFunction, npp):
 
 
 def _height_nodes(nq, npp):
-    q = -np.pi + 2.0 * np.pi / nq * np.arange(nq)
+    q = _q_nodes(nq)
     p = np.linspace(-1.0, 0.0, npp + 1)
     wq = 2.0 * np.pi / nq
     wp = np.full(npp + 1, 1.0 / npp)
@@ -218,7 +231,7 @@ def _height_nodes(nq, npp):
 
 
 def _midpoint_nodes(nq, npp):
-    q = -np.pi + 2.0 * np.pi / nq * np.arange(nq)
+    q = _q_nodes(nq)
     pm = -1.0 + (np.arange(npp) + 0.5) / npp
     return q, pm, 2.0 * np.pi / nq, 1.0 / npp
 
@@ -243,36 +256,17 @@ def norm_grad_rect(tf: TestFunction, nq=256, npp=256):
     return float(wq * np.sum(np.hypot(tq, tp) @ wp))
 
 
+def _default_quadrature(field_like, nq, npp):
+    g = getattr(field_like, "grid", None)
+    return nq or (g.Nq if g else 128), npp or (g.Np if g else 256)
+
+
 def pair_height(field_like, v: VorticityFunction, params: FlowParameters,
                 tf: TestFunction, nq=None, npp=None):
     """I_h: the weak height-form pairing over R, trapezoid quadrature."""
-    ev = _as_evaluator(field_like)
-    if nq is None or npp is None:
-        g = getattr(field_like, "grid", None)
-        nq = nq or (g.Nq if g else 128)
-        npp = npp or (g.Np if g else 256)
-    _check_aligned(v, npp)
-    d = params.d
-    q, p, wq, wp = _height_nodes(nq, npp)
-    hq = ev.hq_at(q, p)
-    hp = ev.hp_at(q, p)
-    A = -(1.0 + d * d * hq ** 2) / (2 * d * d * (1.0 + hp) ** 2) \
-        + gamma_cap(v, params, p)[None, :] / (2 * d * d)
-    B = hq / (1.0 + hp)
-    tq, tp = tf.grad(q, p)
-    return float(wq * np.sum((A * tp + B * tq) @ wp))
-
-
-def _phi_on_qp(phi, q, pm, y_at):
-    """(value, phi_x, phi_y) of a test function at tensor (q, pm) nodes."""
-    if hasattr(phi, "grad_xy_at_qp"):
-        val = phi.value_qp(q, pm)
-        px, py = phi.grad_xy_at_qp(q, pm)
-    else:
-        y = y_at(q, pm)
-        val = phi.value_xy(q, y)
-        px, py = phi.grad_xy(q, y)
-    return val, px, py
+    nq, npp = _default_quadrature(field_like, nq, npp)
+    level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
+    return level.pair_height(tf)
 
 
 def pair_stream(fields: PhysicalFields, v: VorticityFunction,
@@ -282,57 +276,18 @@ def pair_stream(fields: PhysicalFields, v: VorticityFunction,
     Quadrature in (q, p) coordinates, midpoint rule in p, with the map's
     Jacobian d (1 + h_p) = p0 / psi_y taken from the reconstructed fields.
     """
-    g = fields.grid
-    nq = nq or g.Nq
-    npp = npp or g.Np
-    _check_aligned(v, npp)
-    q, pm, wq, wp = _midpoint_nodes(nq, npp)
-    psi_x = interp_rows(fields.psi_x, g, q, pm)
-    psi_y = interp_rows(fields.psi_y, g, q, pm)
-    jac = params.p0 / psi_y
-    gt = gamma_tilde(v, params, pm)[None, :]
-    val, px, py = _phi_on_qp(phi, q, pm,
-                             lambda qq, pp: interp_rows(fields.y, g, qq, pp))
-    integ = gt * py - psi_x * psi_y * px + 0.5 * (psi_x ** 2 - psi_y ** 2) * py
-    return float(wq * wp * np.sum(integ * jac))
+    nq, npp = _default_quadrature(fields, nq, npp)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)
+    _, px, py = level.test_function(phi)
+    return level.pair_stream(px, py)
 
 
 def pair_euler(fields: PhysicalFields, params: FlowParameters, phi,
                nq=None, npp=None, v: VorticityFunction | None = None):
     """(R1, R2, R3): weak Euler pairings (momentum-x, momentum-y, mass)."""
-    g = fields.grid
-    nq = nq or g.Nq
-    npp = npp or g.Np
-    if v is not None:
-        _check_aligned(v, npp)
-    q, pm, wq, wp = _midpoint_nodes(nq, npp)
-    u = interp_rows(fields.u, g, q, pm)
-    vv = interp_rows(fields.v, g, q, pm)
-    P = interp_rows(fields.P, g, q, pm)
-    psi_y = interp_rows(fields.psi_y, g, q, pm)
-    jac = params.p0 / psi_y
-    val, px, py = _phi_on_qp(phi, q, pm,
-                             lambda qq, pp: interp_rows(fields.y, g, qq, pp))
-    c = params.c
-    R1 = np.sum(((u * u - c * u + P) * px + u * vv * py) * jac)
-    R2 = np.sum(((u * vv - c * vv) * px + (vv * vv + P) * py
-                 - params.g * val) * jac)
-    R3 = np.sum((u * px + vv * py) * jac)
-    return float(wq * wp * R1), float(wq * wp * R2), float(wq * wp * R3)
-
-
-def norm_grad_fluid(fields: PhysicalFields, params: FlowParameters, phi,
-                    nq=None, npp=None):
-    """L1 norm of |grad phi| over the fluid domain."""
-    g = fields.grid
-    nq = nq or g.Nq
-    npp = npp or g.Np
-    q, pm, wq, wp = _midpoint_nodes(nq, npp)
-    psi_y = interp_rows(fields.psi_y, g, q, pm)
-    jac = params.p0 / psi_y
-    _, px, py = _phi_on_qp(phi, q, pm,
-                           lambda qq, pp: interp_rows(fields.y, g, qq, pp))
-    return float(wq * wp * np.sum(np.hypot(px, py) * jac))
+    nq, npp = _default_quadrature(fields, nq, npp)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)
+    return level.pair_euler(*level.test_function(phi))
 
 
 def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
@@ -341,31 +296,148 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
 
     Valid for any admissible field; the two sides use different quadrature
     rules (trapezoid vs midpoint in p), so the gap is a genuine discretization
-    residual that vanishes under refinement.
+    residual that vanishes under refinement.  The stream side takes psi
+    from the field's own h-derivatives at the midpoint nodes.
     """
-    _check_aligned(v, npp)
-    ev = _as_evaluator(field_like)
-    d, p0 = params.d, params.p0
-    lhs = p0 ** 2 * pair_height(ev, v, params, tf, nq=nq, npp=npp)
-
-    q, pm, wq, wp = _midpoint_nodes(nq, npp)
-    hq = ev.hq_at(q, pm)
-    hp = ev.hp_at(q, pm)
-    one = 1.0 + hp
-    psi_x = -p0 * hq / one
-    psi_y = p0 / (d * one)
-    phi = PushforwardTestFunction(tf, ev, params)
-    px, py = phi.grad_xy_at_qp(q, pm)
-    gt = gamma_tilde(v, params, pm)[None, :]
-    integ = gt * py - psi_x * psi_y * px + 0.5 * (psi_x ** 2 - psi_y ** 2) * py
-    rhs = float(wq * wp * np.sum(integ * d * one))
-    return lhs, rhs, abs(lhs - rhs)
+    level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
+    phi = PushforwardTestFunction(tf, level.ev, params)
+    _, px, py = level.test_function(phi)
+    return level.cross_identity(level.pair_height(tf), px, py)
 
 
-def cross_identity_refinement(field_like, v, params, tf, quads):
-    """Run cross_identity over a list of (nq, npp) levels."""
-    return [cross_identity(field_like, v, params, tf, nq=nq, npp=npp)
-            for nq, npp in quads]
+EULER_NAMES = ("euler_R1", "euler_R2", "euler_R3")
+
+
+class QuadratureLevel:
+    """Every field-only array of the pairings at one (nq, npp) rule.
+
+    `field_like` (a HeightField or an evaluator) feeds the height side, the
+    pushforward gradient and the stream side of the cross identity;
+    `fields` (the reconstructed PhysicalFields) feeds the stream and Euler
+    pairings.  Each group of arrays is resampled on first use and kept, so
+    pairing many test functions at one level costs one resampling of each
+    field; what remains per test function is its gradient and the weighted
+    sums.
+    """
+
+    def __init__(self, params: FlowParameters, nq, npp,
+                 v: VorticityFunction | None = None, field_like=None,
+                 fields: PhysicalFields | None = None):
+        if v is not None:
+            _check_aligned(v, npp)
+        self.params, self.v = params, v
+        self.ev = None if field_like is None else _as_evaluator(field_like)
+        self.fields = fields
+        self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
+        _, self.pm, _, self.wpm = _midpoint_nodes(nq, npp)
+
+    # -- field-only arrays ----------------------------------------------------
+
+    @cached_property
+    def _height(self):
+        """(A, B) of the height integrand A phi~_p + B phi~_q, trapezoid nodes."""
+        d = self.params.d
+        hq = self.ev.hq_at(self.q, self.p)
+        hp = self.ev.hp_at(self.q, self.p)
+        A = -(1.0 + d * d * hq ** 2) / (2 * d * d * (1.0 + hp) ** 2) \
+            + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d)
+        return A, hq / (1.0 + hp)
+
+    @cached_property
+    def _gamma_tilde(self):
+        return gamma_tilde(self.v, self.params, self.pm)[None, :]
+
+    @cached_property
+    def _h_stream(self):
+        """(psi_x, psi_y) from the field's h-derivatives at the midpoints."""
+        return stream_gradient(self.ev.hq_at(self.q, self.pm),
+                               self.ev.hp_at(self.q, self.pm), self.params)
+
+    def _resample(self, arr):
+        return interp_rows(arr, self.fields.grid, self.q, self.pm)
+
+    @cached_property
+    def _stream(self):
+        """Reconstructed psi_x psi_y, (psi_x^2 - psi_y^2)/2 and the Jacobian."""
+        psi_x = self._resample(self.fields.psi_x)
+        psi_y = self._resample(self.fields.psi_y)
+        return _stream_coeffs(psi_x, psi_y, self.params)
+
+    @cached_property
+    def _euler(self):
+        """The flux coefficients of R1, R2 and R3 and the Jacobian."""
+        u = self._resample(self.fields.u)
+        vv = self._resample(self.fields.v)
+        P = self._resample(self.fields.P)
+        c = self.params.c
+        return (u * u - c * u + P, u * vv, u * vv - c * vv, vv * vv + P,
+                u, vv, self._stream[2])
+
+    # -- pairings -------------------------------------------------------------
+
+    def test_function(self, phi):
+        """(value, phi_x, phi_y) of any test function at the midpoint nodes."""
+        if hasattr(phi, "grad_xy_at_qp"):
+            return (phi.value_qp(self.q, self.pm),
+                    *phi.grad_xy_at_qp(self.q, self.pm))
+        y = self._resample(self.fields.y)
+        return (phi.value_xy(self.q, y), *phi.grad_xy(self.q, y))
+
+    def pushforward(self, tf: TestFunction):
+        """(value, phi_x, phi_y) of the pushforward of tf at the midpoints."""
+        tq, tp = tf.grad(self.q, self.pm)
+        psi_x, psi_y = self._h_stream
+        return (tf.value(self.q, self.pm),
+                *_pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0))
+
+    def pair_height(self, tf: TestFunction):
+        A, B = self._height
+        tq, tp = tf.grad(self.q, self.p)
+        return float(self.wq * np.sum((A * tp + B * tq) @ self.wp))
+
+    def pair_stream(self, px, py):
+        return _stream_sum(self._gamma_tilde, *self._stream, px, py,
+                           self.wq * self.wpm)
+
+    def pair_euler(self, val, px, py):
+        e11, e12, e21, e22, u, vv, jac = self._euler
+        w = self.wq * self.wpm
+        R1 = np.sum((e11 * px + e12 * py) * jac)
+        R2 = np.sum((e21 * px + e22 * py - self.params.g * val) * jac)
+        R3 = np.sum((u * px + vv * py) * jac)
+        return float(w * R1), float(w * R2), float(w * R3)
+
+    def cross_identity(self, height, px, py):
+        """(lhs, rhs, gap) from the height pairing and the pushforward gradient."""
+        lhs = self.params.p0 ** 2 * height
+        coeffs = _stream_coeffs(*self._h_stream, self.params)
+        rhs = _stream_sum(self._gamma_tilde, *coeffs, px, py,
+                          self.wq * self.wpm)
+        return lhs, rhs, abs(lhs - rhs)
+
+    def pairings(self, tf: TestFunction, with_cross=False):
+        """{formulation: value} of the five pairings of tf, and with
+        `with_cross` the cross identity's (lhs, rhs, gap) under "cross"."""
+        val, px, py = self.pushforward(tf)
+        height = self.pair_height(tf)
+        out = {"height": height, "stream": self.pair_stream(px, py)}
+        out.update(zip(EULER_NAMES, self.pair_euler(val, px, py)))
+        if with_cross:
+            out["cross"] = self.cross_identity(height, px, py)
+        return out
+
+
+def _stream_coeffs(psi_x, psi_y, params):
+    """Field factors of the stream integrand: psi_x psi_y,
+    (psi_x^2 - psi_y^2)/2 and the Jacobian p0 / psi_y."""
+    return (psi_x * psi_y, 0.5 * (psi_x ** 2 - psi_y ** 2),
+            params.p0 / psi_y)
+
+
+def _stream_sum(gt, sxy, half, jac, px, py, w):
+    """w * sum of (gamma~ phi_y - psi_x psi_y phi_x
+    + (psi_x^2 - psi_y^2)/2 phi_y) times the Jacobian."""
+    return float(w * np.sum((gt * py - sxy * px + half * py) * jac))
 
 
 def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
@@ -386,15 +458,14 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
     grid = getattr(field_like, "grid", None)
     if nq is None:
         nq = grid.Nq if grid else 256
-    q = -np.pi + 2.0 * np.pi / nq * np.arange(nq)
+    q = _q_nodes(nq)
     p0v = np.array([0.0])
     h = ev.h_at(q, p0v)[:, 0]
     hq = ev.hq_at(q, p0v)[:, 0]
     hp = ev.hp_at(q, p0v)[:, 0]
     one = 1.0 + hp
     lhs = (1.0 / d ** 2 + hq ** 2) * p0 ** 2 / one ** 2 + 2 * g * d * (1.0 + h)
-    psi_x = -p0 * hq / one
-    psi_y = p0 / (d * one)
+    psi_x, psi_y = stream_gradient(hq, hp, params)
     y = d * h
     rhs = psi_x ** 2 + psi_y ** 2 + 2 * g * (y + d)
     scale = max(abs(float(Q)), np.max(np.abs(lhs)))
@@ -455,10 +526,9 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     supp = tf.value(q, p) > 0.0
     hp = g.node_dp(np.asarray(fields.y)) / params.d - 1.0
     hq = spectral_dq(fields.y) / params.d
-    one = 1.0 + hp
-    px = tq_ - hq / one * tp_
-    py = tp_ / (params.d * one)
-    jac = params.d * one
+    psi_x, psi_y = stream_gradient(hq, hp, params)
+    px, py = _pushforward_grad(tq_, tp_, psi_x, psi_y, params.p0)
+    jac = params.d * (1.0 + hp)
 
     def pairing(Fa, sx, sy):
         return float(wq * np.sum(((Fa * sy) * px - (Fa * sx) * py) * jac @ wp))

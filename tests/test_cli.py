@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from steadywaves.cli import main, read_csv
+from steadywaves.cli import main, read_csv, write_field
 from steadywaves import laminar
+from steadywaves import transform as tr
+from steadywaves import weakform as wf
+from steadywaves.field import HeightField
+from steadywaves.grid import Grid
 from steadywaves.vorticity import FlowParameters, two_layer
 
 
@@ -247,3 +251,55 @@ verify.pairing_tol = 5e-3
     rep = json.loads((out / "v" / "verify.json").read_text())
     for r in rep["pairings"]:
         assert r["max_normalized"] <= 5e-3
+
+
+@pytest.mark.parametrize("levels", ["1, 2", "3, 2"])
+def test_verify_matches_per_call_pairings(tmp_path, levels):
+    # the single pass over each level gives every value of the per-call
+    # public pairings, on a q-dependent field that is not a solution
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG + f"verify.levels = {levels}\n")
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    v = two_layer(3.0)
+    g = Grid(16, 64, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v, params, g.p)
+    h = lf.h[None, :] + 0.01 * np.cos(g.q)[:, None] * ((1 + g.p) * g.p)
+    hf = HeightField(g, h, Q=lf.Q)
+    out = tmp_path / "run"
+    out.mkdir()
+    write_field(out, hf, {"Q": lf.Q})
+    assert main(["verify", "--config", cfg, "--out", str(out / "v"),
+                 "--field", str(out / "field.csv"), "--quiet"]) in (0, 4)
+
+    fields = tr.reconstruct_fields(hf, v, params)
+    tfs = {tf.center: tf for tf in wf.default_lattice()}
+    nq_base, npp_base = 256, 64
+    expected = {}
+    for (q0, pc), tf in tfs.items():
+        for lvl in (1, 2, 3):
+            nq, npp = nq_base * lvl, npp_base * lvl
+            phi = wf.pushforward_testfn(tf, hf, params)
+            R = wf.pair_euler(fields, params, phi, nq=nq, npp=npp, v=v)
+            expected[q0, pc, lvl] = {
+                "height": wf.pair_height(hf, v, params, tf, nq=nq, npp=npp),
+                "stream": wf.pair_stream(fields, v, params, phi,
+                                         nq=nq, npp=npp),
+                "euler_R1": R[0], "euler_R2": R[1], "euler_R3": R[2]}
+
+    lines = (out / "v" / "verify.csv").read_text().splitlines()[1:]
+    assert len(lines) == 5 * 2 * len(tfs)
+    for line in lines:
+        name, q0, pc, lvl, val, norm = line.split(",")
+        q0, pc, val, norm = float(q0), float(pc), float(val), float(norm)
+        assert norm == wf.norm_grad_rect(tfs[q0, pc])
+        assert abs(val - expected[q0, pc, int(lvl)][name]) <= 1e-12 * norm
+
+    rep = json.loads((out / "v" / "verify.json").read_text())
+    assert len(rep["cross_identity"]) == len(tfs)
+    for entry in rep["cross_identity"]:
+        tf = tfs[tuple(entry["center"])]
+        lhs, rhs, gap = wf.cross_identity(hf, v, params, tf,
+                                          nq=nq_base, npp=npp_base)
+        norm = wf.norm_grad_rect(tf)
+        assert abs(entry["lhs"] - lhs) <= 1e-12 * norm
+        assert abs(entry["rhs"] - rhs) <= 1e-12 * norm
+        assert abs(entry["gap"] - gap) <= 1e-12 * norm

@@ -193,6 +193,20 @@ def test_newton_nonconvergence_reports_history(v_zero, params):
     assert len(exc.value.history) >= 1
 
 
+def test_line_search_rejects_ascent_step(v_two_layer, params, monkeypatch):
+    # with the Jacobian's sign flipped every Newton step raises the residual;
+    # halving must stall and report, not accept a tiny uphill step
+    jacobian = HeightSystem.jacobian_matrix
+    monkeypatch.setattr(HeightSystem, "jacobian_matrix",
+                        lambda self, H, Q, mode: -jacobian(self, H, Q, mode))
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    hf0 = HeightField(g, np.zeros((16, 33)), Q=lf.Q)
+    with pytest.raises(ConvergenceError, match="stalled at iteration 0") as exc:
+        newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-10)
+    assert len(exc.value.history) == 1
+
+
 def test_grid_rejects_misaligned_jump():
     with pytest.raises(AlignmentError):
         Grid(16, 31, aligned_jumps=(-0.5,))
