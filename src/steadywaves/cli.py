@@ -35,18 +35,17 @@ def _fmt(x):
 
 
 def write_csv(path, header, columns):
-    cols = [np.asarray(c).ravel() for c in columns]
-    n = len(cols[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
+    rows = np.column_stack([np.asarray(c, dtype=float).ravel()
+                            for c in columns]).tolist()
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_csv(path):
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return header, data
 
 
@@ -102,7 +101,16 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     if not side.exists():
         raise SchemaError(f"missing field summary JSON next to {path}")
     Q = json.loads(side.read_text())["Q"]
-    return HeightField(g, h, Q=Q)
+    hf = HeightField(g, h, Q=Q)
+    if np.any(h[:, 0] != 0.0):
+        raise SchemaError(f"{path}: h is not 0 on the bed row p = -1")
+    if np.max(np.abs(h - h[(-np.arange(g.Nq)) % g.Nq])) \
+            > 1e-12 * np.max(np.abs(h)):
+        raise SchemaError(f"{path}: h is not even in q")
+    if hf.min_one_plus_hp() <= solver_mod.EPS_STAG_DEFAULT:
+        raise SchemaError(f"{path}: 1 + h_p <= {solver_mod.EPS_STAG_DEFAULT}"
+                          " somewhere; the field stagnates")
+    return hf
 
 
 def _say(args, msg):

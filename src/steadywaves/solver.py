@@ -19,10 +19,20 @@ Closures:
                    amplitude row.  Small-amplitude waves only exist when the
                    data is near-critical (the linearized wave mode close to
                    neutral), which the continuation driver assumes.
+
+Linear solves: each Newton step solves J dx = -r by right-preconditioned
+GMRES with Eisenstat-Walker forcing terms.  The preconditioner is the exact
+inverse of the fixed-Q Jacobian at the q-mean of a reference state
+(`modal.LaminarModes`: a DCT-I in q and one banded LU of the p-blocks); the
+closures' Q column and scalar row are handled by a Schur complement.  A step
+whose true linear residual misses its tolerance is solved again by SuperLU.
+The continuation seed cos(q) phi_1(p) and the critical gravity come from the
+k = 1 modal block.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +42,8 @@ import scipy.sparse.linalg as spla
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
 from .grid import Grid
 from .field import HeightField
+from .modal import LaminarModes
+from . import laminar
 
 
 EPS_STAG_DEFAULT = 1e-10
@@ -42,12 +54,15 @@ class StagnationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton failed; carries the residual history."""
+    """Newton failed; carries the residual history and solver statistics."""
 
-    def __init__(self, message, history=None, last_field=None):
+    def __init__(self, message, history=None, last_field=None,
+                 krylov_iters=None, fallbacks=0):
         super().__init__(message)
         self.history = list(history or [])
         self.last_field = last_field
+        self.krylov_iters = list(krylov_iters or [])
+        self.fallbacks = fallbacks
 
 
 @dataclass
@@ -59,6 +74,10 @@ class NewtonResult:
     history: list
     stagnation_hits: int
     mode: str
+    # GMRES iterations of each Newton step, and the number of steps that
+    # missed their tolerance and were solved again by SuperLU
+    krylov_iters: list = dataclasses.field(default_factory=list)
+    fallbacks: int = 0
 
 
 @dataclass
@@ -107,6 +126,12 @@ class HeightSystem:
         hp = g.node_dp(H)
         s = g.half_dp(H)
         return hq, hp, s
+
+    def laminar_modes(self, H):
+        """Modal inverse of the fixed-Q Jacobian at the q-mean of H."""
+        Hbar = np.broadcast_to(self.mw @ H, H.shape)
+        return LaminarModes(self.jacobian_matrix(Hbar, 0.0, "fixed_Q"),
+                            self.nh, self.grid.Np)
 
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
         _, hp, s = self._derivs(H)
@@ -291,21 +316,123 @@ def jacobian(hf: HeightField, v: VorticityFunction, params: FlowParameters,
     return sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, mode)
 
 
-def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag):
+# Newton-Krylov: preconditioned GMRES with Eisenstat-Walker forcing terms
+_ETA_MAX = 1e-4        # forcing term cap
+_ETA_MIN = 1e-7        # preconditioned solves stagnate near eps * cond(M)
+_SCHUR_ETA = 1.0 / 30  # inner solves of the bordered closures, relative
+_GMRES_RESTART = 40
+_GMRES_CYCLES = 3
+
+
+def _forcing(r2, r2_prev, tol):
+    """Eisenstat-Walker choice 2, capped so the step reaches 0.1 tol."""
+    eta = _ETA_MAX if r2_prev is None else min(
+        _ETA_MAX, 0.9 * (r2 / r2_prev) ** 2)
+    return max(min(eta, 0.1 * tol / r2), _ETA_MIN)
+
+
+def _gmres(matvec, precond, b, rtol):
+    """Right-preconditioned restarted GMRES: (x, iterations, converged).
+
+    Right preconditioning makes the Arnoldi least-squares residual the
+    residual ||b - A x|| of the unpreconditioned system, so `rtol` is
+    measured there.  `converged` reports that estimate; in round-off the
+    true residual of a near-singular A can stall above it, which is why
+    callers check the Newton step's true residual themselves.
+    """
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, 0, True
+    its, res = 0, b
+    m = _GMRES_RESTART
+    for _ in range(_GMRES_CYCLES):
+        beta = np.linalg.norm(res)
+        V = np.empty((m + 1, b.size))
+        Z = np.empty((m, b.size))
+        Hs = np.zeros((m + 1, m))
+        V[0] = res / beta
+        for k in range(m):
+            Z[k] = precond(V[k])
+            w = matvec(Z[k])
+            for _ in range(2):      # classical Gram-Schmidt, twice
+                c = V[:k + 1] @ w
+                w -= c @ V[:k + 1]
+                Hs[:k + 1, k] += c
+            Hs[k + 1, k] = np.linalg.norm(w)
+            e1 = np.zeros(k + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(Hs[:k + 2, :k + 1], e1, rcond=None)[0]
+            its += 1
+            done = np.linalg.norm(Hs[:k + 2, :k + 1] @ y - e1) <= rtol * bnorm
+            if done or Hs[k + 1, k] == 0.0:
+                break
+            V[k + 1] = w / Hs[k + 1, k]
+        x = x + y @ Z[:k + 1]
+        if done:
+            return x, its, True
+        res = b - matvec(x)
+    return x, its, False
+
+
+def _krylov_step(J, r, n_h, modes, eta):
+    """Newton step solving J dx = -r by GMRES on the laminar modal inverse.
+
+    The bordered closures (a Q column and one scalar row) are solved by
+    their Schur complement: two inner solves on the fixed-Q block A,
+    x_b = A^{-1} b and x_c = A^{-1} c, then dQ = (l.x_b - beta)/(l.x_c).
+    The modal inverse is never bordered itself: the amplitude row sees only
+    odd cosine modes and the Q column only k = 0, so l M^{-1} c = 0.
+    Returns (dx or None when a solve misses its tolerance, iterations).
+    """
+    if J.shape[0] == n_h:
+        dx, its, ok = _gmres(J.dot, modes.solve, -r, eta)
+    else:
+        def matvec(x):
+            return J.dot(np.append(x, 0.0))[:n_h]
+        c = J[:n_h, n_h].toarray().ravel()
+        ell = J[n_h, :n_h].toarray().ravel()
+        x_b, its_b, ok_b = _gmres(matvec, modes.solve, -r[:n_h],
+                                  eta * _SCHUR_ETA)
+        x_c, its_c, ok_c = _gmres(matvec, modes.solve, c, eta * _SCHUR_ETA)
+        its, ok = its_b + its_c, ok_b and ok_c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dQ = (ell @ x_b + r[n_h]) / (ell @ x_c)
+        dx = np.append(x_b - dQ * x_c, dQ)
+    if ok and np.linalg.norm(J.dot(dx) + r) <= 10.0 * eta * np.linalg.norm(r):
+        return dx, its
+    return None, its
+
+
+def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
+                 modes=None):
     H, Q = H0.copy(), float(Q0)
     nh, Np = sys_.nh, sys_.grid.Np
-    history = []
-    guards = 0
+    history, krylov = [], []
+    guards = fallbacks = 0
+    r2_prev = None
     for it in range(max_iter + 1):
         r = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
         rn = float(np.max(np.abs(r)))
         history.append(rn)
         if rn <= tol and sys_.admissible(H, eps_stag):
-            return H, Q, it, rn, history, guards
+            return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
+                                residual_inf=rn, history=history,
+                                stagnation_hits=guards, mode=mode,
+                                krylov_iters=krylov, fallbacks=fallbacks)
         if it == max_iter:
             break
         J = sys_.jacobian_matrix(H, Q, mode)
-        dx = spla.splu(J.tocsc()).solve(-r)
+        if modes is None:
+            modes = sys_.laminar_modes(H)
+        r2 = float(np.linalg.norm(r))
+        dx, its = _krylov_step(J, r, sys_.n_h, modes,
+                               _forcing(r2, r2_prev, tol))
+        r2_prev = r2
+        krylov.append(its)
+        if dx is None:
+            fallbacks += 1
+            dx = spla.splu(J.tocsc()).solve(-r)
         dH = dx[:sys_.n_h].reshape(nh + 1, Np)
         dQ = dx[sys_.n_h] if mode != "fixed_Q" else 0.0
         step, accepted = 1.0, False
@@ -326,20 +453,23 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag):
         if not accepted:
             raise ConvergenceError(
                 f"step halving stalled at iteration {it}, residual {rn:.3e}",
-                history=history)
+                history=history, krylov_iters=krylov, fallbacks=fallbacks)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations, residual {history[-1]:.3e}",
-        history=history)
+        history=history, krylov_iters=krylov, fallbacks=fallbacks)
 
 
 def newton_solve(initial: HeightField, v: VorticityFunction,
                  params: FlowParameters, mode="fixed_Q", Q=None, amplitude=None,
-                 tol=1e-10, max_iter=50, eps_stag=EPS_STAG_DEFAULT) -> NewtonResult:
-    """Damped Newton solve of the discrete height system.
+                 tol=1e-10, max_iter=50, eps_stag=EPS_STAG_DEFAULT,
+                 modes=None) -> NewtonResult:
+    """Damped Newton-Krylov solve of the discrete height system.
 
     mode 'fixed_Q': Q is data (argument or initial.Q).  mode
     'fixed_amplitude': Q joins the unknowns; amplitude 0 selects the
     zero-mean laminar closure, otherwise the crest-trough amplitude row.
+    `modes` (a LaminarModes) preconditions every linear solve; by default
+    it is built from the q-mean of the initial state.
     """
     sys_ = HeightSystem(initial.grid, v, params)
     H0 = sys_.reduce(initial)
@@ -354,47 +484,60 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         imode = "meanzero" if a == 0.0 else "amplitude"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    H, Qf, it, rn, history, guards = _newton_core(
-        sys_, H0, Q0, imode, a, tol, max_iter, eps_stag)
-    return NewtonResult(field=sys_.expand(H, Qf), Q=Qf, iterations=it,
-                        residual_inf=rn, history=history,
-                        stagnation_hits=guards, mode=mode)
+    res = _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, eps_stag, modes)
+    res.mode = mode
+    return res
 
 
-def wave_seed(hf: HeightField, v: VorticityFunction, params: FlowParameters):
-    """Near-neutral wave direction of the fixed-Q Jacobian, unit amplitude.
+def wave_seed(hf: HeightField, v: VorticityFunction, params: FlowParameters,
+              modes=None):
+    """Linearized wave mode cos(q) phi_1(p) at unit amplitude.
 
-    Used by the continuation driver to leave the laminar branch; the
-    direction is the eigenvector of smallest |eigenvalue|, which at
-    near-critical data is the linearized wave mode.
+    phi_1 is the near-null eigenvector of the k = 1 modal block of the
+    fixed-Q Jacobian at the q-mean of hf (or of `modes`); at near-critical
+    data it is the neutral wave mode that the continuation driver follows
+    off the laminar branch.
     """
     sys_ = HeightSystem(hf.grid, v, params)
-    H = sys_.reduce(hf)
-    J = sys_.jacobian_matrix(H, hf.Q, "fixed_Q").tocsc()
-    v0 = np.ones(J.shape[0])  # fixed start vector keeps runs reproducible
-    vals, vecs = spla.eigs(J, k=3, sigma=0.0, which="LM", v0=v0)
-    nh, Np = sys_.nh, hf.grid.Np
-    best, best_amp = None, 0.0
-    for i in range(vecs.shape[1]):
-        vec = np.real(vecs[:, i]).reshape(nh + 1, Np)
-        amp = params.d * (vec[0, -1] - vec[nh, -1]) / 2.0
-        if abs(amp) > abs(best_amp):
-            best, best_amp = vec, amp
-    if best is None or best_amp == 0.0:
-        raise ConvergenceError("no wave-like near-null direction found")
-    seed = np.zeros((nh + 1, Np + 1))
-    seed[:, 1:] = best / best_amp
-    return hf.grid.full_from_reduced(seed)
+    if modes is None:
+        modes = sys_.laminar_modes(sys_.reduce(hf))
+    phi = modes.neutral_mode()
+    nh = sys_.nh
+    seed = np.zeros((nh + 1, hf.grid.Np + 1))
+    seed[:, 1:] = np.cos(np.pi * np.arange(nh + 1) / nh)[:, None] * phi
+    return hf.grid.full_from_reduced(seed / params.d)
+
+
+def critical_gravity(v: VorticityFunction, params: FlowParameters, grid: Grid):
+    """Gravity at which the k = 1 wave mode of the laminar flow is neutral.
+
+    The laminar profile does not depend on g, and the fixed-Q Jacobian
+    depends on g only through the surface diagonal alpha g, alpha = -d/p0^2.
+    The k = 1 block M_1(g') = M_1(g) + (g' - g) alpha e_s e_s^T is singular
+    where 1 + (g' - g) alpha (M_1^{-1} e_s)_s = 0: the discrete
+    Sturm-Liouville dispersion relation, solved with one banded solve.
+    """
+    lf = laminar.solve(v, params, grid.p)
+    sys_ = HeightSystem(grid, v, params)
+    H = np.tile(lf.h, (sys_.nh + 1, 1))
+    alpha = -params.d / params.p0 ** 2
+    return params.g - 1.0 / (alpha * sys_.laminar_modes(H).surface_response())
 
 
 def continuation(hf0: HeightField, v: VorticityFunction,
                  params: FlowParameters, amplitude_schedule, tol=1e-10,
                  max_iter=50, eps_stag=EPS_STAG_DEFAULT) -> ContinuationResult:
-    """Sequence of fixed_amplitude solves warm-started along the schedule."""
+    """Sequence of fixed_amplitude solves warm-started along the schedule.
+
+    The laminar modes are built once from the start state and once more at
+    the state the wave seed leaves from, and precondition every solve.
+    """
     schedule = [float(a) for a in amplitude_schedule]
     fields, amps = [], []
     prev = hf0
     prev_prev = None
+    sys_ = HeightSystem(hf0.grid, v, params)
+    modes = sys_.laminar_modes(sys_.reduce(hf0))
     for k, a in enumerate(schedule):
         warm = prev.copy()
         if a != 0.0:
@@ -404,12 +547,14 @@ def continuation(hf0: HeightField, v: VorticityFunction,
                 warm.h = prev.h + t * (prev.h - prev_prev.h)
                 warm.Q = prev.Q + t * (prev.Q - prev_prev.Q)
             else:
-                seed = wave_seed(prev, v, params)
+                if prev is not hf0:
+                    modes = sys_.laminar_modes(sys_.reduce(prev))
+                seed = wave_seed(prev, v, params, modes=modes)
                 warm.h = prev.h + (a - a_prev) * seed
         try:
             res = newton_solve(warm, v, params, mode="fixed_amplitude",
                                amplitude=a, tol=tol, max_iter=max_iter,
-                               eps_stag=eps_stag)
+                               eps_stag=eps_stag, modes=modes)
         except (ConvergenceError, StagnationError) as exc:
             return ContinuationResult(fields=fields, amplitudes=amps,
                                       converged=False, failed_amplitude=a,

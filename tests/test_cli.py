@@ -169,6 +169,26 @@ def test_stale_field_file_rejected(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda g, h: h + np.where(np.arange(g.Np + 1) == 0, 1e-3, 0.0),
+     "bed row"),
+    (lambda g, h: h + 1e-6 * np.sin(g.q)[:, None] * (1 + g.p), "not even"),
+    (lambda g, h: h - (1 + g.p)[None, :], "stagnates"),
+])
+def test_corrupted_field_rejected(tmp_path, capsys, corrupt, message):
+    cfg = write_cfg(tmp_path, FLAT_CFG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, data = read_csv(out / "field.csv")
+    g = Grid(16, 32)
+    h = corrupt(g, data[:, 2].reshape(g.Nq, g.Np + 1))
+    write_field(out, HeightField(g, h, Q=20.6), {"Q": 20.6})
+    capsys.readouterr()
+    assert main(["transform", "--config", cfg, "--out", str(out / "t"),
+                 "--field", str(out / "field.csv"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_empty_lattice_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FLAT_CFG + "verify.n_q_centers = 0\n")
     assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -20,16 +20,41 @@ def _rows(data, Nq, parity):
     return np.column_stack([rows, nyquist])
 
 
+def _series_longdouble(c, nq, deriv):
+    """The cosine series (nh+1, M) at the exact nodes `_q_nodes(nq)`,
+    summed in extended precision: the reference for both evaluation paths."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    q = -pi + 2 * pi * np.arange(nq, dtype=np.longdouble) / nq
+    kq = np.outer(q, np.arange(c.shape[0], dtype=np.longdouble))
+    re = np.real(c).astype(np.longdouble)
+    im = np.imag(c).astype(np.longdouble)
+    if deriv:
+        k = np.arange(c.shape[0], dtype=np.longdouble)[:, None]
+        return (-np.sin(kq) @ (k * re) - np.cos(kq) @ (k * im)).astype(float)
+    return (np.cos(kq) @ re - np.sin(kq) @ im).astype(float)
+
+
+def _assert_resampler_matches_series(rows, Nq, m, deriv):
+    c = fd._trig_coeffs(rows, Grid(Nq, 8))
+    ref = _series_longdouble(c, m * Nq, deriv)
+    fast = fd._trig_eval(c, fd._q_nodes(m * Nq), deriv)
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), Nq=st.sampled_from([8, 10, 16, 32, 64]),
        m=st.integers(1, 4), parity=st.sampled_from(["even", "odd", "any"]),
        deriv=st.booleans())
 def test_resampler_matches_dense_sum(data, Nq, m, parity, deriv):
-    c = fd._trig_coeffs(_rows(data, Nq, parity), Grid(Nq, 8))
-    q = fd._q_nodes(m * Nq)
-    dense = fd._trig_dense(c, q, deriv)
-    fast = fd._trig_eval(c, q, deriv)
-    assert np.max(np.abs(fast - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+    _assert_resampler_matches_series(_rows(data, Nq, parity), Nq, m, deriv)
+
+
+@pytest.mark.parametrize("Nq", [32, 64])
+def test_resampler_nyquist_derivative(Nq):
+    # zero rows plus the Nyquist row: the q-derivative vanishes at every
+    # node, which the double-precision dense sum misses by sin(k q) round-off
+    rows = np.column_stack([np.zeros((Nq, 3)), np.cos(Nq // 2 * Grid(Nq, 8).q)])
+    _assert_resampler_matches_series(rows, Nq, 1, True)
 
 
 @pytest.mark.parametrize("q", [fd._q_nodes(24),            # not a multiple
