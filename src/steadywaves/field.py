@@ -201,6 +201,10 @@ class AnalyticHeightField:
     P_n are polynomials (ascending coefficients) with P_n(-1) = 0 so the bed
     condition holds exactly.  Provides the same tensor evaluator interface
     as SampledEvaluator, with exact derivatives.
+
+    The terms are grouped by wavenumber into a coefficient matrix C
+    (n_k x deg), row i holding sum of c_n P_n over the terms with k_n = k_i,
+    so each evaluation is one product trig(outer(q, k)) @ (C @ vander(p).T).
     """
 
     def __init__(self, terms, Q=0.0):
@@ -211,31 +215,31 @@ class AnalyticHeightField:
                 raise ValueError("p-polynomial must vanish at the bed p=-1")
             self.terms.append((int(k), coeffs, float(c)))
         self.Q = Q
+        ks, rows = np.unique([k for k, _, _ in self.terms], return_inverse=True)
+        deg = max([2] + [len(cs) for _, cs, _ in self.terms])
+        self._C = np.zeros((len(ks), deg))
+        for row, (_, coeffs, c) in zip(rows, self.terms):
+            self._C[row, :len(coeffs)] += c * coeffs
+        self._Cp = self._C[:, 1:] * np.arange(1, deg)   # the p-derivative
+        self._k = ks.astype(float)
+
+    @staticmethod
+    def _poly(C, p):
+        """(n_k, len(p)): each row's p-polynomial at p."""
+        return C @ npoly.polyvander(np.asarray(p, dtype=float),
+                                    C.shape[1] - 1).T
+
+    def _kq(self, q):
+        return np.outer(np.asarray(q, dtype=float), self._k)
 
     def h_at(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        out = np.zeros((len(q), len(p)))
-        for k, coeffs, c in self.terms:
-            out += c * np.outer(np.cos(k * q), npoly.polyval(p, coeffs))
-        return out
+        return np.cos(self._kq(q)) @ self._poly(self._C, p)
 
     def hq_at(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        out = np.zeros((len(q), len(p)))
-        for k, coeffs, c in self.terms:
-            out += -c * k * np.outer(np.sin(k * q), npoly.polyval(p, coeffs))
-        return out
+        return (np.sin(self._kq(q)) * -self._k) @ self._poly(self._C, p)
 
     def hp_at(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        out = np.zeros((len(q), len(p)))
-        for k, coeffs, c in self.terms:
-            out += c * np.outer(np.cos(k * q),
-                                npoly.polyval(p, npoly.polyder(coeffs)))
-        return out
+        return np.cos(self._kq(q)) @ self._poly(self._Cp, p)
 
     def sample(self, grid: Grid, Q=None) -> HeightField:
         """Sample onto a grid as a HeightField."""

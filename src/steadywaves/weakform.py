@@ -17,9 +17,11 @@ A `QuadratureLevel` holds every field-only array of the pairings at one
 (nq, npp) rule and pairs any number of test functions against them, so a
 field is resampled once per level, not once per pairing.  On the uniform
 q-nodes of a refinement of the field grid the resampling is an exact
-zero-padded inverse FFT (see `field._trig_eval`).  The public `pair_*`
-functions and `cross_identity` are one-level, one-test-function calls of
-the same integrands.
+zero-padded inverse FFT (see `field._trig_eval`).  Every pairing sums over
+its test function's support window only (`_window`), the nodes where the
+bump can be nonzero, never over the exact zeros outside it.  The public
+`pair_*` functions and `cross_identity` are one-level, one-test-function
+calls of the same integrands, on a level narrowed to the window's nodes.
 """
 
 from __future__ import annotations
@@ -87,21 +89,23 @@ class TestFunction:
                 f"p-support [{pc - r2:g}, {pc + r2:g}] must lie strictly "
                 "inside (-1, 0)")
 
-    def value(self, q, p):
+    def _args(self, q, p):
+        """The 1-D bump arguments (t_q, t_p) at q and p: the bump is nonzero
+        exactly where |t_q| < 1 and |t_p| < 1."""
         q0, pc = self.center
         r1, r2 = self.radii
-        return np.outer(bump1d(_wrap_q(np.asarray(q) - q0) / r1),
-                        bump1d((np.asarray(p) - pc) / r2))
+        return _wrap_q(np.asarray(q) - q0) / r1, (np.asarray(p) - pc) / r2
+
+    def value(self, q, p):
+        tq, tp = self._args(q, p)
+        return np.outer(bump1d(tq), bump1d(tp))
 
     def grad(self, q, p):
         """(d/dq, d/dp) on the tensor grid."""
-        q0, pc = self.center
         r1, r2 = self.radii
-        bq = bump1d(_wrap_q(np.asarray(q) - q0) / r1)
-        bp = bump1d((np.asarray(p) - pc) / r2)
-        dbq = bump1d_deriv(_wrap_q(np.asarray(q) - q0) / r1) / r1
-        dbp = bump1d_deriv((np.asarray(p) - pc) / r2) / r2
-        return np.outer(dbq, bp), np.outer(bq, dbp)
+        tq, tp = self._args(q, p)
+        return (np.outer(bump1d_deriv(tq) / r1, bump1d(tp)),
+                np.outer(bump1d(tq), bump1d_deriv(tp) / r2))
 
 
 def bump(center, radii) -> TestFunction:
@@ -211,6 +215,30 @@ def _as_evaluator(field_like):
     raise TypeError(f"cannot evaluate {type(field_like).__name__} as a field")
 
 
+def _window(phi, q, p):
+    """(iq, jp): the q-node indices and the p-node slice of phi's support.
+
+    The nodes are those where bump1d's own test |t| < 1 holds for both of
+    the bump's arguments, so every node at which phi or its gradient is
+    nonzero is kept.  q-windows may wrap across q = -pi; p is monotone, so a
+    p-window is contiguous.  A test function with no (q, p) support box
+    (a FluidTestFunction) has every node in its window.
+    """
+    tf = getattr(phi, "tf", phi)
+    if not isinstance(tf, TestFunction):
+        return np.arange(len(q)), slice(0, len(p))
+    tq, tp = tf._args(q, p)
+    jp = np.flatnonzero(np.abs(tp) < 1.0)
+    return (np.flatnonzero(np.abs(tq) < 1.0),
+            slice(jp[0], jp[-1] + 1) if jp.size else slice(0, 0))
+
+
+def _cut(arrays, win):
+    """The window's nodes of each full-level array."""
+    iq, jp = win
+    return [a[iq, jp] for a in arrays]
+
+
 def _check_aligned(v: VorticityFunction, npp):
     for b in v.breakpoints:
         jr = (b + 1.0) * npp
@@ -252,8 +280,9 @@ def interp_rows(arr, grid: Grid, q_t, p_t):
 def norm_grad_rect(tf: TestFunction, nq=256, npp=256):
     """L1 norm of |grad phi~| over R (the pairing normalizer)."""
     q, p, wq, wp = _height_nodes(nq, npp)
-    tq, tp = tf.grad(q, p)
-    return float(wq * np.sum(np.hypot(tq, tp) @ wp))
+    iq, jp = _window(tf, q, p)
+    tq, tp = tf.grad(q[iq], p[jp])
+    return float(wq * np.sum(np.hypot(tq, tp) @ wp[jp]))
 
 
 def _default_quadrature(field_like, nq, npp):
@@ -266,7 +295,7 @@ def pair_height(field_like, v: VorticityFunction, params: FlowParameters,
     """I_h: the weak height-form pairing over R, trapezoid quadrature."""
     nq, npp = _default_quadrature(field_like, nq, npp)
     level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
-    return level.pair_height(tf)
+    return level._narrow(tf).pair_height(tf)
 
 
 def pair_stream(fields: PhysicalFields, v: VorticityFunction,
@@ -277,16 +306,16 @@ def pair_stream(fields: PhysicalFields, v: VorticityFunction,
     Jacobian d (1 + h_p) = p0 / psi_y taken from the reconstructed fields.
     """
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)
-    _, px, py = level.test_function(phi)
-    return level.pair_stream(px, py)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi)
+    win, _, px, py = level.test_function(phi)
+    return level.pair_stream(win, px, py)
 
 
 def pair_euler(fields: PhysicalFields, params: FlowParameters, phi,
                nq=None, npp=None, v: VorticityFunction | None = None):
     """(R1, R2, R3): weak Euler pairings (momentum-x, momentum-y, mass)."""
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi)
     return level.pair_euler(*level.test_function(phi))
 
 
@@ -297,12 +326,40 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
     Valid for any admissible field; the two sides use different quadrature
     rules (trapezoid vs midpoint in p), so the gap is a genuine discretization
     residual that vanishes under refinement.  The stream side takes psi
-    from the field's own h-derivatives at the midpoint nodes.
+    from the field's own h-derivatives at the midpoint nodes; the
+    pushforward gradient asks for the same h_q, h_p there, and gets them
+    without a second evaluation.
     """
-    level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
-    phi = PushforwardTestFunction(tf, level.ev, params)
-    _, px, py = level.test_function(phi)
-    return level.cross_identity(level.pair_height(tf), px, py)
+    ev = _Reusing(_as_evaluator(field_like))
+    level = QuadratureLevel(params, nq, npp, v, field_like=ev)._narrow(tf)
+    phi = PushforwardTestFunction(tf, ev, params)
+    win, _, px, py = level.test_function(phi)
+    return level.cross_identity(level.pair_height(tf), win, px, py)
+
+
+class _Reusing:
+    """An evaluator that answers a repeated request at the same nodes with
+    its first result.  It keeps every result, so it serves one call."""
+
+    def __init__(self, ev):
+        self.ev, self._done = ev, []
+
+    def h_at(self, q, p):
+        return self._reuse("h_at", q, p)
+
+    def hq_at(self, q, p):
+        return self._reuse("hq_at", q, p)
+
+    def hp_at(self, q, p):
+        return self._reuse("hp_at", q, p)
+
+    def _reuse(self, name, q, p):
+        for key, q1, p1, out in self._done:
+            if key == name and np.array_equal(q1, q) and np.array_equal(p1, p):
+                return out
+        out = getattr(self.ev, name)(q, p)
+        self._done.append((name, q, p, out))
+        return out
 
 
 EULER_NAMES = ("euler_R1", "euler_R2", "euler_R3")
@@ -317,7 +374,7 @@ class QuadratureLevel:
     pairings.  Each group of arrays is resampled on first use and kept, so
     pairing many test functions at one level costs one resampling of each
     field; what remains per test function is its gradient and the weighted
-    sums.
+    sums over its support window, sliced out of the level's arrays.
     """
 
     def __init__(self, params: FlowParameters, nq, npp,
@@ -330,6 +387,19 @@ class QuadratureLevel:
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
         _, self.pm, _, self.wpm = _midpoint_nodes(nq, npp)
+        # the rule's q-nodes, and the indices among them of the level's rows
+        self.q_nodes, self.rows = self.q, np.arange(nq)
+
+    def _narrow(self, phi):
+        """Keep only the nodes of phi's support window, before any field is
+        resampled, so that a level pairing phi alone resamples nothing
+        outside the window's p-columns and works on the window's rows.
+        Returns self."""
+        iq, jp = _window(phi, self.q, self.p)
+        _, jm = _window(phi, self.q, self.pm)
+        self.q, self.rows = self.q[iq], self.rows[iq]
+        self.p, self.wp, self.pm = self.p[jp], self.wp[jp], self.pm[jm]
+        return self
 
     # -- field-only arrays ----------------------------------------------------
 
@@ -337,8 +407,8 @@ class QuadratureLevel:
     def _height(self):
         """(A, B) of the height integrand A phi~_p + B phi~_q, trapezoid nodes."""
         d = self.params.d
-        hq = self.ev.hq_at(self.q, self.p)
-        hp = self.ev.hp_at(self.q, self.p)
+        hq = self._field("hq_at", self.p)
+        hp = self._field("hp_at", self.p)
         A = -(1.0 + d * d * hq ** 2) / (2 * d * d * (1.0 + hp) ** 2) \
             + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d)
         return A, hq / (1.0 + hp)
@@ -350,11 +420,23 @@ class QuadratureLevel:
     @cached_property
     def _h_stream(self):
         """(psi_x, psi_y) from the field's h-derivatives at the midpoints."""
-        return stream_gradient(self.ev.hq_at(self.q, self.pm),
-                               self.ev.hp_at(self.q, self.pm), self.params)
+        return stream_gradient(self._field("hq_at", self.pm),
+                               self._field("hp_at", self.pm), self.params)
+
+    @cached_property
+    def _h_coeffs(self):
+        """The stream integrand's field factors from `_h_stream`."""
+        return _stream_coeffs(*self._h_stream, self.params)
+
+    # a field is resampled at every q-node of the rule, where resampling a
+    # sampled field is an exact FFT (`field._trig_eval`), then cut to the rows
+
+    def _field(self, name, p):
+        return getattr(self.ev, name)(self.q_nodes, p)[self.rows]
 
     def _resample(self, arr):
-        return interp_rows(arr, self.fields.grid, self.q, self.pm)
+        return interp_rows(arr, self.fields.grid, self.q_nodes,
+                           self.pm)[self.rows]
 
     @cached_property
     def _stream(self):
@@ -376,54 +458,65 @@ class QuadratureLevel:
     # -- pairings -------------------------------------------------------------
 
     def test_function(self, phi):
-        """(value, phi_x, phi_y) of any test function at the midpoint nodes."""
+        """(window, value, phi_x, phi_y) of any test function: its support
+        window at the midpoint nodes and its values there."""
+        win = iq, jp = _window(phi, self.q, self.pm)
         if hasattr(phi, "grad_xy_at_qp"):
-            return (phi.value_qp(self.q, self.pm),
-                    *phi.grad_xy_at_qp(self.q, self.pm))
-        y = self._resample(self.fields.y)
-        return (phi.value_xy(self.q, y), *phi.grad_xy(self.q, y))
+            # phi's field too is resampled at every q-node, then cut
+            px, py = phi.grad_xy_at_qp(self.q_nodes, self.pm[jp])
+            rows = self.rows[iq]
+            return (win, phi.value_qp(self.q[iq], self.pm[jp]),
+                    px[rows], py[rows])
+        y = self._resample(self.fields.y)[iq, jp]
+        return (win, phi.value_xy(self.q[iq], y), *phi.grad_xy(self.q[iq], y))
 
     def pushforward(self, tf: TestFunction):
-        """(value, phi_x, phi_y) of the pushforward of tf at the midpoints."""
-        tq, tp = tf.grad(self.q, self.pm)
-        psi_x, psi_y = self._h_stream
-        return (tf.value(self.q, self.pm),
+        """(window, value, phi_x, phi_y) of the pushforward of tf at the
+        midpoints of its support window."""
+        win = iq, jp = _window(tf, self.q, self.pm)
+        q, pm = self.q[iq], self.pm[jp]
+        tq, tp = tf.grad(q, pm)
+        psi_x, psi_y = _cut(self._h_stream, win)
+        return (win, tf.value(q, pm),
                 *_pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0))
 
     def pair_height(self, tf: TestFunction):
-        A, B = self._height
-        tq, tp = tf.grad(self.q, self.p)
-        return float(self.wq * np.sum((A * tp + B * tq) @ self.wp))
+        win = iq, jp = _window(tf, self.q, self.p)
+        A, B = _cut(self._height, win)
+        tq, tp = tf.grad(self.q[iq], self.p[jp])
+        return float(self.wq * np.sum((A * tp + B * tq) @ self.wp[jp]))
 
-    def pair_stream(self, px, py):
-        return _stream_sum(self._gamma_tilde, *self._stream, px, py,
+    def pair_stream(self, win, px, py):
+        return _stream_sum(self._gamma_tilde[:, win[1]],
+                           *_cut(self._stream, win), px, py,
                            self.wq * self.wpm)
 
-    def pair_euler(self, val, px, py):
-        e11, e12, e21, e22, u, vv, jac = self._euler
+    def pair_euler(self, win, val, px, py):
+        e11, e12, e21, e22, u, vv, jac = _cut(self._euler, win)
         w = self.wq * self.wpm
         R1 = np.sum((e11 * px + e12 * py) * jac)
         R2 = np.sum((e21 * px + e22 * py - self.params.g * val) * jac)
         R3 = np.sum((u * px + vv * py) * jac)
         return float(w * R1), float(w * R2), float(w * R3)
 
-    def cross_identity(self, height, px, py):
-        """(lhs, rhs, gap) from the height pairing and the pushforward gradient."""
+    def cross_identity(self, height, win, px, py):
+        """(lhs, rhs, gap) from the height pairing and the pushforward
+        gradient on its window."""
         lhs = self.params.p0 ** 2 * height
-        coeffs = _stream_coeffs(*self._h_stream, self.params)
-        rhs = _stream_sum(self._gamma_tilde, *coeffs, px, py,
+        rhs = _stream_sum(self._gamma_tilde[:, win[1]],
+                          *_cut(self._h_coeffs, win), px, py,
                           self.wq * self.wpm)
         return lhs, rhs, abs(lhs - rhs)
 
     def pairings(self, tf: TestFunction, with_cross=False):
         """{formulation: value} of the five pairings of tf, and with
         `with_cross` the cross identity's (lhs, rhs, gap) under "cross"."""
-        val, px, py = self.pushforward(tf)
+        win, val, px, py = self.pushforward(tf)
         height = self.pair_height(tf)
-        out = {"height": height, "stream": self.pair_stream(px, py)}
-        out.update(zip(EULER_NAMES, self.pair_euler(val, px, py)))
+        out = {"height": height, "stream": self.pair_stream(win, px, py)}
+        out.update(zip(EULER_NAMES, self.pair_euler(win, val, px, py)))
         if with_cross:
-            out["cross"] = self.cross_identity(height, px, py)
+            out["cross"] = self.cross_identity(height, win, px, py)
         return out
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -70,3 +71,73 @@ def test_other_nodes_take_the_dense_sum(q, monkeypatch):
     for deriv in (False, True):
         assert np.array_equal(fd._trig_eval(c, q, deriv),
                               fd._trig_dense(c, q, deriv))
+
+
+# -- analytic fields --------------------------------------------------------------
+
+
+def _per_term(f, q, p):
+    """(h, h_q, h_p) summed term by term (the evaluator's former loop), and
+    a bound on the size of every term's monomials, the rounding scale."""
+    out = [np.zeros((len(q), len(p))) for _ in range(3)]
+    scale = 0.0
+    for k, coeffs, c in f.terms:
+        P = npoly.polyval(p, coeffs)
+        dP = npoly.polyval(p, npoly.polyder(coeffs))
+        out[0] += c * np.outer(np.cos(k * q), P)
+        out[1] += -c * k * np.outer(np.sin(k * q), P)
+        out[2] += c * np.outer(np.cos(k * q), dP)
+        scale += abs(c) * max(1, k) * len(coeffs) * np.sum(np.abs(coeffs))
+    return out, scale
+
+
+def _assert_gemm_matches_per_term(f, q, p):
+    ref, scale = _per_term(f, q, p)
+    for got, want in zip((f.h_at(q, p), f.hq_at(q, p), f.hp_at(q, p)), ref):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+# coefficients on a 0.01 grid: no product underflows, where rounding is
+# absolute and no relative bound holds
+_COEFF = st.integers(-300, 300).map(lambda n: n / 100)
+# a p-polynomial vanishing at the bed: zero, linear 1 + p, or (1 + p) times
+# a random cubic at most
+_POLY = st.one_of(
+    st.just([0.0]), st.just([1.0, 1.0]),
+    st.lists(_COEFF, min_size=1, max_size=4).map(
+        lambda a: list(npoly.polymul([1.0, 1.0], a))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 5), _POLY, _COEFF),
+                      max_size=8),
+       q=hnp.arrays(float, st.integers(1, 16), elements=st.floats(-4.0, 4.0)),
+       p=hnp.arrays(float, st.integers(1, 16), elements=st.floats(-1.0, 0.0)))
+def test_analytic_gemm_matches_per_term_sum(terms, q, p):
+    _assert_gemm_matches_per_term(fd.AnalyticHeightField(terms), q, p)
+
+
+def test_analytic_gemm_repeated_and_zero_wavenumbers():
+    # repeated k = 0 and k = 2 terms merge into one row each; constant (zero)
+    # and linear p-polynomials give no or constant h_p
+    f = fd.AnalyticHeightField([(0, [0.0], 1.5), (2, [1.0, 1.0], -0.5),
+                                (0, [1.0, 1.0], 0.25), (2, [0.0, 1.0, 1.0], 2.0),
+                                (3, [1.0, 1.0], 0.1)])
+    q = np.linspace(-np.pi, np.pi, 9)
+    p = np.linspace(-1.0, 0.0, 7)
+    _assert_gemm_matches_per_term(f, q, p)
+    assert np.all(f.h_at(q, p)[:, 0] == 0.0)      # the bed row
+    _assert_gemm_matches_per_term(fd.AnalyticHeightField([]), q, p)
+
+
+@pytest.mark.parametrize("max_hp", [0.05, 0.2, 0.6])
+def test_random_admissible_field_bounds_hp(max_hp):
+    # the rescaling divides by the maximum on its own sampling grid, so that
+    # maximum is max_hp up to the rounding of the rescaled sum
+    qs = np.linspace(-np.pi, np.pi, 128, endpoint=False)
+    ps = np.linspace(-1.0, 0.0, 257)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        f = fd.random_admissible_field(rng, max_hp=max_hp)
+        assert np.max(np.abs(f.hp_at(qs, ps))) <= max_hp * (1.0 + 1e-14)

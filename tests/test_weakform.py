@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from steadywaves.vorticity import FlowParameters
+from steadywaves import field as fd
+from steadywaves.vorticity import FlowParameters, gamma_cap, gamma_tilde
 from steadywaves import laminar
 from steadywaves.grid import Grid
 from steadywaves.field import (HeightField, AnalyticHeightField,
@@ -229,6 +231,166 @@ def test_cross_identity_solved_field_small(solved_laminar, v_two_layer):
     lhs, rhs, gap = wf.cross_identity(hf, v_two_layer, params, tf,
                                       nq=64, npp=256)
     assert abs(lhs) < 3e-5 and abs(rhs) < 3e-5 and gap < 2e-5
+
+
+# -- support windows ------------------------------------------------------------------
+
+
+def _full_domain_terms(ev, fields, v, params, tf, nq, npp):
+    """{pairing: terms} summed over the whole rectangle, exact zeros outside
+    the bump's support included: the pairing formulas written out as the
+    oracle for the windowed sums."""
+    d, p0, c, g = params.d, params.p0, params.c, params.g
+    q, p, wq, wp = wf._height_nodes(nq, npp)
+    tq, tp = tf.grad(q, p)
+    hq, hp = ev.hq_at(q, p), ev.hp_at(q, p)
+    A = -(1.0 + d * d * hq ** 2) / (2 * d * d * (1.0 + hp) ** 2) \
+        + gamma_cap(v, params, p)[None, :] / (2 * d * d)
+    terms = {"height": wq * (A * tp + hq / (1.0 + hp) * tq) * wp,
+             "norm": wq * np.hypot(tq, tp) * wp}
+    terms["lhs"] = p0 ** 2 * terms["height"]
+
+    _, pm, _, wpm = wf._midpoint_nodes(nq, npp)
+    w = wq * wpm
+    val = tf.value(q, pm)
+    tq, tp = tf.grad(q, pm)
+    one = 1.0 + ev.hp_at(q, pm)
+    psi_x, psi_y = -p0 * ev.hq_at(q, pm) / one, p0 / (d * one)
+    px, py = tq + tp * (psi_x / p0), tp * (psi_y / p0)
+    gt = gamma_tilde(v, params, pm)[None, :]
+
+    def stream(sx, sy):
+        return w * (gt * py - sx * sy * px + 0.5 * (sx ** 2 - sy ** 2) * py) \
+            * (p0 / sy)
+
+    terms["rhs"] = stream(psi_x, psi_y)
+    if fields is not None:
+        def at(arr):
+            return wf.interp_rows(arr, fields.grid, q, pm)
+
+        sx, sy = at(fields.psi_x), at(fields.psi_y)
+        u, vv, P, jac = at(fields.u), at(fields.v), at(fields.P), p0 / sy
+        terms["stream"] = stream(sx, sy)
+        terms["euler_R1"] = w * ((u * u - c * u + P) * px + u * vv * py) * jac
+        terms["euler_R2"] = w * ((u * vv - c * vv) * px + (vv * vv + P) * py
+                                 - g * val) * jac
+        terms["euler_R3"] = w * (u * px + vv * py) * jac
+    return terms
+
+
+def _assert_sums(values, terms):
+    for name, value in values.items():
+        t = terms[name]
+        assert abs(value - np.sum(t)) <= 1e-14 * np.sum(np.abs(t)), name
+
+
+_BENCH_EDGE = dict(rq=np.pi / 4, pc=-0.45, rp=0.2, seed=1, nq=64, npp=32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       q0=st.floats(-np.pi, np.pi), rq=st.floats(0.05, 3.1),
+       pc=st.floats(-0.95, -0.05), rp=st.floats(0.01, 0.49),
+       nq=st.sampled_from([32, 64]), npp=st.sampled_from([16, 24, 32]))
+# supports ending exactly at q = -pi (the benchmark's lattice edge), wrapping
+# across q = +-pi, and p-supports holding the jump node p = -1/2
+@example(q0=-3 * np.pi / 4, **_BENCH_EDGE)
+@example(q0=3 * np.pi / 4, **_BENCH_EDGE)
+@example(q0=-np.pi, rq=1.0, pc=-0.5, rp=0.3, seed=2, nq=32, npp=16)
+@example(q0=2.9, rq=1.5, pc=-0.7, rp=0.2, seed=3, nq=32, npp=24)
+def test_windowed_sums_match_full_domain(v_two_layer, seed, q0, rq, pc, rp,
+                                         nq, npp):
+    assume(pc - rp > -1.0 and pc + rp < 0.0)
+    params = FlowParameters(d=1.2, g=3.3, c=1.0, p0=-0.9)
+    v = v_two_layer
+    tf = wf.bump((q0, pc), (rq, rp))
+    f = random_admissible_field(np.random.default_rng(seed))
+    hf = f.sample(Grid(16, 16, aligned_jumps=(-0.5,)), Q=7.5)
+    fields = tr.reconstruct_fields(hf, v, params)
+    ev = hf.evaluator()
+
+    analytic = _full_domain_terms(f, None, v, params, tf, nq, npp)
+    sampled = _full_domain_terms(ev, fields, v, params, tf, nq, npp)
+
+    # one-shot pairings, on the analytic field and on the sampled one
+    for fl, terms in ((f, analytic), (hf, sampled)):
+        lhs, rhs, _ = wf.cross_identity(fl, v, params, tf, nq=nq, npp=npp)
+        _assert_sums({"height": wf.pair_height(fl, v, params, tf, nq, npp),
+                      "lhs": lhs, "rhs": rhs,
+                      "norm": wf.norm_grad_rect(tf, nq, npp)}, terms)
+    phi = wf.pushforward_testfn(tf, hf, params)
+    _assert_sums(dict(zip(wf.EULER_NAMES,
+                          wf.pair_euler(fields, params, phi, nq, npp, v=v)),
+                      stream=wf.pair_stream(fields, v, params, phi, nq, npp)),
+                 sampled)
+
+    # verify's shared level, which slices each window out of its arrays
+    level = wf.QuadratureLevel(params, nq, npp, v, field_like=ev,
+                               fields=fields)
+    vals = level.pairings(tf, with_cross=True)
+    lhs, rhs, _ = vals.pop("cross")
+    _assert_sums(dict(vals, lhs=lhs, rhs=rhs), sampled)
+
+
+class _Counting:
+    """An evaluator that records each call and the nodes it was asked at."""
+
+    def __init__(self, ev):
+        self.ev, self.calls = ev, []
+
+    def _call(self, name, q, p):
+        self.calls.append((name, np.array(q), np.array(p)))
+        return getattr(self.ev, name)(q, p)
+
+    def h_at(self, q, p):
+        return self._call("h_at", q, p)
+
+    def hq_at(self, q, p):
+        return self._call("hq_at", q, p)
+
+    def hp_at(self, q, p):
+        return self._call("hp_at", q, p)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
+    # h_q and h_p once per rule (trapezoid and midpoint), on the window's
+    # p-columns only, at every q-node of the rule
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    f = random_admissible_field(np.random.default_rng(3))
+    if sampled:
+        f = f.sample(Grid(64, 96, aligned_jumps=(-0.5,)), Q=12.0).evaluator()
+    ev = _Counting(f)
+    pc, rp = -0.45, 0.2
+    nq, npp = 128, 192
+    wf.cross_identity(ev, v_two_layer, params,
+                      wf.bump((3 * np.pi / 4, pc), (np.pi / 4, rp)), nq, npp)
+    assert sorted(name for name, _, _ in ev.calls) == [
+        "hp_at", "hp_at", "hq_at", "hq_at"]
+    nodes = [wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(nq, npp)[1]]
+    asked = sorted({tuple(p) for _, _, p in ev.calls})
+    assert asked == sorted(tuple(p[np.abs((p - pc) / rp) < 1.0])
+                           for p in nodes)
+    assert all(np.array_equal(q, wf._q_nodes(nq)) for _, q, _ in ev.calls)
+
+
+def test_windowed_pairings_keep_the_fft_resampling(v_two_layer, monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense trigonometric sum taken")
+
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    hf = random_admissible_field(np.random.default_rng(4)).sample(
+        Grid(32, 32, aligned_jumps=(-0.5,)), Q=12.0)
+    fields = tr.reconstruct_fields(hf, v_two_layer, params)
+    tf = wf.bump((-3 * np.pi / 4, -0.45), (np.pi / 4, 0.2))
+    phi = wf.pushforward_testfn(tf, hf, params)
+    monkeypatch.setattr(fd, "_trig_dense", no_dense)
+    wf.cross_identity(hf, v_two_layer, params, tf, nq=64, npp=64)
+    wf.pair_height(hf, v_two_layer, params, tf, nq=64, npp=64)
+    wf.pair_stream(fields, v_two_layer, params, phi, nq=64, npp=64)
+    wf.pair_euler(fields, params, phi, nq=64, npp=64, v=v_two_layer)
+    wf.QuadratureLevel(params, 64, 64, v_two_layer, field_like=hf,
+                       fields=fields).pairings(tf, with_cross=True)
 
 
 # -- surface identity -----------------------------------------------------------------
