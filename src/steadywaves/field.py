@@ -140,19 +140,6 @@ class HeightField:
         return HeightField(self.grid, self.h.copy(), self.Q)
 
 
-def check_invariants(hf: HeightField):
-    """Measured invariant violations: bed, evenness, surface mean, stagnation."""
-    g = hf.grid
-    full = hf.h
-    mirrored = full[(-np.arange(g.Nq)) % g.Nq]  # h(-q) on the same index set
-    return {
-        "bed_max": float(np.max(np.abs(full[:, 0]))),
-        "evenness_max": float(np.max(np.abs(full - mirrored))),
-        "surface_mean": hf.surface_mean(),
-        "min_one_plus_hp": hf.min_one_plus_hp(),
-    }
-
-
 class SampledEvaluator:
     """Tensor-grid evaluation of a sampled field: cosine in q, linear in p."""
 
@@ -251,7 +238,9 @@ def random_admissible_field(rng, max_hp=0.2, kmax=3, mmax=2, Q=0.0):
     """Random smooth even periodic field with 1 + h_p > 0 guaranteed.
 
     Coefficients are drawn with mode-decaying scales and the whole field is
-    rescaled so max |h_p| <= max_hp < 1.
+    rescaled by max_hp over its max |h_p| on a 128 x 257 (q, p) sampling
+    grid, so there max |h_p| <= max_hp (1 + 1e-14): the rescaled sum may
+    exceed max_hp by a few ulp.  max_hp < 1.
     """
     terms = []
     for k in range(kmax + 1):

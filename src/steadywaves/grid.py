@@ -10,12 +10,23 @@ exactly on a p-node; derivative stencils in p are built per smooth layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class AlignmentError(ValueError):
     """A vorticity breakpoint does not coincide with a p-node."""
+
+
+def aligned_node(b, n):
+    """Index j = (b + 1) n, within 1e-9, of an interior p-node at n cells."""
+    j = round((b + 1.0) * n)
+    if abs((b + 1.0) * n - j) > 1e-9 or not 0 < j < n:
+        raise AlignmentError(f"vorticity breakpoint {b} is not an interior "
+                             f"p-node at {n} p-cells")
+    return j
 
 
 def fd_weights(z, x, m):
@@ -77,16 +88,7 @@ class Grid:
         object.__setattr__(self, "q", -np.pi + dq * np.arange(self.Nq))
         object.__setattr__(self, "p", -1.0 + dp * np.arange(self.Np + 1))
 
-        # exact rational alignment of breakpoints with p-nodes
-        jidx = [0]
-        for b in jumps:
-            jr = (b + 1.0) * self.Np
-            j = int(round(jr))
-            if abs(jr - j) > 1e-9 or not 0 < j < self.Np:
-                raise AlignmentError(
-                    f"vorticity breakpoint {b} is not a p-node for Np={self.Np}")
-            jidx.append(j)
-        jidx.append(self.Np)
+        jidx = [0, *(aligned_node(b, self.Np) for b in jumps), self.Np]
         if any(b - a < _STENCIL - 1 for a, b in zip(jidx[:-1], jidx[1:])):
             raise ValueError("each vorticity layer needs at least "
                              f"{_STENCIL - 1} p-cells at Np={self.Np}")
@@ -124,6 +126,11 @@ class Grid:
         object.__setattr__(self, "node_w_hi", node_w_hi)
         object.__setattr__(self, "p_half", self.p[:-1] + 0.5 * dp)
 
+    @cached_property
+    def operators(self):
+        """The reduced grid's sparse operators, built on first use."""
+        return ReducedOperators(self)
+
     def _layer_of_cell(self, jc):
         edges = self._layer_edges
         for a, b in zip(edges[:-1], edges[1:]):
@@ -135,11 +142,6 @@ class Grid:
     def jump_nodes(self):
         """p-node indices of the aligned vorticity breakpoints."""
         return tuple(self._layer_edges[1:-1])
-
-    @property
-    def n_reduced(self):
-        """Columns of the even-reduced representation (q in [0, pi])."""
-        return self.Nq // 2 + 1
 
     def qmirror(self, i):
         """Reflect a reduced q-index into the valid range [0, Nq/2]."""
@@ -182,3 +184,53 @@ class Grid:
     def half_dp(self, hcols):
         """Per-layer 4th-order p-derivative at cell midpoints; hcols (..., Np+1)."""
         return np.einsum("jt,...jt->...j", self.half_w, hcols[..., self.half_idx])
+
+
+class ReducedOperators:
+    """Sparse operators on a reduced array H (nh+1, Np+1) flattened row-major.
+
+    Kronecker products (q x p) of the central D_q mirrored at q = 0 and pi,
+    the per-layer D_p, two-point averages and differences, and the surface
+    selection: h_p at nodes (dp_node); h_p and h_q at half nodes (dp_half,
+    hq_half); dh/dq and h_p at the half q-edges of interior nodes (dq_edge,
+    hp_edge); h, h_q and h_p on the surface (h_top, hq_top, hp_top).  div
+    takes a flux pair (A at half nodes, B at half edges) to its divergence
+    at interior nodes; B is odd about q = 0 and pi, so the edge next to
+    either counts twice.
+    """
+
+    def __init__(self, g: Grid):
+        nh, Np, eye = g.Nq // 2, g.Np, sp.identity
+        r = np.arange(nh + 1)
+
+        def shift(k):       # reduced column r + k, mirrored into [0, nh]
+            cols = [g.qmirror(i + k) for i in r]
+            return sp.csr_matrix((np.ones(nh + 1), (r, cols)),
+                                 shape=(nh + 1, nh + 1))
+
+        def pair(a, b, n):  # a at column i and b at i + 1 of row i
+            return sp.diags([a, b], [0, 1], shape=(n, n + 1))
+
+        def stencil(idx, w):
+            return sp.csr_matrix((w.ravel(), idx.ravel(),
+                                  np.arange(0, w.size + 1, _STENCIL)),
+                                 shape=(len(w), Np + 1))
+
+        d_q = (shift(1) - shift(-1)) / (2 * g.dq)
+        d_q.eliminate_zeros()               # h_q = 0 where q = 0 or pi
+        q_diff = pair(-1.0 / g.dq, 1.0 / g.dq, nh)
+        q_div = -sp.diags(np.r_[2.0, np.ones(nh - 1), 2.0]) @ q_diff.T
+        p_div = pair(-1.0 / g.dp, 1.0 / g.dp, Np - 1)
+        node_dp = stencil(g.node_idx, g.node_w)
+        inner, top = sp.eye(Np - 1, Np + 1, k=1), sp.eye(1, Np + 1, k=Np)
+        kron = partial(sp.kron, format="csr")
+        self.dp_node = kron(eye(nh + 1), node_dp)
+        self.dp_half = kron(eye(nh + 1), stencil(g.half_idx, g.half_w))
+        self.hq_half = kron(d_q, pair(0.5, 0.5, Np))
+        self.dq_edge = kron(q_diff, inner)
+        self.hp_edge = kron(pair(0.5, 0.5, nh), inner @ node_dp)
+        self.h_top = kron(eye(nh + 1), top)
+        self.hq_top = kron(d_q, top)
+        self.hp_top = kron(eye(nh + 1), top @ node_dp)
+        self.div = sp.hstack((kron(eye(nh + 1), p_div),
+                              kron(q_div, eye(Np - 1))), format="csr")

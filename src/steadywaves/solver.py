@@ -10,6 +10,9 @@ for h_p (so the scheme keeps its accuracy when gamma jumps, provided the
 jump is node-aligned) and the horizontal flux B = h_q / (1 + h_p) at
 half q-edges.  The solver works on the even-reduced subspace q in [0, pi],
 bed row eliminated.  The dynamic surface condition supplies the top rows.
+The residual evaluates the fluxes pointwise on the outputs of the grid's
+sparse operators (`grid.ReducedOperators`, built once per grid); the
+Jacobian is a sum of those operators scaled by the fluxes' partials.
 
 Closures:
   fixed_Q          h unknown, Q given.
@@ -89,8 +92,18 @@ class ContinuationResult:
     message: str = ""
 
 
+def _speed_term(hq, hp, d):
+    """K = -(1 + d^2 h_q^2) / (2 d^2 (1 + h_p)^2) and (dK/dh_q, dK/dh_p).
+
+    K is the kinetic part of both the vertical flux A and the surface row.
+    """
+    u = 1.0 + hp
+    K = -(1.0 + d * d * hq ** 2) / (2 * d * d * u ** 2)
+    return K, -hq / u ** 2, -2.0 * K / u
+
+
 class HeightSystem:
-    """Assembles the discrete residual and analytic Jacobian."""
+    """Discrete residual and analytic Jacobian over the grid's operators."""
 
     def __init__(self, grid: Grid, v: VorticityFunction, params: FlowParameters):
         for b in v.breakpoints:
@@ -99,14 +112,23 @@ class HeightSystem:
                     f"vorticity breakpoint {b} is not registered on the grid; "
                     f"construct Grid with aligned_jumps={v.breakpoints}")
         self.grid, self.v, self.params = grid, v, params
-        self.Ghalf = gamma_cap(v, params, grid.p_half)
+        self.ops = grid.operators
         nh = grid.Nq // 2
         self.nh = nh
-        self.rp = np.array([grid.qmirror(r + 1) for r in range(nh + 1)])
-        self.rm = np.array([grid.qmirror(r - 1) for r in range(nh + 1)])
+        # the vorticity part gamma_cap / (2 d^2) of A at every half node
+        self.A_gamma = np.tile(gamma_cap(v, params, grid.p_half),
+                               nh + 1) / (2 * params.d ** 2)
         self.mw = grid.mean_weights_reduced()
+        # weights w of the closure row w . h(q, 0) - a: the surface mean, or
+        # the crest-minus-trough half height d (h(0, 0) - h(pi, 0)) / 2
+        amp = np.zeros(nh + 1)
+        amp[[0, -1]] = params.d / 2.0, -params.d / 2.0
+        self.closures = {"fixed_Q": None, "meanzero": self.mw,
+                         "amplitude": amp}
         self.n_int = (nh + 1) * (grid.Np - 1)
         self.n_h = (nh + 1) * grid.Np
+        cols = np.arange(self.n_h + nh + 1).reshape(nh + 1, grid.Np + 1)
+        self.unknowns = cols[:, 1:].ravel()     # H[:, 1:] among H.ravel()
 
     # -- reduced state helpers ------------------------------------------------
 
@@ -120,12 +142,17 @@ class HeightSystem:
 
     # -- pointwise quantities --------------------------------------------------
 
-    def _derivs(self, H):
-        g = self.grid
-        hq = (H[self.rp] - H[self.rm]) / (2.0 * g.dq)
-        hp = g.node_dp(H)
-        s = g.half_dp(H)
-        return hq, hp, s
+    def _pointwise(self, x):
+        """The fluxes at x = H.ravel(), with the partials the Jacobian needs.
+
+        Returns the speed term (K, K_hq, K_hp) at half nodes, B = h_q/m and
+        m = 1 + h_p at half edges, and the speed term on the surface row.
+        """
+        o, d = self.ops, self.params.d
+        m = 1.0 + o.hp_edge @ x
+        return (_speed_term(o.hq_half @ x, o.dp_half @ x, d),
+                (o.dq_edge @ x) / m, m,
+                _speed_term(o.hq_top @ x, o.hp_top @ x, d))
 
     def laminar_modes(self, H):
         """Modal inverse of the fixed-Q Jacobian at the q-mean of H."""
@@ -134,44 +161,27 @@ class HeightSystem:
                             self.nh, self.grid.Np)
 
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
-        _, hp, s = self._derivs(H)
-        return min(np.min(1.0 + s), np.min(1.0 + hp)) > eps
+        x = H.ravel()
+        return min(np.min(1.0 + self.ops.dp_half @ x),
+                   np.min(1.0 + self.ops.dp_node @ x)) > eps
 
     def residual_parts(self, H, Q, eps_stag=EPS_STAG_DEFAULT):
         """(interior (nh+1, Np-1), surface (nh+1,)) residuals."""
-        g = self.grid
-        d, p0, grav = self.params.d, self.params.p0, self.params.g
-        hq, hp, s = self._derivs(H)
-        if min(np.min(1.0 + s), np.min(1.0 + hp)) <= eps_stag:
+        if not self.admissible(H, eps_stag):
             raise StagnationError("1 + h_p fell below eps_stag")
-        hq_half = 0.5 * (hq[:, :-1] + hq[:, 1:])
-        A = -(1.0 + d * d * hq_half ** 2) / (2 * d * d * (1.0 + s) ** 2) \
-            + self.Ghalf / (2 * d * d)
-        dH = (H[1:] - H[:-1]) / g.dq
-        mB = 1.0 + 0.5 * (hp[:-1] + hp[1:])
-        Bh = dH / mB
-        nh = self.nh
-        Bdiv = np.empty_like(H)
-        Bdiv[0] = 2.0 * Bh[0] / g.dq
-        Bdiv[1:nh] = (Bh[1:] - Bh[:-1]) / g.dq
-        Bdiv[nh] = -2.0 * Bh[nh - 1] / g.dq
-        interior = (A[:, 1:] - A[:, :-1]) / g.dp + Bdiv[:, 1:g.Np]
-        surface = (-(1.0 + d * d * hq[:, -1] ** 2)
-                   / (2 * d * d * (1.0 + hp[:, -1]) ** 2)
-                   - grav * d * (H[:, -1] + 1.0) / p0 ** 2 + Q / (2 * p0 ** 2))
-        return interior, surface
+        d, p0, grav = self.params.d, self.params.p0, self.params.g
+        x = H.ravel()
+        (K, _, _), B, _, (K_top, _, _) = self._pointwise(x)
+        interior = self.ops.div @ np.concatenate((K + self.A_gamma, B))
+        surface = (K_top - grav * d * (self.ops.h_top @ x + 1.0) / p0 ** 2
+                   + Q / (2 * p0 ** 2))
+        return interior.reshape(self.nh + 1, -1), surface
 
     def residual_vector(self, H, Q, mode, a=0.0, eps_stag=EPS_STAG_DEFAULT):
+        w = self.closures[mode]
         interior, surface = self.residual_parts(H, Q, eps_stag)
-        rows = [interior.ravel(), surface]
-        if mode == "meanzero":
-            rows.append(np.array([self.mw @ H[:, -1]]))
-        elif mode == "amplitude":
-            rows.append(np.array(
-                [self.params.d * (H[0, -1] - H[self.nh, -1]) / 2.0 - a]))
-        elif mode != "fixed_Q":
-            raise ValueError(f"unknown mode {mode!r}")
-        return np.concatenate(rows)
+        closure = [] if w is None else [w @ H[:, -1] - a]
+        return np.concatenate((interior.ravel(), surface, closure))
 
     # -- analytic Jacobian -----------------------------------------------------
 
@@ -179,121 +189,27 @@ class HeightSystem:
         """Sparse Jacobian in the reduced ordering (see `residual_vector`).
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
-        meanzero/amplitude closures.
+        meanzero/amplitude closures.  Each term is L diag(f') R over the
+        grid's operators, by the chain rule through `_pointwise`.
         """
-        g = self.grid
+        o, diag = self.ops, sp.diags
         d, p0, grav = self.params.d, self.params.p0, self.params.g
-        nh, Np = self.nh, g.Np
-        nq = nh + 1
-        hq, hp, s = self._derivs(H)
-        hq_half = 0.5 * (hq[:, :-1] + hq[:, 1:])
-        with_Q = mode in ("meanzero", "amplitude")
-        n_rows = self.n_h + (1 if with_Q else 0)
-        n_cols = self.n_h + (1 if with_Q else 0)
-
-        R, C, V = [], [], []
-
-        def add(rows, cols_r, cols_j, vals, ok=True):
-            """Append entries; bed columns (j == 0) and masked rows dropped."""
-            rows, cols_r, cols_j, vals, okb = np.broadcast_arrays(
-                rows, cols_r, cols_j, vals, ok)
-            keep = (np.asarray(cols_j) >= 1) & np.asarray(okb, dtype=bool)
-            R.append(np.asarray(rows)[keep])
-            C.append(np.asarray(cols_r)[keep] * Np + np.asarray(cols_j)[keep] - 1)
-            V.append(np.asarray(vals, dtype=float)[keep])
-
-        # interior rows: row(r, j) = r*(Np-1) + (j-1), j = 1..Np-1
-        r_idx = np.arange(nq)[:, None, None]              # (nq,1,1)
-        jc_idx = np.arange(Np)[None, :, None]             # (1,Np,1)
-
-        dA_ds = (1.0 + d * d * hq_half ** 2) / (d * d * (1.0 + s) ** 3)
-        dA_dhqh = -hq_half / (1.0 + s) ** 2
-
-        half_idx = g.half_idx[None, :, :]                 # (1,Np,5)
-        half_w = g.half_w[None, :, :]
-
-        # rows j = jc receive +A_jc/dp ; rows j = jc+1 receive -A_jc/dp
-        for row_j, sign, mask in (
-                (jc_idx, +1.0, (jc_idx >= 1) & (jc_idx <= Np - 1)),
-                (jc_idx + 1, -1.0, jc_idx + 1 <= Np - 1)):
-            base = sign / g.dp
-            rowu = r_idx * (Np - 1) + (row_j - 1)
-            # via s
-            add(rowu, r_idx, half_idx, base * dA_ds[:, :, None] * half_w, mask)
-            # via hq_half: depends on hq at (r, jc) and (r, jc+1)
-            rowu2, jc2, mask2 = rowu[:, :, 0], jc_idx[:, :, 0], mask[:, :, 0]
-            for jn_off in (0, 1):
-                for rr, sgn_q in ((self.rp, +1.0), (self.rm, -1.0)):
-                    add(rowu2, rr[:, None], jc2 + jn_off,
-                        base * dA_dhqh * 0.5 * sgn_q / (2 * g.dq), mask2)
-
-        # B-flux entries: edges e = 0..nh-1, nodes j = 1..Np-1
-        e_idx = np.arange(nh)[:, None]                    # (nh,1)
-        j_idx = np.arange(1, Np)[None, :]                 # (1,Np-1)
-        dH = (H[1:] - H[:-1]) / g.dq
-        mB = 1.0 + 0.5 * (hp[:-1] + hp[1:])
-        Bh = dH / mB
-        dB_dDH = 1.0 / (g.dq * mB[:, 1:Np])
-        dB_dm = -Bh[:, 1:Np] / mB[:, 1:Np]
-        w_row_e = np.where(e_idx == 0, 2.0, 1.0) / g.dq          # into row r=e
-        w_row_e1 = -np.where(e_idx + 1 == nh, 2.0, 1.0) / g.dq   # into row r=e+1
-        node_idx = g.node_idx[None, 1:Np, :]              # (1,Np-1,5)
-        node_w = g.node_w[None, 1:Np, :]
-        for row_r, wrow in ((e_idx, w_row_e), (e_idx + 1, w_row_e1)):
-            rowu = row_r * (Np - 1) + (j_idx - 1)
-            # via dH
-            for col_r, sgn in ((e_idx + 1, +1.0), (e_idx, -1.0)):
-                vals = wrow * sgn * dB_dDH
-                add(rowu, np.broadcast_to(col_r, vals.shape),
-                    np.broadcast_to(j_idx, vals.shape), vals)
-            # via m (average of node hp at e and e+1)
-            for col_r in (e_idx, e_idx + 1):
-                vals = (wrow * dB_dm)[:, :, None] * 0.5 * node_w
-                add(np.broadcast_to(rowu[:, :, None], vals.shape),
-                    np.broadcast_to(col_r[:, :, None], vals.shape),
-                    np.broadcast_to(node_idx, vals.shape), vals)
-
-        # surface rows: row = n_int + r
-        r1 = np.arange(nq)
-        rowu = self.n_int + r1
-        hq0, hp0 = hq[:, -1], hp[:, -1]
-        add(rowu, r1, np.full(nq, Np), np.full(nq, -grav * d / p0 ** 2))
-        dS_dhp = (1.0 + d * d * hq0 ** 2) / (d * d * (1.0 + hp0) ** 3)
-        vals = dS_dhp[:, None] * g.node_w[None, -1, :]
-        add(np.broadcast_to(rowu[:, None], vals.shape),
-            np.broadcast_to(r1[:, None], vals.shape),
-            np.broadcast_to(g.node_idx[None, -1, :], vals.shape), vals)
-        dS_dhq = -hq0 / (1.0 + hp0) ** 2
-        for rr, sgn in ((self.rp, +1.0), (self.rm, -1.0)):
-            vals = dS_dhq * sgn / (2 * g.dq)
-            add(rowu, rr, np.full(nq, Np), vals)
-
-        rows = np.concatenate(R)
-        cols = np.concatenate(C)
-        vals = np.concatenate(V)
-
-        extra_r, extra_c, extra_v = [], [], []
-        if with_Q:
-            # Q column in surface rows
-            extra_r.extend(self.n_int + r1)
-            extra_c.extend([self.n_h] * nq)
-            extra_v.extend([1.0 / (2 * p0 ** 2)] * nq)
-            # scalar row
-            srow = self.n_h
-            if mode == "meanzero":
-                for r in range(nq):
-                    extra_r.append(srow)
-                    extra_c.append(r * Np + Np - 1)
-                    extra_v.append(self.mw[r])
-            else:
-                extra_r.extend([srow, srow])
-                extra_c.extend([0 * Np + Np - 1, nh * Np + Np - 1])
-                extra_v.extend([self.params.d / 2.0, -self.params.d / 2.0])
-        rows = np.concatenate((rows, np.array(extra_r, dtype=rows.dtype)))
-        cols = np.concatenate((cols, np.array(extra_c, dtype=cols.dtype)))
-        vals = np.concatenate((vals, np.array(extra_v)))
-        return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(n_rows, n_cols)).tocsr()
+        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(H.ravel())
+        interior = o.div @ sp.vstack(
+            (diag(K_hp) @ o.dp_half + diag(K_hq) @ o.hq_half,
+             diag(1.0 / m) @ o.dq_edge - diag(B / m) @ o.hp_edge))
+        surface = (diag(Kt_hp) @ o.hp_top + diag(Kt_hq) @ o.hq_top
+                   - (grav * d / p0 ** 2) * o.h_top)
+        J = sp.vstack((interior, surface), format="csr")[:, self.unknowns]
+        w = self.closures[mode]
+        if w is None:
+            return J
+        # dQ in the surface rows, and the closure row; all-CSR blocks keep
+        # the stacking out of COO
+        Q_col = np.r_[np.zeros(self.n_int), np.full(self.nh + 1, 0.5 / p0**2)]
+        row = np.append(w @ o.h_top[:, self.unknowns], 0.0)
+        return sp.vstack((sp.hstack((J, sp.csr_matrix(Q_col[:, None]))),
+                          sp.csr_matrix(row)), format="csr")
 
 
 # -- public operations --------------------------------------------------------

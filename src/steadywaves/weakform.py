@@ -34,7 +34,7 @@ from scipy.ndimage import convolve1d
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
 from .field import HeightField, _q_nodes, _trig_coeffs, _trig_eval
-from .grid import Grid
+from .grid import Grid, aligned_node
 from .transform import PhysicalFields, stream_gradient
 
 
@@ -239,15 +239,6 @@ def _cut(arrays, win):
     return [a[iq, jp] for a in arrays]
 
 
-def _check_aligned(v: VorticityFunction, npp):
-    for b in v.breakpoints:
-        jr = (b + 1.0) * npp
-        if abs(jr - round(jr)) > 1e-9:
-            raise ValueError(
-                f"quadrature p-resolution {npp} does not align vorticity "
-                f"breakpoint {b}; panels would straddle the jump")
-
-
 def _height_nodes(nq, npp):
     q = _q_nodes(nq)
     p = np.linspace(-1.0, 0.0, npp + 1)
@@ -381,7 +372,8 @@ class QuadratureLevel:
                  v: VorticityFunction | None = None, field_like=None,
                  fields: PhysicalFields | None = None):
         if v is not None:
-            _check_aligned(v, npp)
+            for b in v.breakpoints:     # panels must not straddle a jump
+                aligned_node(b, npp)
         self.params, self.v = params, v
         self.ev = None if field_like is None else _as_evaluator(field_like)
         self.fields = fields

@@ -3,8 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from steadywaves.vorticity import VorticityFunction, FlowParameters
+from steadywaves.vorticity import VorticityFunction, FlowParameters, two_layer
 from steadywaves import laminar
+from steadywaves import grid as grid_module
 from steadywaves.grid import Grid, AlignmentError
 from steadywaves.field import HeightField, random_admissible_field
 from steadywaves.solver import (HeightSystem, newton_solve, continuation,
@@ -91,14 +92,22 @@ def test_manufactured_field_scheme_consistency(params):
 # -- jacobian ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode,a", [("fixed_Q", 0.0), ("meanzero", 0.0),
-                                    ("amplitude", 1e-3)])
-def test_jacobian_matches_central_differences(v_two_layer, params, rng,
-                                              mode, a):
-    g = Grid(32, 32, aligned_jumps=(-0.5,))
+def _jacobian_case(mode, a, p_jump=-0.5):
+    suffix = "" if p_jump == -0.5 else f"-jump{p_jump:g}"
+    return pytest.param(mode, a, p_jump, id=f"{mode}-{a}{suffix}")
+
+
+# jumps at p = -1 + 4/32 and -4/32 leave a layer of exactly 4 cells, whose
+# node and half-node stencils are one-sided at both of its ends
+@pytest.mark.parametrize("mode,a,p_jump", [
+    _jacobian_case(mode, a, p_jump)
+    for p_jump in (-0.5, -1.0 + 4 / 32, -4 / 32)
+    for mode, a in (("fixed_Q", 0.0), ("meanzero", 0.0), ("amplitude", 1e-3))])
+def test_jacobian_matches_central_differences(params, rng, mode, a, p_jump):
+    g = Grid(32, 32, aligned_jumps=(p_jump,))
     f = random_admissible_field(rng)
     hf = f.sample(g, Q=12.0)
-    sys_ = HeightSystem(g, v_two_layer, params)
+    sys_ = HeightSystem(g, two_layer(3.0, p_jump), params)
     H = sys_.reduce(hf)
     J = sys_.jacobian_matrix(H, hf.Q, mode)
 
@@ -138,6 +147,33 @@ def test_jacobian_constant_coefficient_limit(v_zero, params, rng):
     dqq = (delta_red[rp] - 2 * delta_red + delta_red[rm]) / g.dq ** 2
     expected = dpp / params.d ** 2 + dqq[:, 1:g.Np]
     assert np.max(np.abs(Jd - expected)) < 1e-11 * max(1, np.max(np.abs(expected)))
+
+
+def test_operators_match_stencil_tables(rng):
+    # each grid operator against the index arithmetic it replaces, with a
+    # 4-cell layer at the bed and a jump node inside
+    g = Grid(16, 32, aligned_jumps=(-1.0 + 4 / 32, -0.5))
+    nh = g.Nq // 2
+    H = rng.standard_normal((nh + 1, g.Np + 1))
+    o, x = g.operators, H.ravel()
+    rp = [g.qmirror(r + 1) for r in range(nh + 1)]
+    rm = [g.qmirror(r - 1) for r in range(nh + 1)]
+    hq, hp = (H[rp] - H[rm]) / (2 * g.dq), g.node_dp(H)
+    A = rng.standard_normal((nh + 1, g.Np))
+    B = rng.standard_normal((nh, g.Np - 1))
+    Bx = np.vstack((-B[:1], B, -B[-1:]))        # B is odd about q = 0, pi
+    pairs = [
+        (o.dp_node @ x, hp), (o.dp_half @ x, g.half_dp(H)),
+        (o.hq_half @ x, 0.5 * (hq[:, :-1] + hq[:, 1:])),
+        (o.dq_edge @ x, (H[1:, 1:-1] - H[:-1, 1:-1]) / g.dq),
+        (o.hp_edge @ x, 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1])),
+        (o.h_top @ x, H[:, -1]), (o.hq_top @ x, hq[:, -1]),
+        (o.hp_top @ x, hp[:, -1]),
+        (o.div @ np.concatenate((A.ravel(), B.ravel())),
+         (A[:, 1:] - A[:, :-1]) / g.dp + (Bx[1:] - Bx[:-1]) / g.dq)]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want.ravel(), rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_residual_even_in_q(v_two_layer, params, rng):
@@ -220,6 +256,20 @@ def test_continuation_zero_schedule(v_two_layer, params):
     assert cont.converged and len(cont.fields) == 1
     # agreement is limited by the p-discretization (O(dp^4) at Np=64)
     assert np.max(np.abs(cont.fields[0].h - lf.h[None, :])) < 1e-6
+
+
+def test_operators_built_once_per_grid(v_two_layer, params_critical,
+                                       monkeypatch):
+    # every HeightSystem of a continuation reads the grid's cached operators
+    builds, build = [], grid_module.ReducedOperators
+    monkeypatch.setattr(grid_module, "ReducedOperators",
+                        lambda g: builds.append(g) or build(g))
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params_critical, g.p)
+    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
+    cont = continuation(hf0, v_two_layer, params_critical, [0.0, 2.5e-4, 5e-4])
+    assert cont.converged and len(cont.fields) == 3
+    assert len(builds) == 1
 
 
 @pytest.fixture(scope="module")
