@@ -5,8 +5,8 @@ exactly; JSON keys are sorted and iteration order is fixed, making runs
 byte-identical for identical configs (the manifest's timestamp field is the
 single exception).
 
-Exit codes: 0 success, 2 validation error, 3 non-convergence,
-4 verification-threshold failure.
+Exit codes: 0 success, 2 validation error, 3 non-convergence (also no
+laminar flow for the vorticity), 4 verification-threshold failure.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ def main(argv=None):
             print(f"residual history (last {min(6, len(history))}): {tail}",
                   file=sys.stderr)
         return 3
-    except laminar_mod.BracketError as exc:
+    except laminar_mod.LaminarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -196,7 +196,10 @@ class ReducedOperators:
     hp_edge); h, h_q and h_p on the surface (h_top, hq_top, hp_top).  div
     takes a flux pair (A at half nodes, B at half edges) to its divergence
     at interior nodes; B is odd about q = 0 and pi, so the edge next to
-    either counts twice.
+    either counts twice.  The 1-D p-factors act on one column (Np+1,):
+    p_node (h_p at nodes), p_half (h_p at half nodes), p_div (difference
+    of half-node values at interior nodes), p_inner (interior nodes) and
+    p_top (the surface node).
     """
 
     def __init__(self, g: Grid):
@@ -220,17 +223,20 @@ class ReducedOperators:
         d_q.eliminate_zeros()               # h_q = 0 where q = 0 or pi
         q_diff = pair(-1.0 / g.dq, 1.0 / g.dq, nh)
         q_div = -sp.diags(np.r_[2.0, np.ones(nh - 1), 2.0]) @ q_diff.T
-        p_div = pair(-1.0 / g.dp, 1.0 / g.dp, Np - 1)
-        node_dp = stencil(g.node_idx, g.node_w)
-        inner, top = sp.eye(Np - 1, Np + 1, k=1), sp.eye(1, Np + 1, k=Np)
+        self.p_div = pair(-1.0 / g.dp, 1.0 / g.dp, Np - 1)
+        self.p_node = stencil(g.node_idx, g.node_w)
+        self.p_half = stencil(g.half_idx, g.half_w)
+        self.p_inner = sp.eye(Np - 1, Np + 1, k=1, format="csr")
+        self.p_top = sp.eye(1, Np + 1, k=Np, format="csr")
+        node_dp, inner, top = self.p_node, self.p_inner, self.p_top
         kron = partial(sp.kron, format="csr")
         self.dp_node = kron(eye(nh + 1), node_dp)
-        self.dp_half = kron(eye(nh + 1), stencil(g.half_idx, g.half_w))
+        self.dp_half = kron(eye(nh + 1), self.p_half)
         self.hq_half = kron(d_q, pair(0.5, 0.5, Np))
         self.dq_edge = kron(q_diff, inner)
         self.hp_edge = kron(pair(0.5, 0.5, nh), inner @ node_dp)
         self.h_top = kron(eye(nh + 1), top)
         self.hq_top = kron(d_q, top)
         self.hp_top = kron(eye(nh + 1), top @ node_dp)
-        self.div = sp.hstack((kron(eye(nh + 1), p_div),
+        self.div = sp.hstack((kron(eye(nh + 1), self.p_div),
                               kron(q_div, eye(Np - 1))), format="csr")

@@ -8,21 +8,34 @@ constant, which integrates to
 for a constant lam > -min gamma_cap.  The zero-mean surface condition pins
 lam through  integral_{-1}^{0} (lam + gamma_cap)**(-1/2) dp = 1, and the
 dynamic surface condition then gives  Q = 2 g d + p0^2 lam / d^2.
+
+Both integrals are composite Gauss-Legendre sums.  The panels split at every
+vorticity breakpoint, and they are graded geometrically toward every point
+where gamma_cap may have a local minimum: near the admissibility floor the
+integrand has an inverse-square-root peak there, which the grading resolves
+however close lam is to the floor.  The panels do not depend on lam, so
+the lam solve evaluates gamma_cap once and reuses it in every iteration.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, IntegrationWarning
-from scipy.optimize import brentq
 
-from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_cap_min
+from .vorticity import (VorticityFunction, FlowParameters, gamma_cap,
+                        gamma_cap_min, gamma_cap_critical_points)
 
 
-class BracketError(RuntimeError):
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GRADING = 0.5 ** np.arange(1, 61)     # panel edges at 2^-k of the reach
+
+
+class LaminarError(RuntimeError):
+    """No laminar flow could be computed for this vorticity."""
+
+
+class BracketError(LaminarError):
     """The normalization integral never reaches 1; no admissible lam exists."""
 
 
@@ -37,48 +50,94 @@ class LaminarFlow:
     Q: float
 
 
-def _segments(v: VorticityFunction, lo=-1.0, hi=0.0):
-    """Quadrature panels split at vorticity breakpoints."""
-    cuts = [lo] + [b for b in v.breakpoints if lo < b < hi] + [hi]
-    return list(zip(cuts[:-1], cuts[1:]))
+def _rule(v: VorticityFunction, params: FlowParameters, edges):
+    """Composite Gauss-Legendre rule over [edges[0], edges[-1]].
+
+    Panels split at the edges and the vorticity breakpoints, and are graded
+    toward each critical point of gamma_cap by 60 halvings of the distance
+    to the next cut.  Returns gamma_cap at the nodes, the weights and, per
+    node, the index of the interval of `edges` that holds it.
+    """
+    lo, hi = edges[0], edges[-1]
+    peaks = [c for c in gamma_cap_critical_points(v) if lo <= c <= hi]
+    cuts = np.union1d(edges, [b for b in v.breakpoints if lo < b < hi] + peaks)
+    parts = [cuts]
+    for c in peaks:
+        i = np.searchsorted(cuts, c)
+        if i > 0:
+            parts.append(c - (c - cuts[i - 1]) * _GRADING)
+        if i + 1 < len(cuts):
+            parts.append(c + (cuts[i + 1] - c) * _GRADING)
+    e = np.unique(np.concatenate(parts))
+    half = 0.5 * np.diff(e)
+    nodes = (e[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    weights = half[:, None] * _GL_WEIGHTS
+    cell = np.searchsorted(edges, e[:-1], side="right") - 1
+    return (gamma_cap(v, params, nodes.ravel()), weights.ravel(),
+            np.repeat(cell, len(_GL_NODES)))
 
 
 def normalization_integral(v: VorticityFunction, params: FlowParameters, lam):
-    """integral_{-1}^0 (lam + gamma_cap(p))**(-1/2) dp by adaptive quadrature."""
-    total = 0.0
-    for a, b in _segments(v):
-        with warnings.catch_warnings():
-            # near the admissibility floor the integrand has an integrable
-            # inverse-square-root endpoint; quad's result is still good
-            # enough for bracketing, and the solved lam is re-verified
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(lambda s: (lam + gamma_cap(v, params, s)) ** -0.5,
-                          a, b, epsabs=1e-14, epsrel=1e-13, limit=200)
-        total += val
-    return total
+    """integral_{-1}^0 (lam + gamma_cap(p))**(-1/2) dp on the graded panels.
+
+    Summed as 1 + integral (integrand - 1), so that the width of [-1, 0]
+    is exact and lam = 1 solves the irrotational case exactly.
+    """
+    G, w, _ = _rule(v, params, np.array([-1.0, 0.0]))
+    return 1.0 + float(w @ ((lam + G) ** -0.5 - 1.0))
+
+
+def _newton_bisect(fun, lo, hi):
+    """Root of fun in [lo, hi], where fun(lo) > 0 > fun(hi).
+
+    fun returns (value, derivative).  A Newton step that leaves the bracket
+    or fails to halve the previous step is replaced by bisection; the
+    iteration stops once the step is down to round-off.
+    """
+    x, step_old = 0.5 * (lo + hi), hi - lo
+    for _ in range(200):
+        f, df = fun(x)
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -f / df
+        if not lo < x + step < hi or abs(2.0 * step) > abs(step_old):
+            step = 0.5 * (lo + hi) - x
+        x, step_old = x + step, step
+        if abs(step) <= 2e-16 * abs(x):
+            break
+    return x
 
 
 def solve_lambda(v: VorticityFunction, params: FlowParameters,
                  tol=1e-12) -> float:
     """The unique lam with |normalization_integral(lam) - 1| <= tol."""
+    G, w, _ = _rule(v, params, np.array([-1.0, 0.0]))
+
+    def excess(lam):
+        f = (lam + G) ** -0.5
+        return w @ (f - 1.0), -0.5 * (w @ f ** 3)
+
     lam_floor = -gamma_cap_min(v, params)
     lam_lo = lam_floor + 1e-9 * max(1.0, abs(lam_floor))
-    g_lo = normalization_integral(v, params, lam_lo)
+    g_lo = excess(lam_lo)[0] + 1.0
     if g_lo < 1.0:
         raise BracketError(
             f"normalization integral reaches at most {g_lo:.6g} < 1 "
             f"as lam -> {lam_floor:.6g}; no laminar flow for this vorticity")
     lam_hi = max(1.0, 2.0 * abs(lam_lo))
-    while normalization_integral(v, params, lam_hi) >= 1.0:
+    while excess(lam_hi)[0] >= 0.0:
         lam_hi *= 2.0
         if lam_hi > 1e12:
             raise BracketError("failed to bracket lam from above")
-    lam = brentq(lambda x: normalization_integral(v, params, x) - 1.0,
-                 lam_lo, lam_hi, xtol=1e-15, rtol=8.9e-16)
-    resid = abs(normalization_integral(v, params, lam) - 1.0)
+    lam = _newton_bisect(excess, lam_lo, lam_hi)
+    resid = abs(excess(lam)[0])
     if resid > tol:
-        raise RuntimeError(f"lambda solve stalled, |integral-1| = {resid:.2e}")
-    return lam
+        raise LaminarError(f"lambda solve stalled, |integral-1| = {resid:.2e}")
+    return float(lam)
 
 
 def laminar_height(lam, v: VorticityFunction, params: FlowParameters, p_grid):
@@ -86,18 +145,10 @@ def laminar_height(lam, v: VorticityFunction, params: FlowParameters, p_grid):
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid[0] != -1.0 or np.any(np.diff(p_grid) <= 0):
         raise ValueError("p_grid must start at -1 and increase")
-    h = np.zeros_like(p_grid)
-    breaks = set(v.breakpoints)
-    for j in range(1, len(p_grid)):
-        a, b = p_grid[j - 1], p_grid[j]
-        cuts = [a] + sorted(x for x in breaks if a < x < b) + [b]
-        acc = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            val, _ = quad(lambda s: (lam + gamma_cap(v, params, s)) ** -0.5 - 1.0,
-                          lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
-            acc += val
-        h[j] = h[j - 1] + acc
-    return h
+    G, w, cell = _rule(v, params, p_grid)
+    per_cell = np.bincount(cell, weights=w * ((lam + G) ** -0.5 - 1.0),
+                           minlength=len(p_grid) - 1)
+    return np.concatenate(([0.0], np.cumsum(per_cell)))
 
 
 def laminar_Q(lam, params: FlowParameters) -> float:

@@ -30,21 +30,21 @@ from scipy.fft import dct
 class LaminarModes:
     """Exact inverse of a q-invariant fixed-Q Jacobian, mode by mode.
 
-    J is the fixed-Q Jacobian in the solver's ordering: unknowns
-    r*Np + (j-1), interior rows r*(Np-1) + (j-1) for j < Np, then one
-    surface row per r.
+    The Jacobian is given by its p-blocks A0 and A1 (Np x Np, sparse), in
+    the unknowns' (r, j) layout: columns j = 1 .. Np, rows the interior
+    residuals j < Np and then the surface row.  `rows` maps that layout to
+    the solver's residual ordering: interior rows r*(Np-1) + (j-1), then
+    one surface row per r.
     """
 
-    def __init__(self, J, nh, Np):
+    def __init__(self, A0, A1, nh, Np):
         self.nh, self.Np = nh, Np
         r = np.arange(nh + 1)[:, None]
         j = np.arange(1, Np + 1)[None, :]
         n_int = (nh + 1) * (Np - 1)
         # residual row of each (r, j): the surface row stands in for j = Np
         self.rows = np.where(j < Np, r * (Np - 1) + (j - 1), n_int + r).ravel()
-        K = sp.csr_matrix(J)[self.rows]
-        self.A0 = K[Np:2 * Np, Np:2 * Np]
-        self.A1 = K[Np:2 * Np, 2 * Np:3 * Np]
+        self.A0, self.A1 = sp.csr_matrix(A0), sp.csr_matrix(A1)
         self.eig_L = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)
         blocks = (sp.kron(sp.identity(nh + 1), self.A0)
                   + sp.kron(sp.diags(self.eig_L), self.A1))

@@ -26,7 +26,8 @@ Closures:
 Linear solves: each Newton step solves J dx = -r by right-preconditioned
 GMRES with Eisenstat-Walker forcing terms.  The preconditioner is the exact
 inverse of the fixed-Q Jacobian at the q-mean of a reference state
-(`modal.LaminarModes`: a DCT-I in q and one banded LU of the p-blocks); the
+(`modal.LaminarModes`: a DCT-I in q and one banded LU of the p-blocks, which
+come from the grid's 1-D p-operators without assembling the Jacobian); the
 closures' Q column and scalar row are handled by a Schur complement.  A step
 whose true linear residual misses its tolerance is solved again by SuperLU.
 The continuation seed cos(q) phi_1(p) and the critical gravity come from the
@@ -142,36 +143,59 @@ class HeightSystem:
 
     # -- pointwise quantities --------------------------------------------------
 
-    def _pointwise(self, x):
+    def _pointwise(self, x, hp_half):
         """The fluxes at x = H.ravel(), with the partials the Jacobian needs.
 
-        Returns the speed term (K, K_hq, K_hp) at half nodes, B = h_q/m and
-        m = 1 + h_p at half edges, and the speed term on the surface row.
+        hp_half = dp_half @ x.  Returns the speed term (K, K_hq, K_hp) at
+        half nodes, B = h_q/m and m = 1 + h_p at half edges, and the speed
+        term on the surface row.
         """
         o, d = self.ops, self.params.d
         m = 1.0 + o.hp_edge @ x
-        return (_speed_term(o.hq_half @ x, o.dp_half @ x, d),
+        return (_speed_term(o.hq_half @ x, hp_half, d),
                 (o.dq_edge @ x) / m, m,
                 _speed_term(o.hq_top @ x, o.hp_top @ x, d))
 
     def laminar_modes(self, H):
-        """Modal inverse of the fixed-Q Jacobian at the q-mean of H."""
-        Hbar = np.broadcast_to(self.mw @ H, H.shape)
-        return LaminarModes(self.jacobian_matrix(Hbar, 0.0, "fixed_Q"),
-                            self.nh, self.grid.Np)
+        """Modal inverse of the fixed-Q Jacobian at the q-mean of H.
+
+        At a q-invariant state h_q = 0, so B = 0 and K_hq = 0, and the
+        p-blocks of the Jacobian are products of the grid's 1-D
+        p-operators: A0 holds the vertical flux, the diagonal of the
+        horizontal flux and the surface row; A1 is the horizontal flux's
+        neighbour coupling 1/(m dq^2).
+        """
+        o, d, p0 = self.ops, self.params.d, self.params.p0
+        h = self.mw @ H
+        hp = o.p_node @ h
+        _, _, K_hp = _speed_term(0.0, o.p_half @ h, d)
+        _, _, Kt_hp = _speed_term(0.0, hp[-1], d)
+        m = 1.0 + hp[1:-1]
+        edge = sp.diags(1.0 / (m * self.grid.dq ** 2)) @ o.p_inner
+        surface = (Kt_hp * o.p_top @ o.p_node
+                   - (self.params.g * d / p0 ** 2) * o.p_top)
+        A0 = sp.vstack((o.p_div @ sp.diags(K_hp) @ o.p_half - 2.0 * edge,
+                        surface), format="csr")[:, 1:]
+        A1 = sp.vstack((edge, sp.csr_matrix((1, self.grid.Np + 1))),
+                       format="csr")[:, 1:]
+        return LaminarModes(A0, A1, self.nh, self.grid.Np)
+
+    def _admissible(self, x, hp_half, eps):
+        return min(np.min(1.0 + hp_half),
+                   np.min(1.0 + self.ops.dp_node @ x)) > eps
 
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
         x = H.ravel()
-        return min(np.min(1.0 + self.ops.dp_half @ x),
-                   np.min(1.0 + self.ops.dp_node @ x)) > eps
+        return self._admissible(x, self.ops.dp_half @ x, eps)
 
     def residual_parts(self, H, Q, eps_stag=EPS_STAG_DEFAULT):
         """(interior (nh+1, Np-1), surface (nh+1,)) residuals."""
-        if not self.admissible(H, eps_stag):
-            raise StagnationError("1 + h_p fell below eps_stag")
         d, p0, grav = self.params.d, self.params.p0, self.params.g
         x = H.ravel()
-        (K, _, _), B, _, (K_top, _, _) = self._pointwise(x)
+        hp_half = self.ops.dp_half @ x
+        if not self._admissible(x, hp_half, eps_stag):
+            raise StagnationError("1 + h_p fell below eps_stag")
+        (K, _, _), B, _, (K_top, _, _) = self._pointwise(x, hp_half)
         interior = self.ops.div @ np.concatenate((K + self.A_gamma, B))
         surface = (K_top - grav * d * (self.ops.h_top @ x + 1.0) / p0 ** 2
                    + Q / (2 * p0 ** 2))
@@ -194,7 +218,9 @@ class HeightSystem:
         """
         o, diag = self.ops, sp.diags
         d, p0, grav = self.params.d, self.params.p0, self.params.g
-        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(H.ravel())
+        x = H.ravel()
+        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(
+            x, o.dp_half @ x)
         interior = o.div @ sp.vstack(
             (diag(K_hp) @ o.dp_half + diag(K_hq) @ o.hq_half,
              diag(1.0 / m) @ o.dq_edge - diag(B / m) @ o.hp_edge))

@@ -181,21 +181,33 @@ def gamma_cap(v: VorticityFunction, params: FlowParameters, p):
     return (2.0 * params.d ** 2 / params.p0) * v.integral(p)
 
 
-def gamma_cap_min(v: VorticityFunction, params: FlowParameters):
-    """Exact minimum of gamma_cap over [-1, 0] (per-piece polynomial extrema)."""
-    scale = 2.0 * params.d ** 2 / params.p0
-    lo = np.inf
+def _extremum_candidates(v: VorticityFunction):
+    """Per piece k, the points where gamma_cap may take an extremum.
+
+    These are the piece's edges and the real roots of gamma inside it (the
+    derivative of the antiderivative is gamma itself).
+    """
     for k, (a, b, _) in enumerate(v.pieces):
-        anti = v._anti[k]
-        cand = [npoly.polyval(a, anti), npoly.polyval(b, anti)]
-        der = v._coeffs[k]  # derivative of the antiderivative is gamma itself
+        cand = [a, b]
+        der = v._coeffs[k]
         if len(der) > 1 or der[0] != 0:
             for r in np.atleast_1d(npoly.polyroots(der)):
                 if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                    cand.append(npoly.polyval(r.real, anti))
-        vals = scale * np.asarray(cand, dtype=float)
-        lo = min(lo, vals.min())
-    return float(lo)
+                    cand.append(r.real)
+        yield k, cand
+
+
+def gamma_cap_min(v: VorticityFunction, params: FlowParameters):
+    """Exact minimum of gamma_cap over [-1, 0] (per-piece polynomial extrema)."""
+    scale = 2.0 * params.d ** 2 / params.p0
+    return float(min((scale * npoly.polyval(np.asarray(cand), v._anti[k])).min()
+                     for k, cand in _extremum_candidates(v)))
+
+
+def gamma_cap_critical_points(v: VorticityFunction):
+    """Sorted points of [-1, 0] where gamma_cap may take a local extremum."""
+    return np.unique(np.concatenate(
+        [cand for _, cand in _extremum_candidates(v)]))
 
 
 def bound_gamma(v: VorticityFunction):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steadywaves
 from steadywaves.cli import main, read_csv, write_field
 from steadywaves import laminar
 from steadywaves import transform as tr
@@ -72,6 +77,40 @@ def test_laminar_two_layer_matches_module(tmp_path):
     assert header == ["p", "h", "h_p"]
     lf = laminar.solve(v, params, data[:, 0])
     assert np.max(np.abs(data[:, 1] - lf.h)) == 0.0
+
+
+def test_laminar_near_floor(tmp_path):
+    # gamma = -2.249 below p = -1/2: lam sits 2.5e-7 above its floor |A|
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG.replace(
+        "-1.0, -0.5, 3.0", "-1.0, -0.5, -2.249"))
+    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    summary = json.loads((tmp_path / "o" / "laminar.json").read_text())
+    assert summary["lambda"] == pytest.approx(2.249000249986106, rel=1e-14)
+
+
+def test_laminar_failures_exit_3(tmp_path, monkeypatch, capsys):
+    # no admissible lam (BracketError), and a stalled lam solve
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG.replace(
+        "-1.0, -0.5, 3.0", "-1.0, -0.5, -2.3"))
+    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG, "ok.cfg")
+    monkeypatch.setattr(laminar, "_newton_bisect", lambda fun, lo, hi: lo)
+    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    assert "stalled" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    # they cost about 40 ms of interpreter start-up on every subcommand
+    src = str(Path(steadywaves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, steadywaves.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solve_flat_fixed_Q(tmp_path):

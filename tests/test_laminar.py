@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steadywaves.vorticity import VorticityFunction, gamma_cap
+from steadywaves.vorticity import VorticityFunction, gamma_cap, two_layer
 from steadywaves import laminar
 
 
@@ -104,3 +104,65 @@ def test_no_bracket_error(params):
     v = VorticityFunction(pieces=((-1.0, -0.5, (-4000.0,)), (-0.5, 0.0, (0.0,))))
     with pytest.raises(laminar.BracketError):
         laminar.solve_lambda(v, params)
+
+
+def two_layer_lambda_closed_form(A, p_jump=-0.5):
+    """lam of two_layer(A < 0) by 50-digit bisection of the exact integral.
+
+    With d = 1 and p0 = -1, gamma_cap = 2|A| (p - p_j) below the jump, so
+    I(lam) = (sqrt(lam) - sqrt(lam - 2|A|(1+p_j)))/|A| + |p_j|/sqrt(lam)
+    on lam > 2|A|(1+p_j), where I < 1 once lam >= floor + 4.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, pj = mp.mpf(-A), mp.mpf(p_jump)
+        floor = 2 * a * (1 + pj)
+        lo, hi = floor, floor + 4
+        for _ in range(200):
+            lam = (lo + hi) / 2
+            excess = ((mp.sqrt(lam) - mp.sqrt(lam - floor)) / a
+                      + abs(pj) / mp.sqrt(lam) - 1)
+            lo, hi = (lam, hi) if excess > 0 else (lo, lam)
+        return float(lo)
+
+
+@pytest.mark.parametrize("A", [-1.0, -2.2, -2.24, -2.249])
+def test_lambda_two_layer_negative_closed_form(A, params):
+    # I* = 1.5/sqrt|A| > 1: A = -2.249 leaves lam within 2.5e-7 of the
+    # floor |A|, where the integrand has an inverse-square-root peak at p = -1
+    lam = laminar.solve_lambda(two_layer(A), params)
+    ref = two_layer_lambda_closed_form(A)
+    assert abs(lam - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("A", [-2.26, -2.3])
+def test_lambda_below_floor_is_bracket_error(A, params):
+    # I* = 1.5/sqrt|A| < 1: no admissible lam
+    with pytest.raises(laminar.BracketError):
+        laminar.solve_lambda(two_layer(A), params)
+
+
+def test_stalled_lambda_solve_is_laminar_error(v_two_layer, params,
+                                               monkeypatch):
+    monkeypatch.setattr(laminar, "_newton_bisect", lambda fun, lo, hi: lo)
+    with pytest.raises(laminar.LaminarError) as info:
+        laminar.solve_lambda(v_two_layer, params)
+    assert not isinstance(info.value, laminar.BracketError)
+
+
+@pytest.mark.parametrize("A", [3.0, -2.0])
+def test_height_jump_inside_cell_closed_form(A, params):
+    # the jump at -0.37 lies strictly inside a cell of the 9-node grid;
+    # below it lam + gamma_cap = lam - 2A(s - p_j), above it lam
+    p_j = -0.37
+    v = two_layer(A, p_jump=p_j)
+    lam = laminar.solve_lambda(v, params)
+    p = np.linspace(-1.0, 0.0, 9)
+    h = laminar.laminar_height(lam, v, params, p)
+
+    def F(s):       # antiderivative of (lam + gamma_cap)**(-1/2) below p_j
+        return -np.sqrt(lam - 2.0 * A * (s - p_j)) / A
+
+    exact = np.where(p <= p_j, F(np.minimum(p, p_j)) - F(-1.0),
+                     F(p_j) - F(-1.0) + (p - p_j) / np.sqrt(lam)) - (p + 1.0)
+    assert np.max(np.abs(h - exact)) <= 1e-14

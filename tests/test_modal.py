@@ -3,12 +3,13 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.fft import dct
 
-from conftest import G_CRITICAL_TWO_LAYER
+from conftest import G_CRITICAL_TWO_LAYER, THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import laminar
 from steadywaves import solver
-from steadywaves.field import HeightField
+from steadywaves.field import HeightField, random_admissible_field
 from steadywaves.grid import Grid
 from steadywaves.solver import HeightSystem
+from steadywaves.vorticity import FlowParameters, two_layer
 
 
 def laminar_state(v, params, Nq, Np):
@@ -42,6 +43,37 @@ def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
         assert np.max(np.abs(D[k, :, k] - M_k)) <= 1e-12 * scale
         D[k, :, k] = 0.0
     assert np.max(np.abs(D)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("v,par,Nq,Np", [
+    (two_layer(3.0), FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0), 32, 48),
+    (THREE_PIECE, THREE_PIECE_PARAMS, 16, 96),
+])
+def test_modal_blocks_match_jacobian_blocks(v, par, Nq, Np, rng):
+    # oracle: the p-blocks read off the whole fixed-Q Jacobian at the q-mean
+    # state, with its rows put into the unknowns' (r, j) layout
+    g = Grid(Nq, Np, aligned_jumps=v.breakpoints)
+    sys_ = HeightSystem(g, v, par)
+    H = sys_.reduce(random_admissible_field(rng).sample(g, Q=8.0))
+    modes = sys_.laminar_modes(H)
+    Hbar = np.broadcast_to(sys_.mw @ H, H.shape)
+    K = sys_.jacobian_matrix(Hbar, 0.0, "fixed_Q")[modes.rows]
+    scale = abs(K).max()
+    A0 = K[Np:2 * Np, Np:2 * Np]
+    A1 = K[Np:2 * Np, 2 * Np:3 * Np]
+    assert abs(modes.A0 - A0).max() <= 1e-14 * scale
+    assert abs(modes.A1 - A1).max() <= 1e-14 * scale
+
+
+def test_laminar_modes_assemble_no_jacobian(v_two_layer, params, monkeypatch):
+    hf = laminar_state(v_two_layer, params, 16, 32)
+    sys_ = HeightSystem(hf.grid, v_two_layer, params)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("laminar_modes assembled the Jacobian")
+
+    monkeypatch.setattr(HeightSystem, "jacobian_matrix", forbidden)
+    sys_.laminar_modes(sys_.reduce(hf))
 
 
 def test_modal_inverse_is_exact_at_laminar_state(v_two_layer, params):

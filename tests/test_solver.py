@@ -3,8 +3,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves.vorticity import VorticityFunction, FlowParameters, two_layer
 from steadywaves import laminar
+from steadywaves import solver
 from steadywaves import grid as grid_module
 from steadywaves.grid import Grid, AlignmentError
 from steadywaves.field import HeightField, random_admissible_field
@@ -49,11 +51,17 @@ def test_laminar_profile_residual_refines(v_two_layer, params):
     assert min(orders) >= 2.0
 
 
-def test_stagnation_error(v_zero, params):
+def test_stagnation_error(v_zero, params, monkeypatch):
     g = Grid(8, 16)
     h = np.zeros((8, 17))
     h[:, 1:] -= 1.5 * (g.p[None, 1:] + 1.0)  # 1 + h_p = -0.5 < 0
     hf = HeightField(g, h, Q=20.6)
+
+    def forbidden(*args):
+        raise AssertionError("a flux was evaluated at a stagnant state")
+
+    # the stagnation test comes before any flux is formed
+    monkeypatch.setattr(solver, "_speed_term", forbidden)
     with pytest.raises(StagnationError):
         residual(hf, v_zero, params)
 
@@ -361,12 +369,7 @@ def test_grid_validation():
 
 
 def test_three_layer_polynomial_vorticity_nonunit_params(rng):
-    # three pieces, one genuinely discontinuous breakpoint and one merely
-    # kinked; non-unit depth/flux exercise the dimensional factors
-    v3 = VorticityFunction(pieces=((-1.0, -2.0 / 3.0, (2.0,)),
-                                   (-2.0 / 3.0, -1.0 / 3.0, (0.5, 1.5)),
-                                   (-1.0 / 3.0, 0.0, (0.0,))))
-    par = FlowParameters(d=1.7, g=4.2, c=2.0, p0=-1.3)
+    v3, par = THREE_PIECE, THREE_PIECE_PARAMS
     assert v3.jump_points == (-2.0 / 3.0,)   # the second breakpoint is continuous
     lam = laminar.solve_lambda(v3, par)
     Q = laminar.laminar_Q(lam, par)
