@@ -32,11 +32,14 @@ def aligned_node(b, n):
 def fd_weights(z, x, m):
     """Finite-difference weights for the m-th derivative at z from nodes x.
 
-    Fornberg's recursion; exact for polynomials of degree len(x)-1.
+    Fornberg's recursion; exact for polynomials of degree n-1 for n nodes.
+    x may hold a batch of stencils along its leading axes, (..., n), with
+    z of the batch's shape; each stencil's weights are the same floats a
+    call on that stencil alone gives.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     n = len(x)
-    c = np.zeros((n, m + 1))
+    c = np.zeros((n, m + 1) + x.shape[1:])
     c1 = 1.0
     c4 = x[0] - z
     c[0, 0] = 1.0
@@ -56,7 +59,7 @@ def fd_weights(z, x, m):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return np.moveaxis(c[:, m], 0, -1)
 
 
 _STENCIL = 5  # nodes per p-derivative stencil; 4th-order accurate
@@ -94,49 +97,41 @@ class Grid:
                              f"{_STENCIL - 1} p-cells at Np={self.Np}")
         object.__setattr__(self, "_layer_edges", tuple(jidx))
 
-        half_idx = np.empty((self.Np, _STENCIL), dtype=np.intp)
-        half_w = np.empty((self.Np, _STENCIL))
-        node_idx = np.empty((self.Np + 1, _STENCIL), dtype=np.intp)
-        node_w = np.empty((self.Np + 1, _STENCIL))
-
-        def pick(target, lo, hi):
-            nodes = np.arange(lo, hi + 1)
-            order = np.argsort(np.abs(self.p[nodes] - target), kind="stable")
-            sel = np.sort(nodes[order[:_STENCIL]])
-            return sel, fd_weights(target, self.p[sel], 1)
-
-        node_idx_hi = np.empty((self.Np + 1, _STENCIL), dtype=np.intp)
-        node_w_hi = np.empty((self.Np + 1, _STENCIL))
-        for jc in range(self.Np):
-            mid = self.p[jc] + 0.5 * dp
-            lo, hi = self._layer_of_cell(jc)
-            half_idx[jc], half_w[jc] = pick(mid, lo, hi)
-        for j in range(self.Np + 1):
-            # default one-sided value at a jump node comes from the layer below;
-            # the _hi tables use the layer above instead (identical elsewhere)
-            lo, hi = self._layer_of_cell(min(max(j - 1, 0), self.Np - 1))
-            node_idx[j], node_w[j] = pick(self.p[j], lo, hi)
-            lo, hi = self._layer_of_cell(min(j, self.Np - 1))
-            node_idx_hi[j], node_w_hi[j] = pick(self.p[j], lo, hi)
+        # one row per stencil: the cell midpoints on their own layer, then
+        # the nodes on the layer below (the default one-sided value at a
+        # jump node) and on the layer above (the _hi tables; identical away
+        # from jumps).  The _STENCIL in-layer nodes nearest the target,
+        # ties to the lower node, all lie within _STENCIL nodes of `center`.
+        Np, jc, j = self.Np, np.arange(self.Np), np.arange(self.Np + 1)
+        p_half = self.p[:-1] + 0.5 * dp
+        target = np.concatenate((p_half, self.p, self.p))
+        center = np.concatenate((jc, j, j))
+        cell = np.concatenate((jc, np.clip(j - 1, 0, Np - 1),
+                               np.minimum(j, Np - 1)))
+        edges = np.array(jidx)
+        layer = np.searchsorted(edges, cell, side="right") - 1
+        lo, hi = edges[layer, None], edges[layer + 1, None]
+        cand = center[:, None] + np.arange(-_STENCIL, _STENCIL + 1)
+        dist = np.where((lo <= cand) & (cand <= hi),
+                        np.abs(self.p[np.clip(cand, 0, Np)] - target[:, None]),
+                        np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :_STENCIL]
+        idx = np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
+        w = fd_weights(target, self.p[idx], 1)
+        half_idx, node_idx, node_idx_hi = np.split(idx, [Np, 2 * Np + 1])
+        half_w, node_w, node_w_hi = np.split(w, [Np, 2 * Np + 1])
         object.__setattr__(self, "half_idx", half_idx)
         object.__setattr__(self, "half_w", half_w)
         object.__setattr__(self, "node_idx", node_idx)
         object.__setattr__(self, "node_w", node_w)
         object.__setattr__(self, "node_idx_hi", node_idx_hi)
         object.__setattr__(self, "node_w_hi", node_w_hi)
-        object.__setattr__(self, "p_half", self.p[:-1] + 0.5 * dp)
+        object.__setattr__(self, "p_half", p_half)
 
     @cached_property
     def operators(self):
         """The reduced grid's sparse operators, built on first use."""
         return ReducedOperators(self)
-
-    def _layer_of_cell(self, jc):
-        edges = self._layer_edges
-        for a, b in zip(edges[:-1], edges[1:]):
-            if a <= jc < b:
-                return a, b
-        raise IndexError(jc)
 
     @property
     def jump_nodes(self):

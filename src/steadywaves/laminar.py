@@ -114,7 +114,12 @@ def _newton_bisect(fun, lo, hi):
 
 def solve_lambda(v: VorticityFunction, params: FlowParameters,
                  tol=1e-12) -> float:
-    """The unique lam with |normalization_integral(lam) - 1| <= tol."""
+    """The unique lam with |I(lam) - 1| <= tol + |I'(lam)| ulp(lam).
+
+    I is `normalization_integral`.  The test is on the backward error: near
+    the admissibility floor |I'| is in the thousands, and one ulp of a
+    correct lam moves I by more than tol.
+    """
     G, w, _ = _rule(v, params, np.array([-1.0, 0.0]))
 
     def excess(lam):
@@ -134,9 +139,11 @@ def solve_lambda(v: VorticityFunction, params: FlowParameters,
         if lam_hi > 1e12:
             raise BracketError("failed to bracket lam from above")
     lam = _newton_bisect(excess, lam_lo, lam_hi)
-    resid = abs(excess(lam)[0])
-    if resid > tol:
-        raise LaminarError(f"lambda solve stalled, |integral-1| = {resid:.2e}")
+    resid, slope = excess(lam)
+    bound = tol + abs(slope) * np.spacing(lam)
+    if abs(resid) > bound:
+        raise LaminarError(f"lambda solve stalled, |integral-1| = "
+                           f"{abs(resid):.2e} > {bound:.2e}")
     return float(lam)
 
 

@@ -184,6 +184,22 @@ class HeightSystem:
         return min(np.min(1.0 + hp_half),
                    np.min(1.0 + self.ops.dp_node @ x)) > eps
 
+    def locate(self, r):
+        """Where the largest |entry| of a `residual_vector` sits, as text.
+
+        Names the block (interior, surface or closure) and, for the first
+        two, the (q, p) of the node; reduced column i is q = i dq.
+        """
+        k = int(np.argmax(np.abs(r)))
+        if k >= self.n_int + self.nh + 1:
+            return "closure row"
+        if k >= self.n_int:
+            q, p, block = (k - self.n_int) * self.grid.dq, 0.0, "surface"
+        else:
+            i, j = divmod(k, self.grid.Np - 1)
+            q, p, block = i * self.grid.dq, self.grid.p[j + 1], "interior"
+        return f"{block} at (q, p) = ({q:.6g}, {p:.6g})"
+
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
         x = H.ravel()
         return self._admissible(x, self.ops.dp_half @ x, eps)
@@ -394,10 +410,12 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
             step *= 0.5
         if not accepted:
             raise ConvergenceError(
-                f"step halving stalled at iteration {it}, residual {rn:.3e}",
+                f"step halving stalled at iteration {it}, residual {rn:.3e}, "
+                f"worst in the {sys_.locate(r)}",
                 history=history, krylov_iters=krylov, fallbacks=fallbacks)
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations, residual {history[-1]:.3e}",
+        f"no convergence after {max_iter} iterations, residual {rn:.3e}, "
+        f"worst in the {sys_.locate(r)}",
         history=history, krylov_iters=krylov, fallbacks=fallbacks)
 
 

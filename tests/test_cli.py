@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import steadywaves
-from steadywaves.cli import main, read_csv, write_field
+from steadywaves.cli import main, read_csv, write_csv, write_field
 from steadywaves import laminar
 from steadywaves import transform as tr
 from steadywaves import weakform as wf
@@ -87,6 +89,17 @@ def test_laminar_near_floor(tmp_path):
                  "--quiet"]) == 0
     summary = json.loads((tmp_path / "o" / "laminar.json").read_text())
     assert summary["lambda"] == pytest.approx(2.249000249986106, rel=1e-14)
+
+
+def test_laminar_one_ulp_from_the_floor_exits_0(tmp_path):
+    # gamma = -2.2499: one ulp of lam moves the normalization integral by
+    # about 2e-12, so only the backward-error test accepts the right lam
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG.replace(
+        "-1.0, -0.5, 3.0", "-1.0, -0.5, -2.2499"))
+    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    summary = json.loads((tmp_path / "o" / "laminar.json").read_text())
+    assert summary["lambda"] == pytest.approx(2.249900002499986, rel=1e-15)
 
 
 def test_laminar_failures_exit_3(tmp_path, monkeypatch, capsys):
@@ -197,6 +210,16 @@ def test_nonconvergence_exit_code(tmp_path):
                  "--quiet"]) == 3
 
 
+def test_nonconvergence_message_names_the_worst_residual(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FLAT_CFG.replace("solver.Q = 20.6",
+                                               "solver.Q = -4000.0")
+                    + "solver.max_iter = 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    # h = 0 leaves the interior exact, so the surface rows carry the residual
+    assert "worst in the surface at (q, p) = (0, 0)" in capsys.readouterr().err
+
+
 def test_stale_field_file_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     out = tmp_path / "run"
@@ -242,6 +265,18 @@ def test_solve_nonconvergent_amplitude_exit_code(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     assert (out / "field.csv").exists()  # last good field is still written
+
+
+def test_failed_continuation_reports_on_stderr(tmp_path, capsys):
+    # the quadrature laminar profile is not the discrete solution, so 0
+    # Newton iterations cannot converge; --quiet silences standard output,
+    # not the reason for exit 3
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG + "solver.max_iter = 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "continuation failed at amplitude 0.0: no convergence" in err
+    assert "worst in the interior at (q, p) = " in err
 
 
 def test_determinism(tmp_path):
@@ -362,3 +397,70 @@ def test_verify_matches_per_call_pairings(tmp_path, levels):
         assert abs(entry["lhs"] - lhs) <= 1e-12 * norm
         assert abs(entry["rhs"] - rhs) <= 1e-12 * norm
         assert abs(entry["gap"] - gap) <= 1e-12 * norm
+
+
+# -- CSV files -----------------------------------------------------------------
+
+
+def _write_csv_per_row(path, header, columns):
+    """The reference writer: one "%.17g" call per row of flat columns."""
+    rows = np.column_stack([np.asarray(c, dtype=float).ravel()
+                            for c in columns]).tolist()
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# values that format alike but differ in their bits, and special values
+_CSV_VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0,
+    0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308]) | st.floats(width=64)
+
+
+@st.composite
+def _csv_tables(draw):
+    """(A (m, n), column (m,), row (n,)): A's rows repeat and mirror."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    base = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n),
+                           elements=_CSV_VALUES))
+    pick = np.array(draw(st.lists(st.integers(0, len(base) - 1),
+                                  min_size=m, max_size=m)))
+    if draw(st.booleans()):                 # mirror-even, as h is in q
+        pick = pick[(-np.arange(m)) % m]
+    col = draw(hnp.arrays(float, m, elements=_CSV_VALUES))
+    row = draw(hnp.arrays(float, n, elements=_CSV_VALUES))
+    return base[pick], col, row
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_csv_tables())
+@example(table=(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1, 2)],
+                          [0.0, 1.0]]), np.array([0.0, -0.0, 0.0, 5e-324]),
+                np.array([np.nan, -np.inf])))
+def test_write_csv_matches_per_row_formatter(tmp_path_factory, table):
+    A, col, row = table
+    d = tmp_path_factory.mktemp("csv")
+    cases = {
+        "flat": (["a", "b", "c"], [A.ravel(), A[::-1].ravel(), -A.ravel()]),
+        "broadcast": (["q", "p", "h", "k"],
+                      [col[:, None], row, A, A.copy()[::-1]]),
+    }
+    for name, (header, columns) in cases.items():
+        write_csv(d / f"{name}.csv", header, columns)
+        flat = np.broadcast_arrays(*columns)
+        _write_csv_per_row(d / f"{name}.ref.csv", header, flat)
+        assert ((d / f"{name}.csv").read_bytes()
+                == (d / f"{name}.ref.csv").read_bytes())
+
+
+def test_read_csv_round_trips_write_csv(tmp_path):
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+    q, p = np.linspace(-np.pi, np.pi, 6), np.linspace(-1.0, 0.0, 5)
+    write_csv(tmp_path / "f.csv", ["q", "p", "h"], [q[:, None], p, h])
+    header, data = read_csv(tmp_path / "f.csv")
+    assert header == ["q", "p", "h"]
+    want = np.column_stack(
+        [a.ravel() for a in np.broadcast_arrays(q[:, None], p, h)])
+    assert np.array_equal(data.view(np.int64), want.view(np.int64))

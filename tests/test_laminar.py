@@ -135,6 +135,15 @@ def test_lambda_two_layer_negative_closed_form(A, params):
     assert abs(lam - ref) <= 1e-14 * ref
 
 
+def test_lambda_where_one_ulp_exceeds_the_absolute_tolerance(params):
+    # A = -2.2499 leaves lam 2.5e-9 above its floor: |I'(lam)| is about
+    # 4,400, so one ulp of lam moves I by 2e-12, past the tolerance 1e-12
+    lam = laminar.solve_lambda(two_layer(-2.2499), params)
+    ref = two_layer_lambda_closed_form(-2.2499)
+    assert ref == pytest.approx(2.249900002499986, rel=1e-16)
+    assert abs(lam - ref) <= 1e-15 * ref
+
+
 @pytest.mark.parametrize("A", [-2.26, -2.3])
 def test_lambda_below_floor_is_bracket_error(A, params):
     # I* = 1.5/sqrt|A| < 1: no admissible lam

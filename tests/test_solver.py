@@ -1,7 +1,9 @@
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves.vorticity import VorticityFunction, FlowParameters, two_layer
@@ -251,6 +253,56 @@ def test_line_search_rejects_ascent_step(v_two_layer, params, monkeypatch):
     assert len(exc.value.history) == 1
 
 
+def _worst_residual(hf, v, params):
+    """(block, q, p) of the largest residual entry over q in [0, pi]; of
+    tied entries, the first with q increasing, interior before surface."""
+    g = hf.grid
+    interior, surface = map(g.reduced_from_full, residual(hf, v, params))
+    if np.max(np.abs(surface)) > np.max(np.abs(interior)):
+        return "surface", np.argmax(np.abs(surface)) * g.dq, 0.0
+    i, j = np.unravel_index(np.argmax(np.abs(interior)), interior.shape)
+    return "interior", i * g.dq, g.p[j + 1]
+
+
+def _assert_names_worst(message, hf, v, params):
+    block, q, p = _worst_residual(hf, v, params)
+    found = re.search(r"worst in the (\w+) at \(q, p\) = \((\S+), (\S+)\)",
+                      message)
+    assert found, message
+    assert found[1] == block
+    assert float(found[2]) == pytest.approx(q, abs=1e-5)
+    assert float(found[3]) == pytest.approx(p, abs=1e-5)
+
+
+@pytest.mark.parametrize("dh,dQ", [(1e-3, 0.0), (0.0, 1e-2)])
+def test_nonconvergence_names_the_worst_residual(v_two_layer, params, dh, dQ):
+    # max_iter = 0 stops at the perturbed start state: a wavy interior, or
+    # the laminar profile with a wrong Q, whose residual sits on the surface
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    wiggle = np.random.default_rng(3).standard_normal(g.Np + 1) * (1 + g.p)
+    h = lf.h + dh * (np.cos(g.q) + 0.3 * np.cos(2 * g.q))[:, None] * wiggle
+    hf = HeightField(g, h, Q=lf.Q + dQ)
+    with pytest.raises(ConvergenceError, match="no convergence") as exc:
+        newton_solve(hf, v_two_layer, params, mode="fixed_Q", max_iter=0)
+    _assert_names_worst(str(exc.value), hf, v_two_layer, params)
+    with pytest.raises(ConvergenceError, match="worst in the closure row"):
+        newton_solve(hf, v_two_layer, params, mode="fixed_amplitude",
+                     amplitude=100.0, max_iter=0)
+
+
+def test_stalled_line_search_names_the_worst_residual(v_two_layer, params,
+                                                      monkeypatch):
+    jacobian = HeightSystem.jacobian_matrix
+    monkeypatch.setattr(HeightSystem, "jacobian_matrix",
+                        lambda self, H, Q, mode: -jacobian(self, H, Q, mode))
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    hf = HeightField(g, np.zeros((16, 33)), Q=20.0)
+    with pytest.raises(ConvergenceError, match="stalled") as exc:
+        newton_solve(hf, v_two_layer, params, mode="fixed_Q", tol=1e-10)
+    _assert_names_worst(str(exc.value), hf, v_two_layer, params)
+
+
 def test_grid_rejects_misaligned_jump():
     with pytest.raises(AlignmentError):
         Grid(16, 31, aligned_jumps=(-0.5,))
@@ -366,6 +418,76 @@ def test_grid_validation():
         Grid(8, 4)         # Np < 8
     g = Grid(8, 8)
     assert 0.0 in g.q      # evenness axis is a grid line
+
+
+def _fornberg_first_derivative(z, x):
+    """Scalar Fornberg recursion for d/dp at z: the batched build's reference."""
+    n, m = len(x), 1
+    c = np.zeros((n, m + 1))
+    c1, c4 = 1.0, x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn, c2, c5, c4 = min(i, m), 1.0, c4, x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def _stencil_tables_per_node(g, edges):
+    """The six tables built one target at a time: the 5 nodes of the
+    target's layer nearest to it (stable sort, so ties go to the lower
+    node), then Fornberg's weights on them."""
+    def pick(target, cell):
+        k = np.searchsorted(edges, cell, side="right") - 1
+        nodes = np.arange(edges[k], edges[k + 1] + 1)
+        order = np.argsort(np.abs(g.p[nodes] - target), kind="stable")
+        sel = np.sort(nodes[order[:5]])
+        return sel, _fornberg_first_derivative(target, g.p[sel])
+
+    Np, tables = g.Np, {}
+    for name, suffix, picks in (
+            ("half", "", [pick(g.p[jc] + 0.5 * g.dp, jc) for jc in range(Np)]),
+            ("node", "", [pick(g.p[j], min(max(j - 1, 0), Np - 1))
+                          for j in range(Np + 1)]),
+            ("node", "_hi", [pick(g.p[j], min(j, Np - 1))
+                             for j in range(Np + 1)])):
+        tables[f"{name}_idx{suffix}"] = np.array([sel for sel, _ in picks])
+        tables[f"{name}_w{suffix}"] = np.array([w for _, w in picks])
+    return tables
+
+
+@st.composite
+def _layered_grids(draw):
+    """(Np, jump nodes) with every layer at least 4 cells deep."""
+    Np = draw(st.integers(8, 300))
+    edges = [0]
+    while Np - edges[-1] >= 8 and draw(st.booleans()):
+        edges.append(draw(st.integers(edges[-1] + 4, Np - 4)))
+    return Np, edges[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(layers=_layered_grids())
+@example(layers=(8, [4]))
+@example(layers=(300, [4, 150, 296]))
+@example(layers=(512, [256]))
+def test_batched_stencil_tables_match_per_node_build(layers):
+    Np, jumps = layers
+    g = Grid(8, Np, aligned_jumps=tuple(-1.0 + j / Np for j in jumps))
+    want = _stencil_tables_per_node(g, np.array([0, *jumps, Np]))
+    for name, table in want.items():
+        got = getattr(g, name)
+        assert got.dtype == table.dtype and got.shape == table.shape, name
+        assert np.array_equal(got.view(np.int64), table.view(np.int64)), name
 
 
 def test_three_layer_polynomial_vorticity_nonunit_params(rng):
