@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, ConfigError
 from .grid import Grid, AlignmentError
-from .field import HeightField
+from .field import AdmissibilityError, HeightField
 from . import laminar as laminar_mod
 from . import solver as solver_mod
 from . import transform as transform_mod
@@ -132,14 +132,10 @@ def read_field(path, cfg: RunConfig) -> HeightField:
         raise SchemaError(f"missing field summary JSON next to {path}")
     Q = json.loads(side.read_text())["Q"]
     hf = HeightField(g, h, Q=Q)
-    if np.any(h[:, 0] != 0.0):
-        raise SchemaError(f"{path}: h is not 0 on the bed row p = -1")
-    if np.max(np.abs(h - h[(-np.arange(g.Nq)) % g.Nq])) \
-            > 1e-12 * np.max(np.abs(h)):
-        raise SchemaError(f"{path}: h is not even in q")
-    if hf.min_one_plus_hp() <= solver_mod.EPS_STAG_DEFAULT:
-        raise SchemaError(f"{path}: 1 + h_p <= {solver_mod.EPS_STAG_DEFAULT}"
-                          " somewhere; the field stagnates")
+    try:
+        hf.check_admissible(solver_mod.EPS_STAG_DEFAULT)
+    except AdmissibilityError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return hf
 
 

@@ -94,6 +94,10 @@ def _trig_resample(c, nq, deriv=False):
     return np.fft.irfft(spec, n=nq, axis=0)
 
 
+class AdmissibilityError(ValueError):
+    """A height field that is not an admissible state."""
+
+
 @dataclass
 class HeightField:
     """Node samples of the modified height on a Grid, with Bernoulli head."""
@@ -131,7 +135,26 @@ class HeightField:
         return d * (self.h[self.grid.i_q0, -1] - self.h[0, -1]) / 2.0
 
     def min_one_plus_hp(self):
-        return float(np.min(1.0 + self.h_p()))
+        # in as many blocks of rows as a stencil has nodes, so that no
+        # temporary outgrows h: the whole field's stencil gather is that many
+        # times h, and one taken before a solve raises the solve's peak
+        # memory.  Each block's h_p is bit-identical to the whole field's.
+        blocks = np.array_split(self.h, self.grid.node_idx.shape[1])
+        return float(min(np.min(1.0 + self.grid.node_dp(b)) for b in blocks))
+
+    def check_admissible(self, eps):
+        """Raise AdmissibilityError unless h is an admissible state: 0 on
+        the bed row, even in q to 1e-12 relative and 1 + h_p > eps at every
+        node."""
+        h = self.h
+        if np.any(h[:, 0] != 0.0):
+            raise AdmissibilityError("h is not 0 on the bed row p = -1")
+        if np.max(np.abs(h - h[-np.arange(len(h)) % len(h)])) \
+                > 1e-12 * np.max(np.abs(h)):
+            raise AdmissibilityError("h is not even in q")
+        if self.min_one_plus_hp() <= eps:
+            raise AdmissibilityError(f"1 + h_p <= {eps} somewhere; the "
+                                     "field stagnates")
 
     def evaluator(self):
         return SampledEvaluator(self)

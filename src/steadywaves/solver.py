@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
 from .grid import Grid
-from .field import HeightField
+from .field import AdmissibilityError, HeightField
 from .modal import LaminarModes
 from . import laminar
 
@@ -429,8 +429,11 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
     'fixed_amplitude': Q joins the unknowns; amplitude 0 selects the
     zero-mean laminar closure, otherwise the crest-trough amplitude row.
     `modes` (a LaminarModes) preconditions every linear solve; by default
-    it is built from the q-mean of the initial state.
+    it is built from the q-mean of the initial state.  An initial state
+    that is not admissible raises `field.AdmissibilityError`, a ValueError,
+    before any solve.
     """
+    initial.check_admissible(eps_stag)
     sys_ = HeightSystem(initial.grid, v, params)
     H0 = sys_.reduce(initial)
     if mode == "fixed_Q":
@@ -490,8 +493,11 @@ def continuation(hf0: HeightField, v: VorticityFunction,
     """Sequence of fixed_amplitude solves warm-started along the schedule.
 
     The laminar modes are built once from the start state and once more at
-    the state the wave seed leaves from, and precondition every solve.
+    the state the wave seed leaves from, and precondition every solve.  An
+    inadmissible start state raises AdmissibilityError; a warm start that a
+    step pushes past stagnation fails that step.
     """
+    hf0.check_admissible(eps_stag)
     schedule = [float(a) for a in amplitude_schedule]
     fields, amps = [], []
     prev = hf0
@@ -515,7 +521,7 @@ def continuation(hf0: HeightField, v: VorticityFunction,
             res = newton_solve(warm, v, params, mode="fixed_amplitude",
                                amplitude=a, tol=tol, max_iter=max_iter,
                                eps_stag=eps_stag, modes=modes)
-        except (ConvergenceError, StagnationError) as exc:
+        except (ConvergenceError, StagnationError, AdmissibilityError) as exc:
             return ContinuationResult(fields=fields, amplitudes=amps,
                                       converged=False, failed_amplitude=a,
                                       message=str(exc))

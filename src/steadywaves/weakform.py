@@ -1,12 +1,14 @@
 """Distributional pairings of the three weak formulations.
 
-Each pairing integrates a weak-form integrand against a compactly supported
-C^1 bump test function.  Height-side pairings are tensor trapezoid
-quadratures on the rectangle R (panels split at vorticity jump nodes, which
-are quadrature nodes by construction); stream- and Euler-side pairings are
-evaluated in (q, p) coordinates with the map's Jacobian on a midpoint-in-p
-rule.  The two rules are deliberately different second-order quadratures, so
-the change-of-variables identity
+There is one kind of test function: a compactly supported C^1 bump
+phi~(q, p) on the rectangle R (`TestFunction`).  The height-side pairing
+integrates against phi~ itself, the stream- and Euler-side pairings against
+its pushforward phi = phi~(x, psi/p0) (`PushforwardTestFunction`).
+Height-side pairings are tensor trapezoid quadratures on R (panels split at
+vorticity jump nodes, which are quadrature nodes by construction); stream-
+and Euler-side pairings are evaluated in (q, p) coordinates with the map's
+Jacobian on a midpoint-in-p rule.  The two rules are deliberately different
+second-order quadratures, so the change-of-variables identity
 
     p0^2 * I_h(phi~) = I_psi(phi),   phi = pushforward of phi~,
 
@@ -120,29 +122,6 @@ def default_lattice(n_q_centers=4, radii=(np.pi / 4, 0.2),
     return [bump((qc, pc), radii) for pc in p_centers for qc in qcs]
 
 
-@dataclass(frozen=True)
-class FluidTestFunction:
-    """Separable bump directly in the fluid-domain variables (x, y)."""
-
-    center: tuple
-    radii: tuple
-
-    def value_xy(self, x, y):
-        x0, y0 = self.center
-        r1, r2 = self.radii
-        return bump1d(_wrap_q(np.asarray(x) - x0) / r1)[:, None] \
-            * bump1d((np.asarray(y) - y0) / r2)
-
-    def grad_xy(self, x, y):
-        x0, y0 = self.center
-        r1, r2 = self.radii
-        bx = bump1d(_wrap_q(np.asarray(x) - x0) / r1)[:, None]
-        by = bump1d((np.asarray(y) - y0) / r2)
-        dbx = bump1d_deriv(_wrap_q(np.asarray(x) - x0) / r1)[:, None] / r1
-        dby = bump1d_deriv((np.asarray(y) - y0) / r2) / r2
-        return dbx * by, bx * dby
-
-
 class PushforwardTestFunction:
     """phi(x, y) = phi~(x, psi(x,y)/p0) with chain-rule gradient.
 
@@ -150,47 +129,19 @@ class PushforwardTestFunction:
     gradient uses the field's derivatives:
         phi_x = phi~_q - (h_q/(1+h_p)) phi~_p,
         phi_y = phi~_p / (d (1+h_p)).
+    `grad_xy_at_qp(q, p)` gives (phi_x, phi_y) on the tensor grid (q, p).
     """
 
     def __init__(self, tf: TestFunction, field_like, params: FlowParameters):
         self.tf = tf
         self.field = _as_evaluator(field_like)
-        self.source = field_like
         self.params = params
-
-    def value_qp(self, q, p):
-        return self.tf.value(q, p)
 
     def grad_xy_at_qp(self, q, p):
         tq, tp = self.tf.grad(q, p)
         psi_x, psi_y = stream_gradient(self.field.hq_at(q, p),
                                        self.field.hp_at(q, p), self.params)
         return _pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0)
-
-    def value_xy(self, x, y):
-        from .transform import invert_height
-        if not isinstance(self.source, HeightField):
-            raise TypeError("(x, y) evaluation needs a sampled HeightField")
-        p = invert_height(self.source, self.params, x, y)
-        q0, pc = self.tf.center
-        r1, r2 = self.tf.radii
-        return bump1d(_wrap_q(np.asarray(x) - q0) / r1) \
-            * bump1d((np.asarray(p) - pc) / r2)
-
-    def grad_xy(self, x, y):
-        """Cartesian gradient at scattered (x, y) via inversion."""
-        from .transform import invert_height
-        if not isinstance(self.source, HeightField):
-            raise TypeError("(x, y) evaluation needs a sampled HeightField")
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(invert_height(self.source, self.params, x, y))
-        gx = np.empty_like(p)
-        gy = np.empty_like(p)
-        for idx in np.ndindex(p.shape):
-            fx, fy = self.grad_xy_at_qp(np.atleast_1d(x[idx]),
-                                        np.atleast_1d(p[idx]))
-            gx[idx], gy[idx] = fx[0, 0], fy[0, 0]
-        return gx, gy
 
 
 def pushforward_testfn(tf: TestFunction, field_like,
@@ -215,18 +166,14 @@ def _as_evaluator(field_like):
     raise TypeError(f"cannot evaluate {type(field_like).__name__} as a field")
 
 
-def _window(phi, q, p):
-    """(iq, jp): the q-node indices and the p-node slice of phi's support.
+def _window(tf: TestFunction, q, p):
+    """(iq, jp): the q-node indices and the p-node slice of tf's support.
 
     The nodes are those where bump1d's own test |t| < 1 holds for both of
-    the bump's arguments, so every node at which phi or its gradient is
-    nonzero is kept.  q-windows may wrap across q = -pi; p is monotone, so a
-    p-window is contiguous.  A test function with no (q, p) support box
-    (a FluidTestFunction) has every node in its window.
+    the bump's arguments, so every node at which tf, its pushforward or
+    their gradients are nonzero is kept.  q-windows may wrap across q = -pi;
+    p is monotone, so a p-window is contiguous.
     """
-    tf = getattr(phi, "tf", phi)
-    if not isinstance(tf, TestFunction):
-        return np.arange(len(q)), slice(0, len(p))
     tq, tp = tf._args(q, p)
     jp = np.flatnonzero(np.abs(tp) < 1.0)
     return (np.flatnonzero(np.abs(tq) < 1.0),
@@ -290,23 +237,25 @@ def pair_height(field_like, v: VorticityFunction, params: FlowParameters,
 
 
 def pair_stream(fields: PhysicalFields, v: VorticityFunction,
-                params: FlowParameters, phi, nq=None, npp=None):
+                params: FlowParameters, phi: PushforwardTestFunction,
+                nq=None, npp=None):
     """I_psi: the weak stream-form pairing over the fluid domain.
 
     Quadrature in (q, p) coordinates, midpoint rule in p, with the map's
     Jacobian d (1 + h_p) = p0 / psi_y taken from the reconstructed fields.
     """
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi.tf)
     win, _, px, py = level.test_function(phi)
     return level.pair_stream(win, px, py)
 
 
-def pair_euler(fields: PhysicalFields, params: FlowParameters, phi,
-               nq=None, npp=None, v: VorticityFunction | None = None):
+def pair_euler(fields: PhysicalFields, params: FlowParameters,
+               phi: PushforwardTestFunction, nq=None, npp=None,
+               v: VorticityFunction | None = None):
     """(R1, R2, R3): weak Euler pairings (momentum-x, momentum-y, mass)."""
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi.tf)
     return level.pair_euler(*level.test_function(phi))
 
 
@@ -382,13 +331,13 @@ class QuadratureLevel:
         # the rule's q-nodes, and the indices among them of the level's rows
         self.q_nodes, self.rows = self.q, np.arange(nq)
 
-    def _narrow(self, phi):
-        """Keep only the nodes of phi's support window, before any field is
-        resampled, so that a level pairing phi alone resamples nothing
+    def _narrow(self, tf: TestFunction):
+        """Keep only the nodes of tf's support window, before any field is
+        resampled, so that a level pairing tf alone resamples nothing
         outside the window's p-columns and works on the window's rows.
         Returns self."""
-        iq, jp = _window(phi, self.q, self.p)
-        _, jm = _window(phi, self.q, self.pm)
+        iq, jp = _window(tf, self.q, self.p)
+        _, jm = _window(tf, self.q, self.pm)
         self.q, self.rows = self.q[iq], self.rows[iq]
         self.p, self.wp, self.pm = self.p[jp], self.wp[jp], self.pm[jm]
         return self
@@ -449,18 +398,14 @@ class QuadratureLevel:
 
     # -- pairings -------------------------------------------------------------
 
-    def test_function(self, phi):
-        """(window, value, phi_x, phi_y) of any test function: its support
-        window at the midpoint nodes and its values there."""
-        win = iq, jp = _window(phi, self.q, self.pm)
-        if hasattr(phi, "grad_xy_at_qp"):
-            # phi's field too is resampled at every q-node, then cut
-            px, py = phi.grad_xy_at_qp(self.q_nodes, self.pm[jp])
-            rows = self.rows[iq]
-            return (win, phi.value_qp(self.q[iq], self.pm[jp]),
-                    px[rows], py[rows])
-        y = self._resample(self.fields.y)[iq, jp]
-        return (win, phi.value_xy(self.q[iq], y), *phi.grad_xy(self.q[iq], y))
+    def test_function(self, phi: PushforwardTestFunction):
+        """(window, value, phi_x, phi_y) of phi at the midpoints of its
+        support window, its gradient from phi's own field."""
+        win = iq, jp = _window(phi.tf, self.q, self.pm)
+        # phi's field too is resampled at every q-node, then cut
+        px, py = phi.grad_xy_at_qp(self.q_nodes, self.pm[jp])
+        rows = self.rows[iq]
+        return win, phi.tf.value(self.q[iq], self.pm[jp]), px[rows], py[rows]
 
     def pushforward(self, tf: TestFunction):
         """(window, value, phi_x, phi_y) of the pushforward of tf at the

@@ -141,3 +141,18 @@ def test_random_admissible_field_bounds_hp(max_hp):
     for _ in range(20):
         f = fd.random_admissible_field(rng, max_hp=max_hp)
         assert np.max(np.abs(f.hp_at(qs, ps))) <= max_hp * (1.0 + 1e-14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Nq=st.sampled_from([8, 32, 128]),
+       Np=st.sampled_from([16, 48, 256]),
+       jumps=st.sampled_from([(), (-0.5,), (-0.75, -0.25)]))
+def test_min_one_plus_hp_in_blocks_is_the_whole_field_min(seed, Nq, Np,
+                                                          jumps):
+    # min_one_plus_hp takes h_p in blocks of rows to keep its temporaries
+    # small; the blocks' stencil sums are those of the whole field, bit for
+    # bit
+    g = Grid(Nq, Np, aligned_jumps=jumps)
+    h = np.random.default_rng(seed).standard_normal((Nq, Np + 1))
+    hf = fd.HeightField(g, h, Q=0.0)
+    assert hf.min_one_plus_hp() == np.min(1.0 + hf.h_p())

@@ -303,6 +303,47 @@ def test_stalled_line_search_names_the_worst_residual(v_two_layer, params,
     _assert_names_worst(str(exc.value), hf, v_two_layer, params)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Nq=st.sampled_from([8, 16, 64]),
+       Np=st.sampled_from([16, 32, 128]))
+def test_residual_of_an_even_field_is_even(v_two_layer, params, seed, Nq, Np):
+    # an even field shifted by half a period is again even, and its residual
+    # must be the shifted residual: the solver's half q in [0, pi] of the
+    # shifted field is the mirror half q in [-pi, 0] of the field, read from
+    # the other end, so the reflections at q = 0 and q = pi must agree.
+    # Sampling leaves h even only to round-off, |h(q) - h(-q)| <= eps
+    # max|h|, and the scheme's second differences amplify that by at most
+    # about 1/dq^2 + 1/dp^2; the bound allows 16 times that
+    g = Grid(Nq, Np, aligned_jumps=(-0.5,))
+    hf = random_admissible_field(np.random.default_rng(seed)).sample(g, Q=7.5)
+    shifted = HeightField(g, np.roll(hf.h, Nq // 2, axis=0), Q=hf.Q)
+    bound = 16 * np.finfo(float).eps * max(1.0, np.max(np.abs(hf.h))) \
+        * (1 / g.dq ** 2 + 1 / g.dp ** 2)
+    for r, r_shifted in zip(residual(hf, v_two_layer, params),
+                            residual(shifted, v_two_layer, params)):
+        assert np.max(np.abs(np.roll(r, Nq // 2, axis=0) - r_shifted)) <= bound
+
+
+@pytest.mark.parametrize("perturb,match", [
+    # a bed row off zero: the reduced solve used to raise StagnationError
+    (lambda g, h: h + 0.05 * (g.p == -1.0), "bed row"),
+    # an odd part: the reduction to q in [0, pi] used to drop it silently
+    (lambda g, h: h + 1e-3 * np.sin(g.q)[:, None] * (1 + g.p), "not even"),
+    # h_p lowered by 1.5, so 1 + h_p < 0 above the bed
+    (lambda g, h: h - 1.5 * (1 + g.p), "stagnates"),
+])
+def test_newton_solve_rejects_an_inadmissible_start(v_two_layer, params,
+                                                    perturb, match):
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    hf0 = HeightField(g, perturb(g, np.tile(lf.h, (16, 1))), Q=lf.Q)
+    with pytest.raises(ValueError, match=match):
+        newton_solve(hf0, v_two_layer, params, mode="fixed_amplitude",
+                     amplitude=0.0, tol=1e-10)
+    with pytest.raises(ValueError, match=match):
+        continuation(hf0, v_two_layer, params, [0.0])
+
+
 def test_grid_rejects_misaligned_jump():
     with pytest.raises(AlignmentError):
         Grid(16, 31, aligned_jumps=(-0.5,))

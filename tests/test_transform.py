@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steadywaves.vorticity import FlowParameters, gamma_cap
 from steadywaves import laminar
@@ -61,6 +62,25 @@ def test_roundtrip_random_field(v_two_layer, rng):
         for j in range(0, g.Np + 1, 5):
             p = tr.invert_height(hf, params, g.q[i], y[i, j])
             assert abs(p - g.p[j]) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Nq=st.sampled_from([8, 16, 32]),
+       Np=st.sampled_from([8, 24, 64]), d=st.floats(0.5, 2.0))
+def test_inversion_roundtrip_off_node(seed, Nq, Np, d):
+    # y = d (h(q, p) + p) of the interpolated field at random off-node (q, p)
+    # inverts back to p.  invert_height accepts a y within rtol d of the
+    # column and clips it; the map's slope d (1 + h_p) is at least
+    # d (1 - max_hp) (random_admissible_field's default max_hp = 0.2), so
+    # p comes back within rtol / (1 - max_hp)
+    params = FlowParameters(d=d, g=9.8, c=1.0, p0=-1.0)
+    rng = np.random.default_rng(seed)
+    hf = random_admissible_field(rng).sample(Grid(Nq, Np), Q=10.0)
+    q, p = rng.uniform(-np.pi, np.pi, 16), rng.uniform(-1.0, 0.0, 16)
+    y = d * (np.diag(hf.evaluator().h_at(q, p)) + p)
+    rtol = 1e-12
+    back = tr.invert_height(hf, params, q, y, rtol=rtol)
+    assert np.max(np.abs(back - p)) <= rtol / (1.0 - 0.2)
 
 
 def test_map_rejects_stagnation(params):
