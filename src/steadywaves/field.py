@@ -252,8 +252,13 @@ class AnalyticHeightField:
         return np.cos(self._kq(q)) @ self._poly(self._Cp, p)
 
     def sample(self, grid: Grid, Q=None) -> HeightField:
-        """Sample onto a grid as a HeightField."""
+        """Sample onto a grid as a HeightField, with an exactly zero bed row.
+
+        Every P_n vanishes at p = -1, but the product's sum there is only
+        round-off small, so the bed row is written as the exact 0 it is.
+        """
         h = self.h_at(grid.q, grid.p)
+        h[:, 0] = 0.0
         return HeightField(grid, h, self.Q if Q is None else Q)
 
 

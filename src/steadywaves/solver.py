@@ -24,14 +24,17 @@ Closures:
                    neutral), which the continuation driver assumes.
 
 Linear solves: each Newton step solves J dx = -r by right-preconditioned
-GMRES with Eisenstat-Walker forcing terms.  The preconditioner is the exact
+GMRES with Eisenstat-Walker forcing terms, matrix-free: J is applied as
+its action (`HeightSystem.linearize`, the Jacobian's terms applied one grid
+operator at a time), never assembled.  The preconditioner is the exact
 inverse of the fixed-Q Jacobian at the q-mean of a reference state
 (`modal.LaminarModes`: a DCT-I in q and one banded LU of the p-blocks, which
 come from the grid's 1-D p-operators without assembling the Jacobian); the
-closures' Q column and scalar row are handled by a Schur complement.  A step
-whose true linear residual misses its tolerance is solved again by SuperLU.
-The continuation seed cos(q) phi_1(p) and the critical gravity come from the
-k = 1 modal block.
+closures' Q column and scalar row, held in closed form, are handled by a
+Schur complement.  A step whose true linear residual misses its tolerance
+is solved again by SuperLU, the only solve that assembles the Jacobian
+(`HeightSystem.jacobian_matrix`).  The continuation seed cos(q) phi_1(p) and
+the critical gravity come from the k = 1 modal block.
 """
 
 from __future__ import annotations
@@ -130,6 +133,14 @@ class HeightSystem:
         self.n_h = (nh + 1) * grid.Np
         cols = np.arange(self.n_h + nh + 1).reshape(nh + 1, grid.Np + 1)
         self.unknowns = cols[:, 1:].ravel()     # H[:, 1:] among H.ravel()
+        # the border (c, l) of the bordered closures' Jacobian: the Q column
+        # (Q enters each surface row as Q / (2 p0^2)) and the closure row (w
+        # on the unknowns' surface column)
+        c = np.r_[np.zeros(self.n_int), np.full(nh + 1, 0.5 / params.p0 ** 2)]
+        top = np.eye(1, grid.Np, grid.Np - 1)
+        self.borders = {mode: None if w is None else
+                        (c, np.outer(w, top).ravel())
+                        for mode, w in self.closures.items()}
 
     # -- reduced state helpers ------------------------------------------------
 
@@ -225,33 +236,66 @@ class HeightSystem:
 
     # -- analytic Jacobian -----------------------------------------------------
 
+    def _linear_terms(self, H):
+        """The fixed-Q Jacobian at H, by the chain rule through `_pointwise`.
+
+        Returns the terms (f', R) of the vertical flux A, the horizontal
+        flux B and the surface row: each one's derivative is the sum of
+        f' * (R du) over its terms, and the interior rows are div of the
+        two fluxes' derivatives.  The operators R act on H.ravel().
+        """
+        o, d, p0 = self.ops, self.params.d, self.params.p0
+        x = H.ravel()
+        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(
+            x, o.dp_half @ x)
+        return ([(K_hp, o.dp_half), (K_hq, o.hq_half)],
+                [(1.0 / m, o.dq_edge), (-B / m, o.hp_edge)],
+                [(Kt_hp, o.hp_top), (Kt_hq, o.hq_top),
+                 (np.full(self.nh + 1, -self.params.g * d / p0 ** 2),
+                  o.h_top)])
+
     def jacobian_matrix(self, H, Q, mode):
         """Sparse Jacobian in the reduced ordering (see `residual_vector`).
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
         meanzero/amplitude closures.  Each term is L diag(f') R over the
-        grid's operators, by the chain rule through `_pointwise`.
+        grid's operators (`_linear_terms`).  Newton applies the Jacobian
+        through `linearize` and assembles it only for a SuperLU fallback.
         """
-        o, diag = self.ops, sp.diags
-        d, p0, grav = self.params.d, self.params.p0, self.params.g
-        x = H.ravel()
-        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(
-            x, o.dp_half @ x)
-        interior = o.div @ sp.vstack(
-            (diag(K_hp) @ o.dp_half + diag(K_hq) @ o.hq_half,
-             diag(1.0 / m) @ o.dq_edge - diag(B / m) @ o.hp_edge))
-        surface = (diag(Kt_hp) @ o.hp_top + diag(Kt_hq) @ o.hq_top
-                   - (grav * d / p0 ** 2) * o.h_top)
-        J = sp.vstack((interior, surface), format="csr")[:, self.unknowns]
-        w = self.closures[mode]
-        if w is None:
+        A, B, top = (sum(sp.diags(f) @ R for f, R in terms)
+                     for terms in self._linear_terms(H))
+        J = sp.vstack((self.ops.div @ sp.vstack((A, B)), top),
+                      format="csr")[:, self.unknowns]
+        if self.borders[mode] is None:
             return J
-        # dQ in the surface rows, and the closure row; all-CSR blocks keep
-        # the stacking out of COO
-        Q_col = np.r_[np.zeros(self.n_int), np.full(self.nh + 1, 0.5 / p0**2)]
-        row = np.append(w @ o.h_top[:, self.unknowns], 0.0)
-        return sp.vstack((sp.hstack((J, sp.csr_matrix(Q_col[:, None]))),
-                          sp.csr_matrix(row)), format="csr")
+        c, ell = self.borders[mode]
+        # all-CSR blocks keep the stacking out of COO
+        return sp.vstack((sp.hstack((J, sp.csr_matrix(c[:, None]))),
+                          sp.csr_matrix(np.append(ell, 0.0))), format="csr")
+
+    def linearize(self, H, Q, mode):
+        """The Jacobian's action u -> J u, J = `jacobian_matrix(H, Q, mode)`.
+
+        The same terms applied one operator at a time; nothing is
+        assembled.
+        """
+        terms = self._linear_terms(H)
+        div, shape = self.ops.div, (self.nh + 1, self.grid.Np + 1)
+
+        def fixed_Q(u):
+            x = np.zeros(shape)
+            x[:, 1:] = u.reshape(shape[0], -1)
+            x = x.ravel()
+            A, B, top = (sum(f * (R @ x) for f, R in t) for t in terms)
+            return np.concatenate((div @ np.concatenate((A, B)), top))
+
+        if self.borders[mode] is None:
+            return fixed_Q
+        c, ell = self.borders[mode]
+
+        def bordered(u):
+            return np.append(fixed_Q(u[:-1]) + u[-1] * c, ell @ u[:-1])
+        return bordered
 
 
 # -- public operations --------------------------------------------------------
@@ -333,31 +377,33 @@ def _gmres(matvec, precond, b, rtol):
     return x, its, False
 
 
-def _krylov_step(J, r, n_h, modes, eta):
+def _krylov_step(jac, r, modes, eta, border):
     """Newton step solving J dx = -r by GMRES on the laminar modal inverse.
 
-    The bordered closures (a Q column and one scalar row) are solved by
-    their Schur complement: two inner solves on the fixed-Q block A,
-    x_b = A^{-1} b and x_c = A^{-1} c, then dQ = (l.x_b - beta)/(l.x_c).
-    The modal inverse is never bordered itself: the amplitude row sees only
-    odd cosine modes and the Q column only k = 0, so l M^{-1} c = 0.
+    `jac` is the Jacobian's action (`HeightSystem.linearize`), and
+    `border` the closure's Q column and scalar row (c, l), None for
+    fixed_Q.  The bordered closures are solved by their Schur complement:
+    two inner solves on the fixed-Q block A, x_b = A^{-1} b and
+    x_c = A^{-1} c, then dQ = (l.x_b - beta)/(l.x_c).  The modal inverse
+    is never bordered itself: the amplitude row sees only odd cosine modes
+    and the Q column only k = 0, so l M^{-1} c = 0.
     Returns (dx or None when a solve misses its tolerance, iterations).
     """
-    if J.shape[0] == n_h:
-        dx, its, ok = _gmres(J.dot, modes.solve, -r, eta)
+    if border is None:
+        dx, its, ok = _gmres(jac, modes.solve, -r, eta)
     else:
+        c, ell = border
+
         def matvec(x):
-            return J.dot(np.append(x, 0.0))[:n_h]
-        c = J[:n_h, n_h].toarray().ravel()
-        ell = J[n_h, :n_h].toarray().ravel()
-        x_b, its_b, ok_b = _gmres(matvec, modes.solve, -r[:n_h],
+            return jac(np.append(x, 0.0))[:-1]
+        x_b, its_b, ok_b = _gmres(matvec, modes.solve, -r[:-1],
                                   eta * _SCHUR_ETA)
         x_c, its_c, ok_c = _gmres(matvec, modes.solve, c, eta * _SCHUR_ETA)
         its, ok = its_b + its_c, ok_b and ok_c
         with np.errstate(divide="ignore", invalid="ignore"):
-            dQ = (ell @ x_b + r[n_h]) / (ell @ x_c)
+            dQ = (ell @ x_b + r[-1]) / (ell @ x_c)
         dx = np.append(x_b - dQ * x_c, dQ)
-    if ok and np.linalg.norm(J.dot(dx) + r) <= 10.0 * eta * np.linalg.norm(r):
+    if ok and np.linalg.norm(jac(dx) + r) <= 10.0 * eta * np.linalg.norm(r):
         return dx, its
     return None, its
 
@@ -380,17 +426,16 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
                                 krylov_iters=krylov, fallbacks=fallbacks)
         if it == max_iter:
             break
-        J = sys_.jacobian_matrix(H, Q, mode)
         if modes is None:
             modes = sys_.laminar_modes(H)
         r2 = float(np.linalg.norm(r))
-        dx, its = _krylov_step(J, r, sys_.n_h, modes,
-                               _forcing(r2, r2_prev, tol))
+        dx, its = _krylov_step(sys_.linearize(H, Q, mode), r, modes,
+                               _forcing(r2, r2_prev, tol), sys_.borders[mode])
         r2_prev = r2
         krylov.append(its)
         if dx is None:
             fallbacks += 1
-            dx = spla.splu(J.tocsc()).solve(-r)
+            dx = spla.splu(sys_.jacobian_matrix(H, Q, mode).tocsc()).solve(-r)
         dH = dx[:sys_.n_h].reshape(nh + 1, Np)
         dQ = dx[sys_.n_h] if mode != "fixed_Q" else 0.0
         step, accepted = 1.0, False

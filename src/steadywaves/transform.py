@@ -64,7 +64,10 @@ def physical_map(hf: HeightField, params: FlowParameters):
 def invert_height(hf: HeightField, params: FlowParameters, x, y, rtol=1e-12):
     """p with y = d [h(x, p) + p]; exact inverse of the interpolated map.
 
-    x, y may be scalars or equal-shape arrays.
+    x, y may be scalars or equal-shape arrays.  Each point's bracket is
+    found in its own column y_j = d [h(x, p_j) + p_j], increasing in j, all
+    columns at once; a point outside [-d, eta(x)] raises DomainError, the
+    first such point in C order.
     """
     g = hf.grid
     d = params.d
@@ -76,15 +79,18 @@ def invert_height(hf: HeightField, params: FlowParameters, x, y, rtol=1e-12):
     coeffs = _trig_coeffs(hf.h, g)                    # (nh+1, Np+1)
     hcols = _trig_eval(coeffs, x.ravel())             # (n, Np+1)
     ycols = d * (hcols + g.p[None, :])
-    out = np.empty(x.size)
-    for n in range(x.size):
-        yc = ycols[n]
-        if y.ravel()[n] < yc[0] - rtol * d or y.ravel()[n] > yc[-1] + rtol * d:
-            raise DomainError(
-                f"y={y.ravel()[n]:g} outside [-d, eta(x)] = [{yc[0]:g}, {yc[-1]:g}]")
-        j = int(np.clip(np.searchsorted(yc, y.ravel()[n]) - 1, 0, g.Np - 1))
-        t = (y.ravel()[n] - yc[j]) / (yc[j + 1] - yc[j])
-        out[n] = g.p[j] + np.clip(t, 0.0, 1.0) * g.dp
+    yv = y.ravel()
+    outside = (yv < ycols[:, 0] - rtol * d) | (yv > ycols[:, -1] + rtol * d)
+    if np.any(outside):
+        n = int(np.argmax(outside))
+        raise DomainError(f"y={yv[n]:g} outside [-d, eta(x)] = "
+                          f"[{ycols[n, 0]:g}, {ycols[n, -1]:g}]")
+    # the number of column nodes below y, as searchsorted counts them
+    below = np.count_nonzero(ycols < yv[:, None], axis=1)
+    j = np.clip(below - 1, 0, g.Np - 1)
+    lo, hi = ycols[np.arange(yv.size), j], ycols[np.arange(yv.size), j + 1]
+    t = (yv - lo) / (hi - lo)
+    out = g.p[j] + np.clip(t, 0.0, 1.0) * g.dp
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 

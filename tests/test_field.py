@@ -156,3 +156,16 @@ def test_min_one_plus_hp_in_blocks_is_the_whole_field_min(seed, Nq, Np,
     h = np.random.default_rng(seed).standard_normal((Nq, Np + 1))
     hf = fd.HeightField(g, h, Q=0.0)
     assert hf.min_one_plus_hp() == np.min(1.0 + hf.h_p())
+
+
+def test_sampled_analytic_field_has_an_exact_bed_row(v_two_layer, params):
+    # every term carries (1 + p), but its sum at p = -1 rounds to 2.3e-18
+    # here; the sample writes the exact 0 the bed condition asks for, so
+    # the field is an admissible state and a valid Newton start
+    from steadywaves.solver import ConvergenceError, newton_solve
+    g = Grid(256, 512, aligned_jumps=(-0.5,))
+    hf = fd.random_admissible_field(np.random.default_rng(0)).sample(g, Q=7.5)
+    assert np.all(hf.h[:, 0] == 0.0)
+    hf.check_admissible(1e-10)
+    with pytest.raises(ConvergenceError, match="no convergence after 0"):
+        newton_solve(hf, v_two_layer, params, mode="fixed_Q", max_iter=0)

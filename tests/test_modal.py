@@ -165,6 +165,20 @@ def test_newton_krylov_continuation_matches_superlu(v_two_layer,
         assert abs(a.Q - b.Q) <= 1e-10
 
 
+def test_continuation_assembles_no_jacobian(v_two_layer, params_critical,
+                                           monkeypatch):
+    # the benchmark's schedule: every Newton step applies the Jacobian
+    # through `linearize`; only a SuperLU fallback would assemble it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Newton step assembled the Jacobian")
+
+    monkeypatch.setattr(HeightSystem, "jacobian_matrix", forbidden)
+    hf0 = laminar_state(v_two_layer, params_critical, 64, 128)
+    _, steps = _continuation_steps(monkeypatch, v_two_layer, params_critical,
+                                   hf0, [0.0, 2.5e-4, 5e-4, 1e-3])
+    assert [s.fallbacks for s in steps] == [0, 0, 0, 0]
+
+
 def test_krylov_failure_falls_back_to_superlu(v_two_layer, params,
                                               monkeypatch):
     hf0 = laminar_state(v_two_layer, params, 16, 64)

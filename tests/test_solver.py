@@ -159,6 +159,36 @@ def test_jacobian_constant_coefficient_limit(v_zero, params, rng):
     assert np.max(np.abs(Jd - expected)) < 1e-11 * max(1, np.max(np.abs(expected)))
 
 
+@pytest.fixture(scope="module")
+def small_wave_two_layer(v_two_layer, params_critical):
+    """A 16 x 32 two-layer wave from continuation at near-critical data."""
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params_critical, g.p)
+    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
+    cont = continuation(hf0, v_two_layer, params_critical, [0.0, 2.5e-4, 5e-4])
+    assert cont.converged
+    return cont.fields[-1], v_two_layer, params_critical
+
+
+@pytest.mark.parametrize("mode", ["fixed_Q", "meanzero", "amplitude"])
+def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
+                                                     small_wave_two_layer,
+                                                     rng, mode):
+    # the action applies the terms that jacobian_matrix assembles, one
+    # operator at a time, and the closed-form Q column and closure row
+    g = Grid(32, 64, aligned_jumps=(-0.5,))
+    sampled = random_admissible_field(rng).sample(g, Q=7.5)
+    for hf, v, par in ((sampled, v_two_layer, params), small_wave_two_layer):
+        sys_ = HeightSystem(hf.grid, v, par)
+        H = sys_.reduce(hf)
+        J = sys_.jacobian_matrix(H, hf.Q, mode)
+        jac = sys_.linearize(H, hf.Q, mode)
+        scale = abs(J).max()
+        for u in [*rng.uniform(-1.0, 1.0, (3, J.shape[1])),
+                  np.eye(1, J.shape[1], J.shape[1] - 1)[0]]:
+            assert np.max(np.abs(jac(u) - J @ u)) <= 1e-14 * scale
+
+
 def test_operators_match_stencil_tables(rng):
     # each grid operator against the index arithmetic it replaces, with a
     # 4-cell layer at the bed and a jump node inside
@@ -239,12 +269,18 @@ def test_newton_nonconvergence_reports_history(v_zero, params):
     assert len(exc.value.history) >= 1
 
 
+def _flip_jacobian(monkeypatch):
+    """Flip the sign of the fixed-Q Jacobian, applied and assembled alike:
+    `linearize` and `jacobian_matrix` both read its terms."""
+    terms = HeightSystem._linear_terms
+    monkeypatch.setattr(HeightSystem, "_linear_terms", lambda self, H: [
+        [(-f, R) for f, R in flux] for flux in terms(self, H)])
+
+
 def test_line_search_rejects_ascent_step(v_two_layer, params, monkeypatch):
     # with the Jacobian's sign flipped every Newton step raises the residual;
     # halving must stall and report, not accept a tiny uphill step
-    jacobian = HeightSystem.jacobian_matrix
-    monkeypatch.setattr(HeightSystem, "jacobian_matrix",
-                        lambda self, H, Q, mode: -jacobian(self, H, Q, mode))
+    _flip_jacobian(monkeypatch)
     g = Grid(16, 32, aligned_jumps=(-0.5,))
     lf = laminar.solve(v_two_layer, params, g.p)
     hf0 = HeightField(g, np.zeros((16, 33)), Q=lf.Q)
@@ -293,9 +329,7 @@ def test_nonconvergence_names_the_worst_residual(v_two_layer, params, dh, dQ):
 
 def test_stalled_line_search_names_the_worst_residual(v_two_layer, params,
                                                       monkeypatch):
-    jacobian = HeightSystem.jacobian_matrix
-    monkeypatch.setattr(HeightSystem, "jacobian_matrix",
-                        lambda self, H, Q, mode: -jacobian(self, H, Q, mode))
+    _flip_jacobian(monkeypatch)
     g = Grid(16, 32, aligned_jumps=(-0.5,))
     hf = HeightField(g, np.zeros((16, 33)), Q=20.0)
     with pytest.raises(ConvergenceError, match="stalled") as exc:

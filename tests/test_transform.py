@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from steadywaves.vorticity import FlowParameters, gamma_cap
 from steadywaves import laminar
 from steadywaves.grid import Grid
-from steadywaves.field import HeightField, random_admissible_field, spectral_dq
+from steadywaves.field import (HeightField, random_admissible_field,
+                               spectral_dq, _trig_coeffs, _trig_eval)
 from steadywaves import transform as tr
 from steadywaves.solver import StagnationError
 
@@ -81,6 +84,52 @@ def test_inversion_roundtrip_off_node(seed, Nq, Np, d):
     rtol = 1e-12
     back = tr.invert_height(hf, params, q, y, rtol=rtol)
     assert np.max(np.abs(back - p)) <= rtol / (1.0 - 0.2)
+
+
+def _invert_per_point(hf, params, x, y, rtol=1e-12):
+    """invert_height one point at a time: the per-point reference."""
+    g, d = hf.grid, params.d
+    ycols = d * (_trig_eval(_trig_coeffs(hf.h, g), x.ravel()) + g.p[None, :])
+    out = np.empty(x.size)
+    for n, (yc, yn) in enumerate(zip(ycols, y.ravel())):
+        if yn < yc[0] - rtol * d or yn > yc[-1] + rtol * d:
+            raise tr.DomainError(
+                f"y={yn:g} outside [-d, eta(x)] = [{yc[0]:g}, {yc[-1]:g}]")
+        j = int(np.clip(np.searchsorted(yc, yn) - 1, 0, g.Np - 1))
+        t = (yn - yc[j]) / (yc[j + 1] - yc[j])
+        out[n] = g.p[j] + np.clip(t, 0.0, 1.0) * g.dp
+    return out.reshape(x.shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Nq=st.sampled_from([8, 16, 64]),
+       Np=st.sampled_from([8, 24, 96]), d=st.floats(0.5, 2.0))
+def test_batched_inversion_is_the_per_point_loop(seed, Nq, Np, d):
+    # bit for bit, at random points of the fluid domain, on the bed y = -d,
+    # on the surface y = eta(x), and at column nodes, where the bracket
+    # search meets a tie (p_{j-1} + dp and p_j differ in the last bit for
+    # some j when Np is not a power of 2); out of range, the same message
+    # for the first point in C order
+    params = FlowParameters(d=d, g=9.8, c=1.0, p0=-1.0)
+    rng = np.random.default_rng(seed)
+    g = Grid(Nq, Np, aligned_jumps=(-0.5,))
+    hf = random_admissible_field(rng).sample(g, Q=10.0)
+    x = rng.uniform(-np.pi, np.pi, (6, 8))
+    ycols = d * (_trig_eval(_trig_coeffs(hf.h, g), x.ravel())
+                 + g.p[None, :]).reshape(6, 8, -1)
+    s = rng.uniform(0.0, 1.0, (6, 8))
+    y = ycols[..., 0] + s * (ycols[..., -1] - ycols[..., 0])
+    y[0], y[1] = -d, ycols[1, :, -1]
+    y[2] = ycols[2, np.arange(8), rng.integers(0, Np + 1, 8)]
+    back = tr.invert_height(hf, params, x, y)
+    assert back.shape == x.shape
+    assert back.tobytes() == _invert_per_point(hf, params, x, y).tobytes()
+    y[4, 5] = ycols[4, 5, -1] + 1e-3
+    y[5, 1] = -d * (1.0 + 1e-3)
+    with pytest.raises(tr.DomainError) as ref:
+        _invert_per_point(hf, params, x, y)
+    with pytest.raises(tr.DomainError, match=re.escape(str(ref.value))):
+        tr.invert_height(hf, params, x, y)
 
 
 def test_map_rejects_stagnation(params):

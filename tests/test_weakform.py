@@ -413,6 +413,21 @@ def test_surface_identity_random_fields(v_two_layer, rng):
         assert rep["identity_gap_rel"] < 1e-13
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), Nq=st.sampled_from([8, 16, 64]),
+       Np=st.sampled_from([16, 32, 128]),
+       jumps=st.sampled_from([(), (-0.5,), (-0.75, -0.25)]),
+       max_hp=st.floats(0.05, 0.6), d=st.floats(0.5, 2.0),
+       g=st.floats(0.5, 20.0), p0=st.floats(-2.0, -0.5))
+def test_surface_identity_property(seed, Nq, Np, jumps, max_hp, d, g, p0):
+    # both sides are computed from the same surface derivatives, so their
+    # gap is round-off for every admissible field and flow
+    params = FlowParameters(d=d, g=g, c=1.0, p0=p0)
+    f = random_admissible_field(np.random.default_rng(seed), max_hp=max_hp)
+    hf = f.sample(Grid(Nq, Np, aligned_jumps=jumps), Q=7.5)
+    assert wf.surface_identity(hf, params)["identity_gap_rel"] <= 1e-13
+
+
 def test_surface_identity_flat_exact(flat, v_zero):
     params, hf = flat
     rep = wf.surface_identity(hf, params)
