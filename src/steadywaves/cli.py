@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, ConfigError
-from .grid import Grid, AlignmentError
+from .grid import Grid, GridError
 from .field import AdmissibilityError, HeightField
 from . import laminar as laminar_mod
 from . import solver as solver_mod
@@ -269,8 +269,7 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
                 rows.append([name, tf.center[0], tf.center[1], lvl, val, norm])
             rep.refinement.append({
                 "level": lvl,
-                "max_abs": max(abs(val) / max(norm, 1e-300)
-                               for val, norm in zip(vals, norms))})
+                "max_abs": wf.max_normalized(vals, norms)})
         if len(rep.refinement) >= 2 and rep.refinement[-1]["max_abs"] > 0:
             l0, l1 = rep.refinement[0], rep.refinement[-1]
             rep.fitted_rates["refinement_order"] = float(
@@ -378,7 +377,8 @@ def main(argv=None):
             if args.command == "transform":
                 return run_transform(cfg, outdir, args, args.field)
             return run_verify(cfg, outdir, args, args.field)
-    except (ConfigError, AlignmentError, SchemaError, FileNotFoundError) as exc:
+    except (ConfigError, GridError, SchemaError, wf.SupportError,
+            wf.MollifierError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (solver_mod.ConvergenceError, solver_mod.StagnationError) as exc:

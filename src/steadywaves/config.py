@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import AlignmentError, aligned_node
 from .vorticity import VorticityFunction, FlowParameters
 
 
@@ -145,10 +146,13 @@ def parse_config(text: str) -> RunConfig:
 
     Nq, Np = values["grid.Nq"], values["grid.Np"]
     for b in vort.breakpoints:
-        jr = (b + 1.0) * Np
-        if abs(jr - round(jr)) > 1e-9:
-            raise ConfigError(f"grid.Np = {Np} does not place the vorticity "
-                              f"breakpoint {b} on a p-node")
+        try:
+            aligned_node(b, Np)
+        except AlignmentError as exc:
+            raise ConfigError(f"grid.Np = {Np}: {exc}") from None
+    for key, least in (("solver.max_iter", 0), ("verify.levels", 1)):
+        if np.min(values.get(key, least)) < least:
+            raise ConfigError(f"{key} must be >= {least}")
 
     radii = values.get("verify.radii", [np.pi / 4, 0.2])
     if len(radii) != 2:

@@ -135,12 +135,7 @@ class HeightField:
         return d * (self.h[self.grid.i_q0, -1] - self.h[0, -1]) / 2.0
 
     def min_one_plus_hp(self):
-        # in as many blocks of rows as a stencil has nodes, so that no
-        # temporary outgrows h: the whole field's stencil gather is that many
-        # times h, and one taken before a solve raises the solve's peak
-        # memory.  Each block's h_p is bit-identical to the whole field's.
-        blocks = np.array_split(self.h, self.grid.node_idx.shape[1])
-        return float(min(np.min(1.0 + self.grid.node_dp(b)) for b in blocks))
+        return float(1.0 + np.min(self.h_p()))   # rounding is monotone
 
     def check_admissible(self, eps):
         """Raise AdmissibilityError unless h is an admissible state: 0 on

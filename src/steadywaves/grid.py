@@ -16,7 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class AlignmentError(ValueError):
+class GridError(ValueError):
+    """A grid that cannot be built: its sizes, or a layer too thin."""
+
+
+class AlignmentError(GridError):
     """A vorticity breakpoint does not coincide with a p-node."""
 
 
@@ -67,7 +71,7 @@ _STENCIL = 5  # nodes per p-derivative stencil; 4th-order accurate
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor grid on R with jump-aligned p-stencil tables."""
+    """Tensor grid on R with jump-aligned sparse p-stencil operators."""
 
     Nq: int
     Np: int
@@ -79,9 +83,9 @@ class Grid:
 
     def __post_init__(self):
         if self.Nq < 8 or self.Nq % 2:
-            raise ValueError(f"Nq must be an even integer >= 8, got {self.Nq}")
+            raise GridError(f"Nq must be an even integer >= 8, got {self.Nq}")
         if self.Np < 8:
-            raise ValueError(f"Np must be >= 8, got {self.Np}")
+            raise GridError(f"Np must be >= 8, got {self.Np}")
         jumps = tuple(sorted(float(b) for b in self.aligned_jumps))
         object.__setattr__(self, "aligned_jumps", jumps)
         dq = 2.0 * np.pi / self.Nq
@@ -93,15 +97,16 @@ class Grid:
 
         jidx = [0, *(aligned_node(b, self.Np) for b in jumps), self.Np]
         if any(b - a < _STENCIL - 1 for a, b in zip(jidx[:-1], jidx[1:])):
-            raise ValueError("each vorticity layer needs at least "
+            raise GridError("each vorticity layer needs at least "
                              f"{_STENCIL - 1} p-cells at Np={self.Np}")
         object.__setattr__(self, "_layer_edges", tuple(jidx))
 
-        # one row per stencil: the cell midpoints on their own layer, then
-        # the nodes on the layer below (the default one-sided value at a
-        # jump node) and on the layer above (the _hi tables; identical away
-        # from jumps).  The _STENCIL in-layer nodes nearest the target,
-        # ties to the lower node, all lie within _STENCIL nodes of `center`.
+        # one operator row (on a column of Np+1 nodes) per stencil: the cell
+        # midpoints p_half on their own layer (Dp_half), then the nodes on
+        # the layer below (Dp_node, the default one-sided value at a jump
+        # node) and on the layer above (Dp_node_hi; identical away from
+        # jumps).  The _STENCIL in-layer nodes nearest the target, ties to
+        # the lower node, all lie within _STENCIL nodes of `center`.
         Np, jc, j = self.Np, np.arange(self.Np), np.arange(self.Np + 1)
         p_half = self.p[:-1] + 0.5 * dp
         target = np.concatenate((p_half, self.p, self.p))
@@ -118,14 +123,12 @@ class Grid:
         order = np.argsort(dist, axis=1, kind="stable")[:, :_STENCIL]
         idx = np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
         w = fd_weights(target, self.p[idx], 1)
-        half_idx, node_idx, node_idx_hi = np.split(idx, [Np, 2 * Np + 1])
-        half_w, node_w, node_w_hi = np.split(w, [Np, 2 * Np + 1])
-        object.__setattr__(self, "half_idx", half_idx)
-        object.__setattr__(self, "half_w", half_w)
-        object.__setattr__(self, "node_idx", node_idx)
-        object.__setattr__(self, "node_w", node_w)
-        object.__setattr__(self, "node_idx_hi", node_idx_hi)
-        object.__setattr__(self, "node_w_hi", node_w_hi)
+        for name, i, wt in zip(("Dp_half", "Dp_node", "Dp_node_hi"),
+                               np.split(idx, [Np, 2 * Np + 1]),
+                               np.split(w, [Np, 2 * Np + 1])):
+            object.__setattr__(self, name, sp.csr_matrix(
+                (wt.ravel(), i.ravel(), np.arange(0, wt.size + 1, _STENCIL)),
+                shape=(len(wt), Np + 1)))
         object.__setattr__(self, "p_half", p_half)
 
     @cached_property
@@ -168,17 +171,11 @@ class Grid:
         return w / (2.0 * nh)
 
     def node_dp(self, hcols, upper=False):
-        """Per-layer 4th-order p-derivative at all nodes; hcols (..., Np+1).
+        """Per-layer 4th-order p-derivative at all nodes; hcols ([M,] Np+1).
 
         `upper` switches the one-sided value at jump nodes to the layer above.
         """
-        idx = self.node_idx_hi if upper else self.node_idx
-        w = self.node_w_hi if upper else self.node_w
-        return np.einsum("jt,...jt->...j", w, hcols[..., idx])
-
-    def half_dp(self, hcols):
-        """Per-layer 4th-order p-derivative at cell midpoints; hcols (..., Np+1)."""
-        return np.einsum("jt,...jt->...j", self.half_w, hcols[..., self.half_idx])
+        return hcols @ (self.Dp_node_hi if upper else self.Dp_node).T
 
 
 class ReducedOperators:
@@ -209,18 +206,12 @@ class ReducedOperators:
         def pair(a, b, n):  # a at column i and b at i + 1 of row i
             return sp.diags([a, b], [0, 1], shape=(n, n + 1))
 
-        def stencil(idx, w):
-            return sp.csr_matrix((w.ravel(), idx.ravel(),
-                                  np.arange(0, w.size + 1, _STENCIL)),
-                                 shape=(len(w), Np + 1))
-
         d_q = (shift(1) - shift(-1)) / (2 * g.dq)
         d_q.eliminate_zeros()               # h_q = 0 where q = 0 or pi
         q_diff = pair(-1.0 / g.dq, 1.0 / g.dq, nh)
         q_div = -sp.diags(np.r_[2.0, np.ones(nh - 1), 2.0]) @ q_diff.T
         self.p_div = pair(-1.0 / g.dp, 1.0 / g.dp, Np - 1)
-        self.p_node = stencil(g.node_idx, g.node_w)
-        self.p_half = stencil(g.half_idx, g.half_w)
+        self.p_node, self.p_half = g.Dp_node, g.Dp_half
         self.p_inner = sp.eye(Np - 1, Np + 1, k=1, format="csr")
         self.p_top = sp.eye(1, Np + 1, k=Np, format="csr")
         node_dp, inner, top = self.p_node, self.p_inner, self.p_top

@@ -102,8 +102,9 @@ def _speed_term(hq, hp, d):
     K is the kinetic part of both the vertical flux A and the surface row.
     """
     u = 1.0 + hp
-    K = -(1.0 + d * d * hq ** 2) / (2 * d * d * u ** 2)
-    return K, -hq / u ** 2, -2.0 * K / u
+    u2 = u ** 2
+    K = -(1.0 + d * d * hq ** 2) / (2 * d * d * u2)
+    return K, -hq / u2, -2.0 * K / u
 
 
 class HeightSystem:
@@ -301,11 +302,10 @@ class HeightSystem:
 # -- public operations --------------------------------------------------------
 
 
-def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters,
-             eps_stag=EPS_STAG_DEFAULT):
+def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters):
     """Interior and surface residuals on the full grid: ((Nq, Np-1), (Nq,))."""
     sys_ = HeightSystem(hf.grid, v, params)
-    interior, surface = sys_.residual_parts(sys_.reduce(hf), hf.Q, eps_stag)
+    interior, surface = sys_.residual_parts(sys_.reduce(hf), hf.Q)
     return (hf.grid.full_from_reduced(interior),
             hf.grid.full_from_reduced(surface))
 
@@ -408,18 +408,19 @@ def _krylov_step(jac, r, modes, eta, border):
     return None, its
 
 
-def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
+def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
                  modes=None):
     H, Q = H0.copy(), float(Q0)
     nh, Np = sys_.nh, sys_.grid.Np
     history, krylov = [], []
     guards = fallbacks = 0
     r2_prev = None
+    # each iteration's residual is the line search's accepted one
+    r = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
     for it in range(max_iter + 1):
-        r = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
         rn = float(np.max(np.abs(r)))
         history.append(rn)
-        if rn <= tol and sys_.admissible(H, eps_stag):
+        if rn <= tol and sys_.admissible(H):
             return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
                                 residual_inf=rn, history=history,
                                 stagnation_hits=guards, mode=mode,
@@ -443,13 +444,13 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
             Hc = H.copy()
             Hc[:, 1:] += step * dH
             Qc = Q + step * dQ
-            if not sys_.admissible(Hc, eps_stag):
+            if not sys_.admissible(Hc):
                 guards += 1
                 step *= 0.5
                 continue
             rc = sys_.residual_vector(Hc, Qc, mode, a, eps_stag=0.0)
             if np.max(np.abs(rc)) < rn:
-                H, Q = Hc, Qc
+                H, Q, r = Hc, Qc, rc
                 accepted = True
                 break
             step *= 0.5
@@ -466,8 +467,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, eps_stag,
 
 def newton_solve(initial: HeightField, v: VorticityFunction,
                  params: FlowParameters, mode="fixed_Q", Q=None, amplitude=None,
-                 tol=1e-10, max_iter=50, eps_stag=EPS_STAG_DEFAULT,
-                 modes=None) -> NewtonResult:
+                 tol=1e-10, max_iter=50, modes=None) -> NewtonResult:
     """Damped Newton-Krylov solve of the discrete height system.
 
     mode 'fixed_Q': Q is data (argument or initial.Q).  mode
@@ -476,9 +476,11 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
     `modes` (a LaminarModes) preconditions every linear solve; by default
     it is built from the q-mean of the initial state.  An initial state
     that is not admissible raises `field.AdmissibilityError`, a ValueError,
-    before any solve.
+    before any solve; a negative `max_iter` raises ValueError.
     """
-    initial.check_admissible(eps_stag)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    initial.check_admissible(EPS_STAG_DEFAULT)
     sys_ = HeightSystem(initial.grid, v, params)
     H0 = sys_.reduce(initial)
     if mode == "fixed_Q":
@@ -492,7 +494,7 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         imode = "meanzero" if a == 0.0 else "amplitude"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    res = _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, eps_stag, modes)
+    res = _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, modes)
     res.mode = mode
     return res
 
@@ -534,7 +536,7 @@ def critical_gravity(v: VorticityFunction, params: FlowParameters, grid: Grid):
 
 def continuation(hf0: HeightField, v: VorticityFunction,
                  params: FlowParameters, amplitude_schedule, tol=1e-10,
-                 max_iter=50, eps_stag=EPS_STAG_DEFAULT) -> ContinuationResult:
+                 max_iter=50) -> ContinuationResult:
     """Sequence of fixed_amplitude solves warm-started along the schedule.
 
     The laminar modes are built once from the start state and once more at
@@ -542,7 +544,7 @@ def continuation(hf0: HeightField, v: VorticityFunction,
     inadmissible start state raises AdmissibilityError; a warm start that a
     step pushes past stagnation fails that step.
     """
-    hf0.check_admissible(eps_stag)
+    hf0.check_admissible(EPS_STAG_DEFAULT)
     schedule = [float(a) for a in amplitude_schedule]
     fields, amps = [], []
     prev = hf0
@@ -565,7 +567,7 @@ def continuation(hf0: HeightField, v: VorticityFunction,
         try:
             res = newton_solve(warm, v, params, mode="fixed_amplitude",
                                amplitude=a, tol=tol, max_iter=max_iter,
-                               eps_stag=eps_stag, modes=modes)
+                               modes=modes)
         except (ConvergenceError, StagnationError, AdmissibilityError) as exc:
             return ContinuationResult(fields=fields, amplitudes=amps,
                                       converged=False, failed_amplitude=a,

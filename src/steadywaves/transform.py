@@ -120,12 +120,7 @@ def reconstruct_pressure(hf: HeightField, v: VorticityFunction,
                          params: FlowParameters):
     """Bernoulli pressure, P_atm at the surface when (the surface condition
     holds exactly): P = P_atm + Q/2 - |grad psi|^2/2 - g (y+d) + gamma_tilde."""
-    d, g = params.d, params.g
-    _, y, _ = physical_map(hf, params)
-    _, psi_x, psi_y = reconstruct_stream(hf, params)
-    gt = gamma_tilde(v, params, hf.grid.p)[None, :]
-    return (params.P_atm + hf.Q / 2.0 - 0.5 * (psi_x ** 2 + psi_y ** 2)
-            - g * (y + d) + gt)
+    return reconstruct_fields(hf, v, params).P
 
 
 def reconstruct_fields(hf: HeightField, v: VorticityFunction,
@@ -133,21 +128,28 @@ def reconstruct_fields(hf: HeightField, v: VorticityFunction,
     """Full reconstruction: map, stream, velocities and pressure."""
     x, y, eta = physical_map(hf, params)
     psi, psi_x, psi_y = reconstruct_stream(hf, params)
-    u, vv = params.c + psi_y, -psi_x
-    P = reconstruct_pressure(hf, v, params)
+    gt = gamma_tilde(v, params, hf.grid.p)[None, :]
+    P = (params.P_atm + hf.Q / 2.0 - 0.5 * (psi_x ** 2 + psi_y ** 2)
+         - params.g * (y + params.d) + gt)
     return PhysicalFields(x=x, y=y, eta=eta, psi=psi, psi_x=psi_x,
-                          psi_y=psi_y, u=u, v=vv, P=P, Q=hf.Q, grid=hf.grid)
+                          psi_y=psi_y, u=params.c + psi_y, v=-psi_x, P=P,
+                          Q=hf.Q, grid=hf.grid)
+
+
+def bernoulli_F(fields: PhysicalFields, params: FlowParameters):
+    """F = P + |grad psi|^2/2 + g y at the nodes."""
+    return fields.P + 0.5 * (fields.psi_x ** 2 + fields.psi_y ** 2) \
+        + params.g * fields.y
 
 
 def bernoulli_function(fields: PhysicalFields, v: VorticityFunction,
                        params: FlowParameters):
-    """F = P + |grad psi|^2/2 + g y and the streamline-collapse report.
+    """F and the streamline-collapse report.
 
     F - gamma_tilde(psi/p0) should be the constant F0 = P_atm + Q/2 - g d;
     the maximum deviation measures how far the pressure is from Bernoulli.
     """
-    F = fields.P + 0.5 * (fields.psi_x ** 2 + fields.psi_y ** 2) \
-        + params.g * fields.y
+    F = bernoulli_F(fields, params)
     gt = gamma_tilde(v, params, fields.psi / params.p0)
     F0 = params.P_atm + fields.Q / 2.0 - params.g * params.d
     collapse = float(np.max(np.abs(F - gt - F0)))

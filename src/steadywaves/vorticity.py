@@ -154,13 +154,8 @@ class VorticityFunction:
         """(inf, sup) of gamma over [-1, 0], exact per-piece extrema."""
         lo, hi = np.inf, -np.inf
         for (a, b, _), cs in zip(self.pieces, self._coeffs):
-            cand = [npoly.polyval(a, cs), npoly.polyval(b, cs)]
-            if len(cs) > 1:
-                dcs = npoly.polyder(cs)
-                roots = npoly.polyroots(dcs) if len(dcs) > 1 or dcs[0] != 0 else []
-                for r in np.atleast_1d(roots):
-                    if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                        cand.append(npoly.polyval(r.real, cs))
+            cand = [npoly.polyval(t, cs)
+                    for t in [a, b, *_roots_in(npoly.polyder(cs), a, b)]]
             lo = min(lo, min(cand))
             hi = max(hi, max(cand))
         return float(lo), float(hi)
@@ -181,6 +176,15 @@ def gamma_cap(v: VorticityFunction, params: FlowParameters, p):
     return (2.0 * params.d ** 2 / params.p0) * v.integral(p)
 
 
+def _roots_in(cs, a, b):
+    """Real roots in [a, b] of the polynomial with ascending coefficients
+    cs; none for the zero polynomial."""
+    if len(cs) == 1 and cs[0] == 0:
+        return []
+    return [r.real for r in np.atleast_1d(npoly.polyroots(cs))
+            if abs(r.imag) < 1e-12 and a <= r.real <= b]
+
+
 def _extremum_candidates(v: VorticityFunction):
     """Per piece k, the points where gamma_cap may take an extremum.
 
@@ -188,13 +192,7 @@ def _extremum_candidates(v: VorticityFunction):
     derivative of the antiderivative is gamma itself).
     """
     for k, (a, b, _) in enumerate(v.pieces):
-        cand = [a, b]
-        der = v._coeffs[k]
-        if len(der) > 1 or der[0] != 0:
-            for r in np.atleast_1d(npoly.polyroots(der)):
-                if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                    cand.append(r.real)
-        yield k, cand
+        yield k, [a, b, *_roots_in(v._coeffs[k], a, b)]
 
 
 def gamma_cap_min(v: VorticityFunction, params: FlowParameters):

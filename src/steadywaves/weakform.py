@@ -37,11 +37,16 @@ from scipy.ndimage import convolve1d
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
 from .field import HeightField, _q_nodes, _trig_coeffs, _trig_eval
 from .grid import Grid, aligned_node
-from .transform import PhysicalFields, stream_gradient
+from .transform import PhysicalFields, bernoulli_F, stream_gradient
+from .solver import _speed_term
 
 
 class SupportError(ValueError):
     """Test-function support touches or leaves the domain interior."""
+
+
+class MollifierError(ValueError):
+    """A mollifier scale below two grid spacings."""
 
 
 # -- C^1 bump -----------------------------------------------------------------
@@ -350,8 +355,8 @@ class QuadratureLevel:
         d = self.params.d
         hq = self._field("hq_at", self.p)
         hp = self._field("hp_at", self.p)
-        A = -(1.0 + d * d * hq ** 2) / (2 * d * d * (1.0 + hp) ** 2) \
-            + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d)
+        K, _, _ = _speed_term(hq, hp, d)
+        A = K + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d)
         return A, hq / (1.0 + hp)
 
     @cached_property
@@ -542,14 +547,11 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     dmin = max(g.dq, g.dp)
     for e in eps_list:
         if e < 2.0 * dmin:
-            raise ValueError(f"eps={e:g} is below 2 grid spacings ({2 * dmin:g})")
-    F = fields.P + 0.5 * (fields.psi_x ** 2 + fields.psi_y ** 2) \
-        + params.g * fields.y
+            raise MollifierError(f"eps={e:g} is below 2 grid spacings "
+                                 f"({2 * dmin:g})")
+    F = bernoulli_F(fields, params)
     q, p = g.q, g.p
-    wq = g.dq
-    wp = np.full(g.Np + 1, g.dp)
-    wp[0] *= 0.5
-    wp[-1] *= 0.5
+    _, _, wq, wp = _height_nodes(g.Nq, g.Np)
     # chain-rule gradient of the pushforward of tf on the node grid,
     # with h-derivatives recovered from y = d (h + p)
     tq_, tp_ = tf.grad(q, p)
@@ -606,6 +608,12 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
 # -- reporting -------------------------------------------------------------------
 
 
+def max_normalized(values, normalizers):
+    """max |value| / normalizer over the pairs, 0 for none."""
+    return max((abs(v) / max(n, 1e-300) for v, n in zip(values, normalizers)),
+               default=0.0)
+
+
 @dataclass
 class PairingReport:
     """Values of one formulation's pairings across test functions and levels."""
@@ -616,9 +624,8 @@ class PairingReport:
     fitted_rates: dict = field(default_factory=dict)
 
     def max_normalized(self):
-        vals = [abs(e["value"]) / max(e["normalizer"], 1e-300)
-                for e in self.per_testfn]
-        return max(vals) if vals else 0.0
+        return max_normalized([e["value"] for e in self.per_testfn],
+                              [e["normalizer"] for e in self.per_testfn])
 
     def to_dict(self):
         return {

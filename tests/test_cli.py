@@ -256,6 +256,38 @@ def test_empty_lattice_rejected(tmp_path, capsys):
     assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+SMALL_TWO_LAYER_CFG = TWO_LAYER_CFG.replace("grid.Np = 64", "grid.Np = 32")
+
+
+@pytest.fixture(scope="module")
+def small_two_layer_field(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    cfg = write_cfg(out, SMALL_TWO_LAYER_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return out / "field.csv"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid.Nq", "7"), ("grid.Np", "4"), ("verify.eps_list", "0.01"),
+    ("verify.radii", "0.5, 0.6"), ("solver.max_iter", "-1"),
+    ("verify.levels", "0")])
+def test_invalid_config_exits_2_with_one_error_line(
+        tmp_path, capsys, small_two_layer_field, key, value):
+    # the grid, the mollifier scale, the bump support and the config each
+    # reject their own value by a named error class, which main reports
+    lines = [ln for ln in SMALL_TWO_LAYER_CFG.splitlines()
+             if not ln.startswith(key + " ")]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--field", str(small_two_layer_field), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if key in ("solver.max_iter", "verify.levels"):
+        assert key in err
+
+
 def test_solve_nonconvergent_amplitude_exit_code(tmp_path):
     # far-from-critical data cannot support a finite-amplitude wave
     cfg_text = TWO_LAYER_CFG.replace(

@@ -150,7 +150,7 @@ def test_jacobian_constant_coefficient_limit(v_zero, params, rng):
     delta_red[:, 0] = 0.0
     Jd = (J @ delta_red[:, 1:].ravel())[:sys_.n_int].reshape(nh + 1, g.Np - 1)
 
-    s = g.half_dp(delta_red)
+    s = delta_red @ g.Dp_half.T
     dpp = (s[:, 1:] - s[:, :-1]) / g.dp
     rp = np.array([g.qmirror(r + 1) for r in range(nh + 1)])
     rm = np.array([g.qmirror(r - 1) for r in range(nh + 1)])
@@ -203,7 +203,7 @@ def test_operators_match_stencil_tables(rng):
     B = rng.standard_normal((nh, g.Np - 1))
     Bx = np.vstack((-B[:1], B, -B[-1:]))        # B is odd about q = 0, pi
     pairs = [
-        (o.dp_node @ x, hp), (o.dp_half @ x, g.half_dp(H)),
+        (o.dp_node @ x, hp), (o.dp_half @ x, H @ g.Dp_half.T),
         (o.hq_half @ x, 0.5 * (hq[:, :-1] + hq[:, 1:])),
         (o.dq_edge @ x, (H[1:, 1:-1] - H[:-1, 1:-1]) / g.dq),
         (o.hp_edge @ x, 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1])),
@@ -267,6 +267,29 @@ def test_newton_nonconvergence_reports_history(v_zero, params):
         newton_solve(hf, v_zero, params, mode="fixed_Q", Q=-1e6, max_iter=3,
                      tol=1e-14)
     assert len(exc.value.history) >= 1
+
+
+def test_newton_rejects_a_negative_max_iter(v_zero, params):
+    with pytest.raises(ValueError, match="max_iter"):
+        newton_solve(flat_field(16, 16, Q=0.0), v_zero, params,
+                     mode="fixed_Q", max_iter=-1)
+
+
+def test_newton_reuses_the_accepted_residual(v_two_layer, params,
+                                             monkeypatch):
+    # the line search's accepted residual starts the next iteration, so a
+    # solve whose every full step is accepted evaluates one residual more
+    # than it takes iterations
+    calls, parts = [], HeightSystem.residual_parts
+    monkeypatch.setattr(HeightSystem, "residual_parts",
+                        lambda self, *a, **k: calls.append(1)
+                        or parts(self, *a, **k))
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
+    res = newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-12)
+    assert res.iterations >= 2 and res.stagnation_hits == 0
+    assert len(calls) == res.iterations + 1
 
 
 def _flip_jacobian(monkeypatch):
@@ -559,8 +582,13 @@ def test_batched_stencil_tables_match_per_node_build(layers):
     Np, jumps = layers
     g = Grid(8, Np, aligned_jumps=tuple(-1.0 + j / Np for j in jumps))
     want = _stencil_tables_per_node(g, np.array([0, *jumps, Np]))
+    # each table as its CSR operator stores it, 5 entries a row in node
+    # order; scipy keeps the indices as int32
+    ops = {"half": g.Dp_half, "node": g.Dp_node, "node_hi": g.Dp_node_hi}
     for name, table in want.items():
-        got = getattr(g, name)
+        op = ops[name.replace("_idx", "").replace("_w", "")]
+        got = (op.indices.astype(np.int64) if "_idx" in name
+               else op.data).reshape(-1, 5)
         assert got.dtype == table.dtype and got.shape == table.shape, name
         assert np.array_equal(got.view(np.int64), table.view(np.int64)), name
 

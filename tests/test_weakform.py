@@ -230,6 +230,21 @@ def test_cross_identity_decay_analytic(v_two_layer, rng):
     assert gaps[1] / gaps[2] > 3.0  # near second order
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       max_hp=st.sampled_from([0.2, 0.4, 0.6]))
+def test_cross_identity_gap_decays_under_refinement(v_two_layer, params, seed,
+                                                    max_hp):
+    # on the benchmark's 12-bump lattice the worst gap of any admissible
+    # field falls by at least 3x per doubling (the rule is second order)
+    f = random_admissible_field(np.random.default_rng(seed), max_hp=max_hp)
+    tfs = wf.default_lattice(4, (np.pi / 4, 0.2), (-0.7, -0.45, -0.22))
+    worst = [max(wf.cross_identity(f, v_two_layer, params, tf, nq=nq,
+                                   npp=npp)[2] for tf in tfs)
+             for nq, npp in ((64, 96), (128, 192), (256, 384))]
+    assert worst[0] >= 3.0 * worst[1] and worst[1] >= 3.0 * worst[2], worst
+
+
 def test_cross_identity_solved_field_small(solved_laminar, v_two_layer):
     # both pairings and the gap are small for a solved field; the scale is
     # set by the interpolation of the sampled field near the interface
