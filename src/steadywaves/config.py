@@ -153,6 +153,11 @@ def parse_config(text: str) -> RunConfig:
     for key, least in (("solver.max_iter", 0), ("verify.levels", 1)):
         if np.min(values.get(key, least)) < least:
             raise ConfigError(f"{key} must be >= {least}")
+    eps_list = values.get("verify.eps_list", [])
+    least = 2.0 * max(2.0 * np.pi / Nq, 1.0 / Np) if min(Nq, Np) > 0 else 0.0
+    if eps_list and min(eps_list) < least:    # the mollifier's two spacings
+        raise ConfigError(f"verify.eps_list: eps={min(eps_list):g} is below "
+                          f"2 grid spacings ({least:g})")
 
     radii = values.get("verify.radii", [np.pi / 4, 0.2])
     if len(radii) != 2:
@@ -179,7 +184,7 @@ def parse_config(text: str) -> RunConfig:
         radii=(radii[0], radii[1]),
         p_centers=list(p_centers),
         n_q_centers=n_q_centers,
-        eps_list=values.get("verify.eps_list", []),
+        eps_list=eps_list,
         output_dir=values.get("output.dir", "out"),
         raw_text=text,
     )

@@ -2,8 +2,9 @@
 
 At a state that does not depend on q, the Jacobian couples each reduced
 q-column r only to itself and to its neighbours r +- 1 (mirrored at q = 0
-and q = pi), with the same p-operators in every column.  With the residual
-rows put into the unknowns' (r, j) layout it reads
+and q = pi), with the same p-operators in every column.  The solver keeps
+its residual rows in the unknowns' (r, j) layout, the surface row of column
+r in place of its unknown h(q_r, 0), so the Jacobian reads
 
     K = I (x) A0 + L (x) A1,   (L x)_r = x_{r-1} + x_{r+1},
 
@@ -30,20 +31,14 @@ from scipy.fft import dct
 class LaminarModes:
     """Exact inverse of a q-invariant fixed-Q Jacobian, mode by mode.
 
-    The Jacobian is given by its p-blocks A0 and A1 (Np x Np, sparse), in
-    the unknowns' (r, j) layout: columns j = 1 .. Np, rows the interior
-    residuals j < Np and then the surface row.  `rows` maps that layout to
-    the solver's residual ordering: interior rows r*(Np-1) + (j-1), then
-    one surface row per r.
+    The Jacobian is given by its p-blocks A0 and A1 (Np x Np, sparse) in
+    the solver's (r, j) layout, rows and unknowns alike: columns
+    j = 1 .. Np, rows the interior residuals j < Np and then the surface
+    row.  Vectors in that layout, flattened, have index r*Np + (j-1).
     """
 
     def __init__(self, A0, A1, nh, Np):
         self.nh, self.Np = nh, Np
-        r = np.arange(nh + 1)[:, None]
-        j = np.arange(1, Np + 1)[None, :]
-        n_int = (nh + 1) * (Np - 1)
-        # residual row of each (r, j): the surface row stands in for j = Np
-        self.rows = np.where(j < Np, r * (Np - 1) + (j - 1), n_int + r).ravel()
         self.A0, self.A1 = sp.csr_matrix(A0), sp.csr_matrix(A1)
         self.eig_L = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)
         blocks = (sp.kron(sp.identity(nh + 1), self.A0)
@@ -55,8 +50,8 @@ class LaminarModes:
         return self.lu.solve(np.ravel(bhat)).reshape(self.nh + 1, self.Np)
 
     def solve(self, b):
-        """J^{-1} b for b in residual-row order; x in unknown order."""
-        bhat = dct(b[self.rows].reshape(self.nh + 1, self.Np), type=1, axis=0)
+        """J^{-1} b, b and x in the (r, j) layout."""
+        bhat = dct(b.reshape(self.nh + 1, self.Np), type=1, axis=0)
         x = dct(self.solve_modal(bhat), type=1, axis=0) / (2 * self.nh)
         return x.ravel()
 

@@ -23,18 +23,22 @@ Closures:
                    data is near-critical (the linearized wave mode close to
                    neutral), which the continuation driver assumes.
 
+Layout: the unknowns h(q_r, p_j), j = 1 .. Np, and the residual rows share
+the index r*Np + (j-1), row (r, Np) being the surface row of column r; the
+bordered closures append Q and their scalar row.
+
 Linear solves: each Newton step solves J dx = -r by right-preconditioned
-GMRES with Eisenstat-Walker forcing terms, matrix-free: J is applied as
-its action (`HeightSystem.linearize`, the Jacobian's terms applied one grid
-operator at a time), never assembled.  The preconditioner is the exact
-inverse of the fixed-Q Jacobian at the q-mean of a reference state
-(`modal.LaminarModes`: a DCT-I in q and one banded LU of the p-blocks, which
-come from the grid's 1-D p-operators without assembling the Jacobian); the
-closures' Q column and scalar row, held in closed form, are handled by a
-Schur complement.  A step whose true linear residual misses its tolerance
-is solved again by SuperLU, the only solve that assembles the Jacobian
-(`HeightSystem.jacobian_matrix`).  The continuation seed cos(q) phi_1(p) and
-the critical gravity come from the k = 1 modal block.
+GMRES with Eisenstat-Walker forcing terms, matrix-free: the fixed-Q block
+is applied as its action (`HeightSystem.linearize`, the Jacobian's terms
+applied one grid operator at a time), never assembled.  The preconditioner
+is the exact inverse of the fixed-Q Jacobian at the q-mean of a reference
+state (`modal.LaminarModes`: a DCT-I in q and one banded LU of the
+p-blocks, which come from the grid's 1-D p-operators without assembling the
+Jacobian); the closures' Q column and scalar row, held in closed form, are
+handled by a Schur complement.  A step whose true linear residual misses
+its tolerance is solved again by SuperLU, the only solve that assembles the
+Jacobian (`HeightSystem.jacobian_matrix`).  The continuation seed
+cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
 """
 
 from __future__ import annotations
@@ -130,15 +134,17 @@ class HeightSystem:
         amp[[0, -1]] = params.d / 2.0, -params.d / 2.0
         self.closures = {"fixed_Q": None, "meanzero": self.mw,
                          "amplitude": amp}
-        self.n_int = (nh + 1) * (grid.Np - 1)
         self.n_h = (nh + 1) * grid.Np
         cols = np.arange(self.n_h + nh + 1).reshape(nh + 1, grid.Np + 1)
         self.unknowns = cols[:, 1:].ravel()     # H[:, 1:] among H.ravel()
-        # the border (c, l) of the bordered closures' Jacobian: the Q column
-        # (Q enters each surface row as Q / (2 p0^2)) and the closure row (w
-        # on the unknowns' surface column)
-        c = np.r_[np.zeros(self.n_int), np.full(nh + 1, 0.5 / params.p0 ** 2)]
-        top = np.eye(1, grid.Np, grid.Np - 1)
+        n_int = (nh + 1) * (grid.Np - 1)
+        self._order = np.column_stack((np.arange(n_int).reshape(nh + 1, -1),
+                                       n_int + np.arange(nh + 1))).ravel()
+        # the border (c, l) of the bordered closures' Jacobian on the surface
+        # rows: the Q column (Q enters each surface row as Q / (2 p0^2)) and
+        # the closure row w
+        top = np.eye(1, grid.Np, grid.Np - 1)[0]
+        c = np.outer(np.full(nh + 1, 0.5 / params.p0 ** 2), top).ravel()
         self.borders = {mode: None if w is None else
                         (c, np.outer(w, top).ravel())
                         for mode, w in self.closures.items()}
@@ -200,17 +206,15 @@ class HeightSystem:
         """Where the largest |entry| of a `residual_vector` sits, as text.
 
         Names the block (interior, surface or closure) and, for the first
-        two, the (q, p) of the node; reduced column i is q = i dq.
+        two, the (q, p) of the node: row (i, j) sits at (i dq, p_{j+1}).
         """
-        k = int(np.argmax(np.abs(r)))
-        if k >= self.n_int + self.nh + 1:
+        k, Np = int(np.argmax(np.abs(r))), self.grid.Np
+        if k == self.n_h:
             return "closure row"
-        if k >= self.n_int:
-            q, p, block = (k - self.n_int) * self.grid.dq, 0.0, "surface"
-        else:
-            i, j = divmod(k, self.grid.Np - 1)
-            q, p, block = i * self.grid.dq, self.grid.p[j + 1], "interior"
-        return f"{block} at (q, p) = ({q:.6g}, {p:.6g})"
+        i, j = divmod(k, Np)
+        block = "surface" if j == Np - 1 else "interior"
+        return (f"{block} at (q, p) = "
+                f"({i * self.grid.dq:.6g}, {(j + 1 - Np) / Np:.6g})")
 
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
         x = H.ravel()
@@ -229,11 +233,20 @@ class HeightSystem:
                    + Q / (2 * p0 ** 2))
         return interior.reshape(self.nh + 1, -1), surface
 
+    def _rows(self, interior, surface):
+        """Interior rows r (Np-1) + (j-1) and surface rows r, vectors or
+        sparse, in the unknowns' (r, j) layout (the surface row of column r
+        in place of its unknown h(q_r, 0))."""
+        if sp.issparse(interior):
+            return sp.vstack((interior, surface), format="csr")[self._order]
+        return np.concatenate((interior, surface))[self._order]
+
     def residual_vector(self, H, Q, mode, a=0.0, eps_stag=EPS_STAG_DEFAULT):
+        """Residual rows in the unknowns' (r, j) layout, then the closure."""
         w = self.closures[mode]
         interior, surface = self.residual_parts(H, Q, eps_stag)
-        closure = [] if w is None else [w @ H[:, -1] - a]
-        return np.concatenate((interior.ravel(), surface, closure))
+        r = self._rows(interior.ravel(), surface)
+        return r if w is None else np.append(r, w @ H[:, -1] - a)
 
     # -- analytic Jacobian -----------------------------------------------------
 
@@ -256,17 +269,16 @@ class HeightSystem:
                   o.h_top)])
 
     def jacobian_matrix(self, H, Q, mode):
-        """Sparse Jacobian in the reduced ordering (see `residual_vector`).
+        """Sparse Jacobian: rows as in `residual_vector`, columns the unknowns.
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
-        meanzero/amplitude closures.  Each term is L diag(f') R over the
-        grid's operators (`_linear_terms`).  Newton applies the Jacobian
-        through `linearize` and assembles it only for a SuperLU fallback.
+        meanzero/amplitude closures (border `borders[mode]`).  Each term is
+        L diag(f') R over the grid's operators (`_linear_terms`).  Newton
+        assembles the Jacobian only for a SuperLU fallback.
         """
         A, B, top = (sum(sp.diags(f) @ R for f, R in terms)
                      for terms in self._linear_terms(H))
-        J = sp.vstack((self.ops.div @ sp.vstack((A, B)), top),
-                      format="csr")[:, self.unknowns]
+        J = self._rows(self.ops.div @ sp.vstack((A, B)), top)[:, self.unknowns]
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -274,29 +286,22 @@ class HeightSystem:
         return sp.vstack((sp.hstack((J, sp.csr_matrix(c[:, None]))),
                           sp.csr_matrix(np.append(ell, 0.0))), format="csr")
 
-    def linearize(self, H, Q, mode):
-        """The Jacobian's action u -> J u, J = `jacobian_matrix(H, Q, mode)`.
+    def linearize(self, H):
+        """The fixed-Q Jacobian's action u -> J u at H.
 
-        The same terms applied one operator at a time; nothing is
-        assembled.
+        J = `jacobian_matrix(H, Q, "fixed_Q")` for any Q: the same terms
+        applied one operator at a time; nothing is assembled.
         """
         terms = self._linear_terms(H)
         div, shape = self.ops.div, (self.nh + 1, self.grid.Np + 1)
 
-        def fixed_Q(u):
+        def jac(u):
             x = np.zeros(shape)
             x[:, 1:] = u.reshape(shape[0], -1)
             x = x.ravel()
             A, B, top = (sum(f * (R @ x) for f, R in t) for t in terms)
-            return np.concatenate((div @ np.concatenate((A, B)), top))
-
-        if self.borders[mode] is None:
-            return fixed_Q
-        c, ell = self.borders[mode]
-
-        def bordered(u):
-            return np.append(fixed_Q(u[:-1]) + u[-1] * c, ell @ u[:-1])
-        return bordered
+            return self._rows(div @ np.concatenate((A, B)), top)
+        return jac
 
 
 # -- public operations --------------------------------------------------------
@@ -312,7 +317,7 @@ def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters):
 
 def jacobian(hf: HeightField, v: VorticityFunction, params: FlowParameters,
              mode="fixed_Q"):
-    """Analytic sparse Jacobian in the even-reduced unknown ordering."""
+    """Analytic sparse Jacobian in the even-reduced (r, j) layout."""
     sys_ = HeightSystem(hf.grid, v, params)
     mode = "meanzero" if mode == "fixed_amplitude" else mode
     return sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, mode)
@@ -338,9 +343,10 @@ def _gmres(matvec, precond, b, rtol):
 
     Right preconditioning makes the Arnoldi least-squares residual the
     residual ||b - A x|| of the unpreconditioned system, so `rtol` is
-    measured there.  `converged` reports that estimate; in round-off the
-    true residual of a near-singular A can stall above it, which is why
-    callers check the Newton step's true residual themselves.
+    measured there.  Only the basis V is kept; x += M^{-1} (V y) costs one
+    more preconditioner solve per cycle.  `converged` reports the estimate;
+    in round-off the true residual of a near-singular A can stall above it,
+    which is why callers check the Newton step's true residual themselves.
     """
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
@@ -348,15 +354,13 @@ def _gmres(matvec, precond, b, rtol):
         return x, 0, True
     its, res = 0, b
     m = _GMRES_RESTART
+    V = np.empty((m + 1, b.size))
     for _ in range(_GMRES_CYCLES):
         beta = np.linalg.norm(res)
-        V = np.empty((m + 1, b.size))
-        Z = np.empty((m, b.size))
         Hs = np.zeros((m + 1, m))
         V[0] = res / beta
         for k in range(m):
-            Z[k] = precond(V[k])
-            w = matvec(Z[k])
+            w = matvec(precond(V[k]))
             for _ in range(2):      # classical Gram-Schmidt, twice
                 c = V[:k + 1] @ w
                 w -= c @ V[:k + 1]
@@ -370,7 +374,7 @@ def _gmres(matvec, precond, b, rtol):
             if done or Hs[k + 1, k] == 0.0:
                 break
             V[k + 1] = w / Hs[k + 1, k]
-        x = x + y @ Z[:k + 1]
+        x = x + precond(y @ V[:k + 1])
         if done:
             return x, its, True
         res = b - matvec(x)
@@ -380,30 +384,29 @@ def _gmres(matvec, precond, b, rtol):
 def _krylov_step(jac, r, modes, eta, border):
     """Newton step solving J dx = -r by GMRES on the laminar modal inverse.
 
-    `jac` is the Jacobian's action (`HeightSystem.linearize`), and
-    `border` the closure's Q column and scalar row (c, l), None for
+    `jac` is the fixed-Q Jacobian's action A (`HeightSystem.linearize`),
+    and `border` the closure's Q column and scalar row (c, l), None for
     fixed_Q.  The bordered closures are solved by their Schur complement:
-    two inner solves on the fixed-Q block A, x_b = A^{-1} b and
-    x_c = A^{-1} c, then dQ = (l.x_b - beta)/(l.x_c).  The modal inverse
-    is never bordered itself: the amplitude row sees only odd cosine modes
-    and the Q column only k = 0, so l M^{-1} c = 0.
+    two inner solves on A, x_b = A^{-1} b and x_c = A^{-1} c, then
+    dQ = (l.x_b - beta)/(l.x_c), and the border only in the true-residual
+    check.  The modal inverse is never bordered itself: the amplitude row
+    sees only odd cosine modes and the Q column only k = 0, so l M^{-1} c = 0.
     Returns (dx or None when a solve misses its tolerance, iterations).
     """
     if border is None:
         dx, its, ok = _gmres(jac, modes.solve, -r, eta)
+        res = jac(dx) + r
     else:
         c, ell = border
-
-        def matvec(x):
-            return jac(np.append(x, 0.0))[:-1]
-        x_b, its_b, ok_b = _gmres(matvec, modes.solve, -r[:-1],
-                                  eta * _SCHUR_ETA)
-        x_c, its_c, ok_c = _gmres(matvec, modes.solve, c, eta * _SCHUR_ETA)
+        x_b, its_b, ok_b = _gmres(jac, modes.solve, -r[:-1], eta * _SCHUR_ETA)
+        x_c, its_c, ok_c = _gmres(jac, modes.solve, c, eta * _SCHUR_ETA)
         its, ok = its_b + its_c, ok_b and ok_c
         with np.errstate(divide="ignore", invalid="ignore"):
             dQ = (ell @ x_b + r[-1]) / (ell @ x_c)
-        dx = np.append(x_b - dQ * x_c, dQ)
-    if ok and np.linalg.norm(jac(dx) + r) <= 10.0 * eta * np.linalg.norm(r):
+        x = x_b - dQ * x_c
+        res = np.append(jac(x) + dQ * c, ell @ x) + r
+        dx = np.append(x, dQ)
+    if ok and np.linalg.norm(res) <= 10.0 * eta * np.linalg.norm(r):
         return dx, its
     return None, its
 
@@ -430,7 +433,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
         if modes is None:
             modes = sys_.laminar_modes(H)
         r2 = float(np.linalg.norm(r))
-        dx, its = _krylov_step(sys_.linearize(H, Q, mode), r, modes,
+        dx, its = _krylov_step(sys_.linearize(H), r, modes,
                                _forcing(r2, r2_prev, tol), sys_.borders[mode])
         r2_prev = r2
         krylov.append(its)

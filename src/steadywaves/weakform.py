@@ -479,7 +479,8 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
     """Pointwise algebraic surface identity and the dynamic-condition residual.
 
     Both sides are computed from the same h-derivatives on the surface row:
-      lhs = (1/d^2 + h_q^2) p0^2/(1+h_p)^2 + 2 g d (1 + h),
+      lhs = -2 p0^2 K + 2 g d (1 + h),   K = -(1 + d^2 h_q^2)/(2 d^2 (1+h_p)^2)
+      (the speed term of the solver's surface row, `solver._speed_term`),
       rhs = |grad psi|^2 + 2 g (y + d).
     Their gap is pure round-off for any admissible field; |lhs - Q| is the
     surface-condition residual.
@@ -498,8 +499,8 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
     h = ev.h_at(q, p0v)[:, 0]
     hq = ev.hq_at(q, p0v)[:, 0]
     hp = ev.hp_at(q, p0v)[:, 0]
-    one = 1.0 + hp
-    lhs = (1.0 / d ** 2 + hq ** 2) * p0 ** 2 / one ** 2 + 2 * g * d * (1.0 + h)
+    K, _, _ = _speed_term(hq, hp, d)
+    lhs = -2 * p0 ** 2 * K + 2 * g * d * (1.0 + h)
     psi_x, psi_y = stream_gradient(hq, hp, params)
     y = d * h
     rhs = psi_x ** 2 + psi_y ** 2 + 2 * g * (y + d)
@@ -538,8 +539,6 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     parts.  Fits log-log slopes and reports alpha_hat together with the
     sign of 3 alpha_hat - 1.  Diagnostic only: no pass/fail.
     """
-    from .field import spectral_dq
-
     g = fields.grid
     if tf is None:
         tf = bump((0.0, -0.5), (np.pi / 3, 0.25))
@@ -552,15 +551,12 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     F = bernoulli_F(fields, params)
     q, p = g.q, g.p
     _, _, wq, wp = _height_nodes(g.Nq, g.Np)
-    # chain-rule gradient of the pushforward of tf on the node grid,
-    # with h-derivatives recovered from y = d (h + p)
+    # chain-rule gradient of the pushforward of tf on the node grid, and
+    # the map's Jacobian d (1 + h_p) = p0 / psi_y
     tq_, tp_ = tf.grad(q, p)
     supp = tf.value(q, p) > 0.0
-    hp = g.node_dp(np.asarray(fields.y)) / params.d - 1.0
-    hq = spectral_dq(fields.y) / params.d
-    psi_x, psi_y = stream_gradient(hq, hp, params)
-    px, py = _pushforward_grad(tq_, tp_, psi_x, psi_y, params.p0)
-    jac = params.d * (1.0 + hp)
+    px, py = _pushforward_grad(tq_, tp_, fields.psi_x, fields.psi_y, params.p0)
+    jac = params.p0 / fields.psi_y
 
     def pairing(Fa, sx, sy):
         return float(wq * np.sum(((Fa * sy) * px - (Fa * sx) * py) * jac @ wp))

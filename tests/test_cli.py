@@ -273,8 +273,9 @@ def small_two_layer_field(tmp_path_factory):
     ("verify.levels", "0")])
 def test_invalid_config_exits_2_with_one_error_line(
         tmp_path, capsys, small_two_layer_field, key, value):
-    # the grid, the mollifier scale, the bump support and the config each
-    # reject their own value by a named error class, which main reports
+    # the grid, the bump support and the config (which also checks the
+    # mollifier scale) each reject their own value by a named error class,
+    # which main reports
     lines = [ln for ln in SMALL_TWO_LAYER_CFG.splitlines()
              if not ln.startswith(key + " ")]
     cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
@@ -284,8 +285,10 @@ def test_invalid_config_exits_2_with_one_error_line(
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
-    if key in ("solver.max_iter", "verify.levels"):
+    if key in ("solver.max_iter", "verify.levels", "verify.eps_list"):
         assert key in err
+    if key == "verify.eps_list":    # rejected with the config, before verify
+        assert not (tmp_path / "v" / "verify.json").exists()
 
 
 def test_solve_nonconvergent_amplitude_exit_code(tmp_path):

@@ -26,7 +26,7 @@ def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
     J = sys_.jacobian_matrix(H, hf.Q, "fixed_Q")
     nh, Np = sys_.nh, hf.grid.Np
 
-    K = J.toarray()[modes.rows]
+    K = J.toarray()
     blocks = K.reshape(nh + 1, Np, nh + 1, Np)
     scale = np.max(np.abs(K))
     A1 = modes.A1.toarray()
@@ -51,13 +51,13 @@ def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
 ])
 def test_modal_blocks_match_jacobian_blocks(v, par, Nq, Np, rng):
     # oracle: the p-blocks read off the whole fixed-Q Jacobian at the q-mean
-    # state, with its rows put into the unknowns' (r, j) layout
+    # state, whose rows share the unknowns' (r, j) layout
     g = Grid(Nq, Np, aligned_jumps=v.breakpoints)
     sys_ = HeightSystem(g, v, par)
     H = sys_.reduce(random_admissible_field(rng).sample(g, Q=8.0))
     modes = sys_.laminar_modes(H)
     Hbar = np.broadcast_to(sys_.mw @ H, H.shape)
-    K = sys_.jacobian_matrix(Hbar, 0.0, "fixed_Q")[modes.rows]
+    K = sys_.jacobian_matrix(Hbar, 0.0, "fixed_Q")
     scale = abs(K).max()
     A0 = K[Np:2 * Np, Np:2 * Np]
     A1 = K[Np:2 * Np, 2 * Np:3 * Np]
@@ -88,7 +88,7 @@ def test_modal_inverse_is_exact_at_laminar_state(v_two_layer, params):
 
 def test_wave_seed_matches_eigs_oracle(v_two_layer, params_critical):
     # the shift-invert eigenvector of smallest |eigenvalue| of the fixed-Q
-    # Jacobian, with its rows in the unknowns' (r, j) layout so that row and
+    # Jacobian, whose rows share the unknowns' (r, j) layout so that row and
     # column i belong to the same node, normalized to unit amplitude
     params = params_critical
     lam = laminar_state(v_two_layer, params, 32, 64)
@@ -96,8 +96,7 @@ def test_wave_seed_matches_eigs_oracle(v_two_layer, params_critical):
                              amplitude=0.0).field
     sys_ = HeightSystem(hf.grid, v_two_layer, params)
     nh, Np = sys_.nh, hf.grid.Np
-    rows = sys_.laminar_modes(sys_.reduce(hf)).rows
-    J = sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, "fixed_Q")[rows].tocsc()
+    J = sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, "fixed_Q").tocsc()
     _, vecs = spla.eigs(J, k=3, sigma=0.0, which="LM", v0=np.ones(J.shape[0]))
     best, best_amp = None, 0.0
     for i in range(vecs.shape[1]):
@@ -122,6 +121,37 @@ def test_critical_gravity_converges_to_conftest_constant(v_two_layer, params):
     # second order in q: the error shrinks about 4x per halving of dq
     assert 3.5 <= err[32] / err[64] <= 4.5
     assert abs((4 * err[64] - err[32]) / 3) <= 1e-6
+
+
+def test_gmres_restarts_agree_with_the_arnoldi_estimate(monkeypatch):
+    # a nonnormal system that needs more than one restart cycle under a
+    # diagonal preconditioner that barely helps; the Arnoldi estimate is
+    # the residual of the last least-squares problem
+    rng = np.random.default_rng(11)
+    n = 400
+    A = (np.diag(np.linspace(1.0, 200.0, n))
+         + 0.5 * np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n))
+    b = rng.standard_normal(n)
+    s = rng.uniform(0.5, 1.5, n)
+    lstsq, estimate = np.linalg.lstsq, []
+
+    def spy(a, e, rcond=None):
+        out = lstsq(a, e, rcond=rcond)
+        estimate[:] = [np.linalg.norm(a @ out[0] - e)]
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    cycles = solver._GMRES_CYCLES * solver._GMRES_RESTART
+    for rtol, converged in ((1e-5, True), (1e-7, False)):
+        x, its, ok = solver._gmres(lambda u: A @ u, lambda u: s * u, b, rtol)
+        true = np.linalg.norm(b - A @ x)
+        assert ok is converged
+        assert solver._GMRES_RESTART < its <= cycles
+        assert abs(true - estimate[0]) <= 1e-9 * estimate[0]
+        if converged:
+            assert true <= rtol * np.linalg.norm(b) * (1 + 1e-9)
+        else:
+            assert its == cycles
 
 
 def _continuation_steps(monkeypatch, v, params, hf0, schedule):

@@ -148,7 +148,7 @@ def test_jacobian_constant_coefficient_limit(v_zero, params, rng):
     nh = g.Nq // 2
     delta_red = rng.standard_normal((nh + 1, g.Np + 1))
     delta_red[:, 0] = 0.0
-    Jd = (J @ delta_red[:, 1:].ravel())[:sys_.n_int].reshape(nh + 1, g.Np - 1)
+    Jd = (J @ delta_red[:, 1:].ravel()).reshape(nh + 1, g.Np)[:, :-1]
 
     s = delta_red @ g.Dp_half.T
     dpp = (s[:, 1:] - s[:, :-1]) / g.dp
@@ -175,18 +175,25 @@ def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
                                                      small_wave_two_layer,
                                                      rng, mode):
     # the action applies the terms that jacobian_matrix assembles, one
-    # operator at a time, and the closed-form Q column and closure row
+    # operator at a time, and Newton borders it with the closed-form Q
+    # column and closure row
     g = Grid(32, 64, aligned_jumps=(-0.5,))
     sampled = random_admissible_field(rng).sample(g, Q=7.5)
     for hf, v, par in ((sampled, v_two_layer, params), small_wave_two_layer):
         sys_ = HeightSystem(hf.grid, v, par)
         H = sys_.reduce(hf)
         J = sys_.jacobian_matrix(H, hf.Q, mode)
-        jac = sys_.linearize(H, hf.Q, mode)
+        jac, border = sys_.linearize(H), sys_.borders[mode]
+
+        def action(u):      # the bordered action, as `_krylov_step` forms it
+            if border is None:
+                return jac(u)
+            c, ell = border
+            return np.append(jac(u[:-1]) + u[-1] * c, ell @ u[:-1])
         scale = abs(J).max()
         for u in [*rng.uniform(-1.0, 1.0, (3, J.shape[1])),
                   np.eye(1, J.shape[1], J.shape[1] - 1)[0]]:
-            assert np.max(np.abs(jac(u) - J @ u)) <= 1e-14 * scale
+            assert np.max(np.abs(action(u) - J @ u)) <= 1e-14 * scale
 
 
 def test_operators_match_stencil_tables(rng):
@@ -348,6 +355,20 @@ def test_nonconvergence_names_the_worst_residual(v_two_layer, params, dh, dQ):
     with pytest.raises(ConvergenceError, match="worst in the closure row"):
         newton_solve(hf, v_two_layer, params, mode="fixed_amplitude",
                      amplitude=100.0, max_iter=0)
+
+
+@pytest.mark.parametrize("r,j,where", [
+    (3, 4, "interior at (q, p) = (1.1781, -0.84375)"),
+    (5, 31, "surface at (q, p) = (1.9635, 0)"),
+    (None, None, "closure row")], ids=["interior", "surface", "closure"])
+def test_locate_names_the_planted_maximum(v_two_layer, params, r, j, where):
+    # residual rows (r, j) of the 16 x 32 grid sit at q = r pi/8 and
+    # p = -1 + (j+1)/32, the surface row at j = 31; the closure row is last
+    sys_ = HeightSystem(Grid(16, 32, aligned_jumps=(-0.5,)), v_two_layer,
+                        params)
+    res = np.random.default_rng(7).uniform(-1.0, 1.0, sys_.n_h + 1)
+    res[sys_.n_h if r is None else r * 32 + j] = -2.0
+    assert sys_.locate(res) == where
 
 
 def test_stalled_line_search_names_the_worst_residual(v_two_layer, params,
