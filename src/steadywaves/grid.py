@@ -133,7 +133,7 @@ class Grid:
 
     @cached_property
     def operators(self):
-        """The reduced grid's sparse operators, built on first use."""
+        """The reduced grid's operators as 1-D factors, built on first use."""
         return ReducedOperators(self)
 
     @property
@@ -178,51 +178,117 @@ class Grid:
         return hcols @ (self.Dp_node_hi if upper else self.Dp_node).T
 
 
-class ReducedOperators:
-    """Sparse operators on a reduced array H (nh+1, Np+1) flattened row-major.
+# Each source of H as a (q-factor, p-factor) pair, and each operator as
+# (source, q-factor, p-factor), the factors named in ReducedOperators
+_SOURCES = {"h": ("id", "id"), "hq": ("central", "id"),
+            "hp": ("id", "node"), "hp_half": ("id", "half")}
+_OPERATORS = {"hp_half": ("hp_half", "id", "id"),
+              "hq_half": ("hq", "id", "avg"),
+              "dq_edge": ("h", "diff", "inner"),
+              "hp_edge": ("hp", "avg", "inner"),
+              "h_top": ("h", "id", "top"),
+              "hq_top": ("hq", "id", "top"),
+              "hp_top": ("hp", "id", "top")}
 
-    Kronecker products (q x p) of the central D_q mirrored at q = 0 and pi,
-    the per-layer D_p, two-point averages and differences, and the surface
-    selection: h_p at nodes (dp_node); h_p and h_q at half nodes (dp_half,
-    hq_half); dh/dq and h_p at the half q-edges of interior nodes (dq_edge,
-    hp_edge); h, h_q and h_p on the surface (h_top, hq_top, hp_top).  div
-    takes a flux pair (A at half nodes, B at half edges) to its divergence
-    at interior nodes; B is odd about q = 0 and pi, so the edge next to
-    either counts twice.  The 1-D p-factors act on one column (Np+1,):
-    p_node (h_p at nodes), p_half (h_p at half nodes), p_div (difference
-    of half-node values at interior nodes), p_inner (interior nodes) and
-    p_top (the surface node).
+
+class ReducedOperators:
+    """The reduced grid's operators on H (nh+1, Np+1), as 1-D factor pairs.
+
+    Row r of H is the reduced column q_r = r dq in [0, pi], column j the
+    p-node p_j.  An operator maps H to Q S P^T for a source S of H: a
+    q-factor Q acts along the rows and a p-factor P along the columns.  The
+    sources are H, h_q (the central difference mirrored at q = 0 and pi, so
+    h_q = 0 there) and the per-layer h_p at nodes and half nodes (the
+    grid's Dp_node and Dp_half, applied by `dp` as one product).  The other
+    factors are slices: differences and averages of neighbours, the
+    interior p-nodes and the surface node.
+
+    `sample` applies every operator to an array: h_p and h_q at half nodes
+    (hp_half, hq_half); dh/dq and h_p at the half q-edges of interior nodes
+    (dq_edge, hp_edge); h, h_q and h_p on the surface (h_top, hq_top,
+    hp_top).  `div` takes a flux pair (A at half nodes, B at half edges) to
+    its divergence at interior nodes; B is odd about q = 0 and pi, so the
+    edge next to either counts twice.  A factor's matrix is the factor
+    applied to an identity (`q_matrix`, `p_matrix`); `kron` and `kron_div`
+    build an operator's Kronecker-product matrix on H.ravel() from them, on
+    demand, for an assembled Jacobian.
     """
 
     def __init__(self, g: Grid):
-        nh, Np, eye = g.Nq // 2, g.Np, sp.identity
-        r = np.arange(nh + 1)
+        self.nh, self.Np, dq, dp = g.Nq // 2, g.Np, g.dq, g.dp
 
-        def shift(k):       # reduced column r + k, mirrored into [0, nh]
-            cols = [g.qmirror(i + k) for i in r]
-            return sp.csr_matrix((np.ones(nh + 1), (r, cols)),
-                                 shape=(nh + 1, nh + 1))
+        def central(a):
+            hq = np.empty_like(a)
+            hq[[0, -1]] = 0.0
+            np.subtract(a[2:], a[:-2], out=hq[1:-1])
+            hq[1:-1] /= 2 * dq
+            return hq
 
-        def pair(a, b, n):  # a at column i and b at i + 1 of row i
-            return sp.diags([a, b], [0, 1], shape=(n, n + 1))
+        def q_div(b):       # b is odd about q = 0 and pi
+            d = np.empty((len(b) + 1,) + b.shape[1:])
+            np.subtract(b[1:], b[:-1], out=d[1:-1])
+            d[0], d[-1] = 2.0 * b[0], -2.0 * b[-1]
+            d /= dq
+            return d
 
-        d_q = (shift(1) - shift(-1)) / (2 * g.dq)
-        d_q.eliminate_zeros()               # h_q = 0 where q = 0 or pi
-        q_diff = pair(-1.0 / g.dq, 1.0 / g.dq, nh)
-        q_div = -sp.diags(np.r_[2.0, np.ones(nh - 1), 2.0]) @ q_diff.T
-        self.p_div = pair(-1.0 / g.dp, 1.0 / g.dp, Np - 1)
-        self.p_node, self.p_half = g.Dp_node, g.Dp_half
-        self.p_inner = sp.eye(Np - 1, Np + 1, k=1, format="csr")
-        self.p_top = sp.eye(1, Np + 1, k=Np, format="csr")
-        node_dp, inner, top = self.p_node, self.p_inner, self.p_top
-        kron = partial(sp.kron, format="csr")
-        self.dp_node = kron(eye(nh + 1), node_dp)
-        self.dp_half = kron(eye(nh + 1), self.p_half)
-        self.hq_half = kron(d_q, pair(0.5, 0.5, Np))
-        self.dq_edge = kron(q_diff, inner)
-        self.hp_edge = kron(pair(0.5, 0.5, nh), inner @ node_dp)
-        self.h_top = kron(eye(nh + 1), top)
-        self.hq_top = kron(d_q, top)
-        self.hp_top = kron(eye(nh + 1), top @ node_dp)
-        self.div = sp.hstack((kron(eye(nh + 1), self.p_div),
-                              kron(q_div, eye(Np - 1))), format="csr")
+        # q-factors act along axis 0 of an array, p-factors along axis 1 of
+        # an array or a sparse matrix; the div factors act on flux values,
+        # one fewer than the nodes
+        self.q_factors = {"id": lambda a: a, "central": central,
+                          "diff": lambda a: (a[1:] - a[:-1]) / dq,
+                          "avg": lambda a: 0.5 * (a[1:] + a[:-1]),
+                          "div": q_div}
+        self.p_factors = {"id": lambda a: a,
+                          "node": lambda a: a @ g.Dp_node.T,
+                          "half": lambda a: a @ g.Dp_half.T,
+                          "avg": lambda a: 0.5 * (a[:, 1:] + a[:, :-1]),
+                          "inner": lambda a: a[:, 1:-1],
+                          "top": lambda a: a[:, -1],
+                          "div": lambda a: (a[:, 1:] - a[:, :-1]) / dp}
+        self._dp = sp.vstack((g.Dp_node, g.Dp_half), format="csr")
+
+    def dp(self, H):
+        """h_p of H at nodes and at half nodes, from one sparse product."""
+        S = (self._dp @ H.T).T
+        return S[:, :self.Np + 1], S[:, self.Np + 1:]
+
+    def sample(self, H):
+        """The sources and every operator applied to H, by name."""
+        hp, hp_half = self.dp(H)
+        out = {"h": H, "hq": self.q_factors["central"](H), "hp": hp,
+               "hp_half": hp_half}
+        for name, (s, qf, pf) in _OPERATORS.items():
+            out[name] = self.q_factors[qf](self.p_factors[pf](out[s]))
+        return out
+
+    def div(self, A, B):
+        """The divergence of the flux pair (A, B) at interior nodes."""
+        return self.p_factors["div"](A) + self.q_factors["div"](B)
+
+    def q_matrix(self, *names):
+        """The named q-factors, applied in turn, as a sparse matrix."""
+        a = np.eye(self.nh + 1 - (names[0] == "div"))
+        for k in names:
+            a = self.q_factors[k](a)
+        return sp.csr_matrix(a)
+
+    def p_matrix(self, *names):
+        """The named p-factors, applied in turn, as a sparse matrix."""
+        a = sp.identity(self.Np + 1 - (names[0] == "div"), format="csr")
+        for k in names:
+            a = self.p_factors[k](a)
+        return sp.csr_matrix(a.T)
+
+    def kron(self, name):
+        """The operator `name` as a sparse matrix on H.ravel()."""
+        s, qf, pf = _OPERATORS[name]
+        sq, sp_ = _SOURCES[s]
+        return sp.kron(self.q_matrix(sq, qf), self.p_matrix(sp_, pf),
+                       format="csr")
+
+    def kron_div(self):
+        """`div` as a sparse matrix on the flux pair (A.ravel(), B.ravel())."""
+        eye = partial(sp.identity, format="csr")
+        return sp.hstack((sp.kron(eye(self.nh + 1), self.p_matrix("div")),
+                          sp.kron(self.q_matrix("div"), eye(self.Np - 1))),
+                         format="csr")

@@ -50,9 +50,13 @@ class LaminarModes:
         return self.lu.solve(np.ravel(bhat)).reshape(self.nh + 1, self.Np)
 
     def solve(self, b):
-        """J^{-1} b, b and x in the (r, j) layout."""
-        bhat = dct(b.reshape(self.nh + 1, self.Np), type=1, axis=0)
-        x = dct(self.solve_modal(bhat), type=1, axis=0) / (2 * self.nh)
+        """J^{-1} b, b and x in the (r, j) layout.
+
+        The DCT-I along r runs on the transposed array, whose r axis is
+        contiguous; its floats are those of the transform along axis 0.
+        """
+        bhat = dct(b.reshape(self.nh + 1, self.Np).T, type=1, axis=1).T
+        x = dct(self.solve_modal(bhat).T, type=1, axis=1).T / (2 * self.nh)
         return x.ravel()
 
     def neutral_mode(self):

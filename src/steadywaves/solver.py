@@ -11,8 +11,11 @@ jump is node-aligned) and the horizontal flux B = h_q / (1 + h_p) at
 half q-edges.  The solver works on the even-reduced subspace q in [0, pi],
 bed row eliminated.  The dynamic surface condition supplies the top rows.
 The residual evaluates the fluxes pointwise on the outputs of the grid's
-sparse operators (`grid.ReducedOperators`, built once per grid); the
-Jacobian is a sum of those operators scaled by the fluxes' partials.
+operators (`grid.ReducedOperators`), each a pair of 1-D factors applied to
+the (nh+1, Np+1) state array: the per-layer p-stencils as one sparse
+product, the q-differences, averages, mirrors and the surface selection as
+slices.  The Jacobian is a sum of those operators scaled by the fluxes'
+partials, which the residual evaluation returns with it.
 
 Closures:
   fixed_Q          h unknown, Q given.
@@ -30,14 +33,16 @@ bordered closures append Q and their scalar row.
 Linear solves: each Newton step solves J dx = -r by right-preconditioned
 GMRES with Eisenstat-Walker forcing terms, matrix-free: the fixed-Q block
 is applied as its action (`HeightSystem.linearize`, the Jacobian's terms
-applied one grid operator at a time), never assembled.  The preconditioner
+at the accepted residual's state applied through the operators' 1-D
+factors), never assembled.  The preconditioner
 is the exact inverse of the fixed-Q Jacobian at the q-mean of a reference
 state (`modal.LaminarModes`: a DCT-I in q and one banded LU of the
 p-blocks, which come from the grid's 1-D p-operators without assembling the
 Jacobian); the closures' Q column and scalar row, held in closed form, are
 handled by a Schur complement.  A step whose true linear residual misses
 its tolerance is solved again by SuperLU, the only solve that assembles the
-Jacobian (`HeightSystem.jacobian_matrix`).  The continuation seed
+Jacobian (`HeightSystem.jacobian_matrix`, which alone builds the operators'
+Kronecker products).  The continuation seed
 cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
 """
 
@@ -124,14 +129,17 @@ class HeightSystem:
         self.ops = grid.operators
         nh = grid.Nq // 2
         self.nh = nh
-        # the vorticity part gamma_cap / (2 d^2) of A at every half node
-        self.A_gamma = np.tile(gamma_cap(v, params, grid.p_half),
-                               nh + 1) / (2 * params.d ** 2)
+        d, p0 = params.d, params.p0
+        # the vorticity part gamma_cap / (2 d^2) of A at the half nodes of
+        # every column
+        self.A_gamma = gamma_cap(v, params, grid.p_half) / (2 * d ** 2)
+        # the surface row's derivative in h(q, 0)
+        self.g_top = np.full(nh + 1, -params.g * d / p0 ** 2)
         self.mw = grid.mean_weights_reduced()
         # weights w of the closure row w . h(q, 0) - a: the surface mean, or
         # the crest-minus-trough half height d (h(0, 0) - h(pi, 0)) / 2
         amp = np.zeros(nh + 1)
-        amp[[0, -1]] = params.d / 2.0, -params.d / 2.0
+        amp[[0, -1]] = d / 2.0, -d / 2.0
         self.closures = {"fixed_Q": None, "meanzero": self.mw,
                          "amplitude": amp}
         self.n_h = (nh + 1) * grid.Np
@@ -144,7 +152,7 @@ class HeightSystem:
         # rows: the Q column (Q enters each surface row as Q / (2 p0^2)) and
         # the closure row w
         top = np.eye(1, grid.Np, grid.Np - 1)[0]
-        c = np.outer(np.full(nh + 1, 0.5 / params.p0 ** 2), top).ravel()
+        c = np.outer(np.full(nh + 1, 0.5 / p0 ** 2), top).ravel()
         self.borders = {mode: None if w is None else
                         (c, np.outer(w, top).ravel())
                         for mode, w in self.closures.items()}
@@ -161,18 +169,25 @@ class HeightSystem:
 
     # -- pointwise quantities --------------------------------------------------
 
-    def _pointwise(self, x, hp_half):
-        """The fluxes at x = H.ravel(), with the partials the Jacobian needs.
+    def _pointwise(self, s):
+        """The fluxes at a state, from its samples `ops.sample(H)`.
 
-        hp_half = dp_half @ x.  Returns the speed term (K, K_hq, K_hp) at
-        half nodes, B = h_q/m and m = 1 + h_p at half edges, and the speed
-        term on the surface row.
+        Returns the vertical flux A at half nodes, B = h_q/(1 + h_p) at half
+        edges and the speed term on the surface, and the fixed-Q Jacobian's
+        terms (f', R) for A, B and the surface row: each one's derivative is
+        the sum of f' * R(du) over its terms, R naming an operator of
+        `grid.ReducedOperators`, and the interior rows are div of the two
+        fluxes' derivatives.
         """
-        o, d = self.ops, self.params.d
-        m = 1.0 + o.hp_edge @ x
-        return (_speed_term(o.hq_half @ x, hp_half, d),
-                (o.dq_edge @ x) / m, m,
-                _speed_term(o.hq_top @ x, o.hp_top @ x, d))
+        d = self.params.d
+        K, K_hq, K_hp = _speed_term(s["hq_half"], s["hp_half"], d)
+        m = 1.0 + s["hp_edge"]
+        B = s["dq_edge"] / m
+        K_top, Kt_hq, Kt_hp = _speed_term(s["hq_top"], s["hp_top"], d)
+        return (K + self.A_gamma, B, K_top), (
+            [(K_hp, "hp_half"), (K_hq, "hq_half")],
+            [(1.0 / m, "dq_edge"), (-B / m, "hp_edge")],
+            [(Kt_hp, "hp_top"), (Kt_hq, "hq_top"), (self.g_top, "h_top")])
 
     def laminar_modes(self, H):
         """Modal inverse of the fixed-Q Jacobian at the q-mean of H.
@@ -183,24 +198,21 @@ class HeightSystem:
         horizontal flux and the surface row; A1 is the horizontal flux's
         neighbour coupling 1/(m dq^2).
         """
-        o, d, p0 = self.ops, self.params.d, self.params.p0
+        P, d, p0 = self.ops.p_matrix, self.params.d, self.params.p0
+        node, half, inner, top = (P(k) for k in ("node", "half", "inner",
+                                                 "top"))
         h = self.mw @ H
-        hp = o.p_node @ h
-        _, _, K_hp = _speed_term(0.0, o.p_half @ h, d)
+        hp = node @ h
+        _, _, K_hp = _speed_term(0.0, half @ h, d)
         _, _, Kt_hp = _speed_term(0.0, hp[-1], d)
         m = 1.0 + hp[1:-1]
-        edge = sp.diags(1.0 / (m * self.grid.dq ** 2)) @ o.p_inner
-        surface = (Kt_hp * o.p_top @ o.p_node
-                   - (self.params.g * d / p0 ** 2) * o.p_top)
-        A0 = sp.vstack((o.p_div @ sp.diags(K_hp) @ o.p_half - 2.0 * edge,
+        edge = sp.diags(1.0 / (m * self.grid.dq ** 2)) @ inner
+        surface = (Kt_hp * top @ node - (self.params.g * d / p0 ** 2) * top)
+        A0 = sp.vstack((P("div") @ sp.diags(K_hp) @ half - 2.0 * edge,
                         surface), format="csr")[:, 1:]
         A1 = sp.vstack((edge, sp.csr_matrix((1, self.grid.Np + 1))),
                        format="csr")[:, 1:]
         return LaminarModes(A0, A1, self.nh, self.grid.Np)
-
-    def _admissible(self, x, hp_half, eps):
-        return min(np.min(1.0 + hp_half),
-                   np.min(1.0 + self.ops.dp_node @ x)) > eps
 
     def locate(self, r):
         """Where the largest |entry| of a `residual_vector` sits, as text.
@@ -216,69 +228,58 @@ class HeightSystem:
         return (f"{block} at (q, p) = "
                 f"({i * self.grid.dq:.6g}, {(j + 1 - Np) / Np:.6g})")
 
+    @staticmethod
+    def _admissible(hp, hp_half, eps):
+        return min(np.min(1.0 + hp_half), np.min(1.0 + hp)) > eps
+
     def admissible(self, H, eps=EPS_STAG_DEFAULT):
-        x = H.ravel()
-        return self._admissible(x, self.ops.dp_half @ x, eps)
+        return self._admissible(*self.ops.dp(H), eps)
 
     def residual_parts(self, H, Q, eps_stag=EPS_STAG_DEFAULT):
-        """(interior (nh+1, Np-1), surface (nh+1,)) residuals."""
+        """(interior (nh+1, Np-1), surface (nh+1,)) residuals at (H, Q), and
+        the fixed-Q Jacobian's terms at H, which `linearize` takes."""
         d, p0, grav = self.params.d, self.params.p0, self.params.g
-        x = H.ravel()
-        hp_half = self.ops.dp_half @ x
-        if not self._admissible(x, hp_half, eps_stag):
+        s = self.ops.sample(H)
+        if not self._admissible(s["hp"], s["hp_half"], eps_stag):
             raise StagnationError("1 + h_p fell below eps_stag")
-        (K, _, _), B, _, (K_top, _, _) = self._pointwise(x, hp_half)
-        interior = self.ops.div @ np.concatenate((K + self.A_gamma, B))
-        surface = (K_top - grav * d * (self.ops.h_top @ x + 1.0) / p0 ** 2
+        (A, B, K_top), terms = self._pointwise(s)
+        surface = (K_top - grav * d * (s["h_top"] + 1.0) / p0 ** 2
                    + Q / (2 * p0 ** 2))
-        return interior.reshape(self.nh + 1, -1), surface
+        return self.ops.div(A, B), surface, terms
 
     def _rows(self, interior, surface):
-        """Interior rows r (Np-1) + (j-1) and surface rows r, vectors or
-        sparse, in the unknowns' (r, j) layout (the surface row of column r
-        in place of its unknown h(q_r, 0))."""
+        """Interior rows (r, j-1) and surface rows r, arrays or sparse, in
+        the unknowns' (r, j) layout (the surface row of column r in place of
+        its unknown h(q_r, 0))."""
         if sp.issparse(interior):
             return sp.vstack((interior, surface), format="csr")[self._order]
-        return np.concatenate((interior, surface))[self._order]
+        return np.column_stack((interior, surface)).ravel()
 
     def residual_vector(self, H, Q, mode, a=0.0, eps_stag=EPS_STAG_DEFAULT):
-        """Residual rows in the unknowns' (r, j) layout, then the closure."""
+        """Residual rows in the unknowns' (r, j) layout, then the closure,
+        and the fixed-Q Jacobian's terms at H (see `residual_parts`)."""
         w = self.closures[mode]
-        interior, surface = self.residual_parts(H, Q, eps_stag)
-        r = self._rows(interior.ravel(), surface)
-        return r if w is None else np.append(r, w @ H[:, -1] - a)
+        interior, surface, terms = self.residual_parts(H, Q, eps_stag)
+        r = self._rows(interior, surface)
+        return (r if w is None else np.append(r, w @ H[:, -1] - a)), terms
 
     # -- analytic Jacobian -----------------------------------------------------
-
-    def _linear_terms(self, H):
-        """The fixed-Q Jacobian at H, by the chain rule through `_pointwise`.
-
-        Returns the terms (f', R) of the vertical flux A, the horizontal
-        flux B and the surface row: each one's derivative is the sum of
-        f' * (R du) over its terms, and the interior rows are div of the
-        two fluxes' derivatives.  The operators R act on H.ravel().
-        """
-        o, d, p0 = self.ops, self.params.d, self.params.p0
-        x = H.ravel()
-        (_, K_hq, K_hp), B, m, (_, Kt_hq, Kt_hp) = self._pointwise(
-            x, o.dp_half @ x)
-        return ([(K_hp, o.dp_half), (K_hq, o.hq_half)],
-                [(1.0 / m, o.dq_edge), (-B / m, o.hp_edge)],
-                [(Kt_hp, o.hp_top), (Kt_hq, o.hq_top),
-                 (np.full(self.nh + 1, -self.params.g * d / p0 ** 2),
-                  o.h_top)])
 
     def jacobian_matrix(self, H, Q, mode):
         """Sparse Jacobian: rows as in `residual_vector`, columns the unknowns.
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
-        meanzero/amplitude closures (border `borders[mode]`).  Each term is
-        L diag(f') R over the grid's operators (`_linear_terms`).  Newton
-        assembles the Jacobian only for a SuperLU fallback.
+        meanzero/amplitude closures (border `borders[mode]`).  Each term
+        (f', R) of `_pointwise` is diag(f') times R's Kronecker-product
+        matrix, built here on demand.  Newton assembles the Jacobian only
+        for a SuperLU fallback.
         """
-        A, B, top = (sum(sp.diags(f) @ R for f, R in terms)
-                     for terms in self._linear_terms(H))
-        J = self._rows(self.ops.div @ sp.vstack((A, B)), top)[:, self.unknowns]
+        o = self.ops
+        _, terms = self._pointwise(o.sample(H))
+        A, B, top = (sum(sp.diags(np.ravel(f)) @ o.kron(R) for f, R in t)
+                     for t in terms)
+        J = self._rows(o.kron_div() @ sp.vstack((A, B)),
+                       top)[:, self.unknowns]
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -286,21 +287,23 @@ class HeightSystem:
         return sp.vstack((sp.hstack((J, sp.csr_matrix(c[:, None]))),
                           sp.csr_matrix(np.append(ell, 0.0))), format="csr")
 
-    def linearize(self, H):
-        """The fixed-Q Jacobian's action u -> J u at H.
+    def linearize(self, terms):
+        """The fixed-Q Jacobian's action u -> J u at the state whose terms
+        `residual_parts` returned.
 
-        J = `jacobian_matrix(H, Q, "fixed_Q")` for any Q: the same terms
-        applied one operator at a time; nothing is assembled.
+        J = `jacobian_matrix(H, Q, "fixed_Q")` for any Q: the same terms,
+        applied to u through the operators' 1-D factors; nothing is
+        assembled.
         """
-        terms = self._linear_terms(H)
-        div, shape = self.ops.div, (self.nh + 1, self.grid.Np + 1)
+        o, shape = self.ops, (self.nh + 1, self.grid.Np + 1)
 
         def jac(u):
             x = np.zeros(shape)
             x[:, 1:] = u.reshape(shape[0], -1)
-            x = x.ravel()
-            A, B, top = (sum(f * (R @ x) for f, R in t) for t in terms)
-            return self._rows(div @ np.concatenate((A, B)), top)
+            s = o.sample(x)
+            A, B, top = (sum(f * s[R] for f, R in t) for t in terms)
+            del s, x        # fewer temporaries live at once
+            return self._rows(o.div(A, B), top)
         return jac
 
 
@@ -310,7 +313,7 @@ class HeightSystem:
 def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters):
     """Interior and surface residuals on the full grid: ((Nq, Np-1), (Nq,))."""
     sys_ = HeightSystem(hf.grid, v, params)
-    interior, surface = sys_.residual_parts(sys_.reduce(hf), hf.Q)
+    interior, surface, _ = sys_.residual_parts(sys_.reduce(hf), hf.Q)
     return (hf.grid.full_from_reduced(interior),
             hf.grid.full_from_reduced(surface))
 
@@ -419,7 +422,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
     guards = fallbacks = 0
     r2_prev = None
     # each iteration's residual is the line search's accepted one
-    r = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
+    r, terms = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
     for it in range(max_iter + 1):
         rn = float(np.max(np.abs(r)))
         history.append(rn)
@@ -433,7 +436,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
         if modes is None:
             modes = sys_.laminar_modes(H)
         r2 = float(np.linalg.norm(r))
-        dx, its = _krylov_step(sys_.linearize(H), r, modes,
+        dx, its = _krylov_step(sys_.linearize(terms), r, modes,
                                _forcing(r2, r2_prev, tol), sys_.borders[mode])
         r2_prev = r2
         krylov.append(its)
@@ -451,9 +454,9 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
                 guards += 1
                 step *= 0.5
                 continue
-            rc = sys_.residual_vector(Hc, Qc, mode, a, eps_stag=0.0)
+            rc, terms_c = sys_.residual_vector(Hc, Qc, mode, a, eps_stag=0.0)
             if np.max(np.abs(rc)) < rn:
-                H, Q, r = Hc, Qc, rc
+                H, Q, r, terms = Hc, Qc, rc, terms_c
                 accepted = True
                 break
             step *= 0.5

@@ -7,7 +7,7 @@ from conftest import G_CRITICAL_TWO_LAYER, THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import laminar
 from steadywaves import solver
 from steadywaves.field import HeightField, random_admissible_field
-from steadywaves.grid import Grid
+from steadywaves.grid import Grid, ReducedOperators
 from steadywaves.solver import HeightSystem
 from steadywaves.vorticity import FlowParameters, two_layer
 
@@ -84,6 +84,20 @@ def test_modal_inverse_is_exact_at_laminar_state(v_two_layer, params):
     J = sys_.jacobian_matrix(H, hf.Q, "fixed_Q")
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     assert np.linalg.norm(J @ modes.solve(b) - b) <= 1e-11 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("Nq,Np", [(16, 32), (128, 256)])
+def test_modal_solve_is_the_axis0_transform(v_two_layer, params, Nq, Np):
+    # the DCT-I along the contiguous axis of the transposed array gives the
+    # same floats as the transform along axis 0
+    hf = laminar_state(v_two_layer, params, Nq, Np)
+    sys_ = HeightSystem(hf.grid, v_two_layer, params)
+    modes = sys_.laminar_modes(sys_.reduce(hf))
+    nh = sys_.nh
+    b = np.random.default_rng(11).standard_normal(sys_.n_h)
+    bhat = dct(b.reshape(nh + 1, Np), type=1, axis=0)
+    want = dct(modes.solve_modal(bhat), type=1, axis=0) / (2 * nh)
+    assert np.array_equal(modes.solve(b), want.ravel())
 
 
 def test_wave_seed_matches_eigs_oracle(v_two_layer, params_critical):
@@ -198,11 +212,15 @@ def test_newton_krylov_continuation_matches_superlu(v_two_layer,
 def test_continuation_assembles_no_jacobian(v_two_layer, params_critical,
                                            monkeypatch):
     # the benchmark's schedule: every Newton step applies the Jacobian
-    # through `linearize`; only a SuperLU fallback would assemble it
+    # through `linearize`, on the grid operators' 1-D factors; only a
+    # SuperLU fallback would assemble it and build Kronecker products
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Newton step assembled the Jacobian")
+        raise AssertionError("a Newton step assembled the Jacobian or built "
+                             "a Kronecker operator")
 
     monkeypatch.setattr(HeightSystem, "jacobian_matrix", forbidden)
+    monkeypatch.setattr(ReducedOperators, "kron", forbidden)
+    monkeypatch.setattr(ReducedOperators, "kron_div", forbidden)
     hf0 = laminar_state(v_two_layer, params_critical, 64, 128)
     _, steps = _continuation_steps(monkeypatch, v_two_layer, params_critical,
                                    hf0, [0.0, 2.5e-4, 5e-4, 1e-3])

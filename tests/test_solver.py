@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_jacobian_matches_central_differences(params, rng, mode, a, p_jump):
         Hx = H.copy()
         Hx[:, 1:] = x[:sys_.n_h].reshape(H.shape[0], g.Np)
         Qx = x[sys_.n_h] if mode != "fixed_Q" else hf.Q
-        return sys_.residual_vector(Hx, Qx, mode, a, eps_stag=0.0)
+        return sys_.residual_vector(Hx, Qx, mode, a, eps_stag=0.0)[0]
 
     n = J.shape[1]
     x0 = H[:, 1:].ravel() if mode == "fixed_Q" else \
@@ -183,7 +184,8 @@ def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
         sys_ = HeightSystem(hf.grid, v, par)
         H = sys_.reduce(hf)
         J = sys_.jacobian_matrix(H, hf.Q, mode)
-        jac, border = sys_.linearize(H), sys_.borders[mode]
+        jac = sys_.linearize(sys_.residual_parts(H, hf.Q)[2])
+        border = sys_.borders[mode]
 
         def action(u):      # the bordered action, as `_krylov_step` forms it
             if border is None:
@@ -198,7 +200,8 @@ def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
 
 def test_operators_match_stencil_tables(rng):
     # each grid operator against the index arithmetic it replaces, with a
-    # 4-cell layer at the bed and a jump node inside
+    # 4-cell layer at the bed and a jump node inside: applied through its
+    # 1-D factors, and as the Kronecker-product matrix built on demand
     g = Grid(16, 32, aligned_jumps=(-1.0 + 4 / 32, -0.5))
     nh = g.Nq // 2
     H = rng.standard_normal((nh + 1, g.Np + 1))
@@ -209,18 +212,22 @@ def test_operators_match_stencil_tables(rng):
     A = rng.standard_normal((nh + 1, g.Np))
     B = rng.standard_normal((nh, g.Np - 1))
     Bx = np.vstack((-B[:1], B, -B[-1:]))        # B is odd about q = 0, pi
-    pairs = [
-        (o.dp_node @ x, hp), (o.dp_half @ x, H @ g.Dp_half.T),
-        (o.hq_half @ x, 0.5 * (hq[:, :-1] + hq[:, 1:])),
-        (o.dq_edge @ x, (H[1:, 1:-1] - H[:-1, 1:-1]) / g.dq),
-        (o.hp_edge @ x, 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1])),
-        (o.h_top @ x, H[:, -1]), (o.hq_top @ x, hq[:, -1]),
-        (o.hp_top @ x, hp[:, -1]),
-        (o.div @ np.concatenate((A.ravel(), B.ravel())),
-         (A[:, 1:] - A[:, :-1]) / g.dp + (Bx[1:] - Bx[:-1]) / g.dq)]
-    for got, want in pairs:
-        np.testing.assert_allclose(got, want.ravel(), rtol=0,
-                                   atol=1e-12 * np.max(np.abs(want)))
+    want = {"hp_half": H @ g.Dp_half.T,
+            "hq_half": 0.5 * (hq[:, :-1] + hq[:, 1:]),
+            "dq_edge": (H[1:, 1:-1] - H[:-1, 1:-1]) / g.dq,
+            "hp_edge": 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]),
+            "h_top": H[:, -1], "hq_top": hq[:, -1], "hp_top": hp[:, -1]}
+    assert set(want) == set(grid_module._OPERATORS)
+    div = (A[:, 1:] - A[:, :-1]) / g.dp + (Bx[1:] - Bx[:-1]) / g.dq
+    s = o.sample(H)
+    pairs = [(s["hp"], hp), (s["hq"], hq),
+             *((s[k], w) for k, w in want.items()),
+             *((o.kron(k) @ x, w) for k, w in want.items()),
+             (o.div(A, B), div),
+             (o.kron_div() @ np.concatenate((A.ravel(), B.ravel())), div)]
+    for got, w in pairs:
+        np.testing.assert_allclose(np.ravel(got), w.ravel(), rtol=0,
+                                   atol=1e-12 * np.max(np.abs(w)))
 
 
 def test_residual_even_in_q(v_two_layer, params, rng):
@@ -299,12 +306,53 @@ def test_newton_reuses_the_accepted_residual(v_two_layer, params,
     assert len(calls) == res.iterations + 1
 
 
+def test_newton_evaluates_each_state_once(v_two_layer, params, monkeypatch):
+    # `linearize` takes the terms of the accepted residual, so a fixed-Q
+    # solve forms the fluxes and their partials once per residual
+    calls = {"residual_parts": 0, "_pointwise": 0}
+    for name in calls:
+        method = getattr(HeightSystem, name)
+
+        def counting(self, *a, _name=name, _method=method, **k):
+            calls[_name] += 1
+            return _method(self, *a, **k)
+        monkeypatch.setattr(HeightSystem, name, counting)
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
+    res = newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-12)
+    assert res.iterations >= 2 and res.fallbacks == 0
+    assert calls["_pointwise"] == calls["residual_parts"] == res.iterations + 1
+
+
+def test_residual_and_action_memory_is_a_few_states(v_two_layer, params):
+    # building the system, a residual and one Jacobian action at 128 x 256
+    # allocate a few state arrays H (nh+1, Np+1); a stored Kronecker
+    # operator would not fit
+    g = Grid(128, 256, aligned_jumps=(-0.5,))
+    hf = random_admissible_field(np.random.default_rng(4)).sample(g, Q=7.5)
+    H = g.reduced_from_full(hf.h)
+    u = np.random.default_rng(5).standard_normal(H[:, 1:].size)
+    tracemalloc.start()
+    try:
+        sys_ = HeightSystem(g, v_two_layer, params)
+        _, terms = sys_.residual_vector(H, hf.Q, "fixed_Q")
+        sys_.linearize(terms)(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * H.nbytes
+
+
 def _flip_jacobian(monkeypatch):
     """Flip the sign of the fixed-Q Jacobian, applied and assembled alike:
-    `linearize` and `jacobian_matrix` both read its terms."""
-    terms = HeightSystem._linear_terms
-    monkeypatch.setattr(HeightSystem, "_linear_terms", lambda self, H: [
-        [(-f, R) for f, R in flux] for flux in terms(self, H)])
+    `linearize` and `jacobian_matrix` both read the terms of `_pointwise`."""
+    pointwise = HeightSystem._pointwise
+
+    def flipped(self, s):
+        fluxes, terms = pointwise(self, s)
+        return fluxes, [[(-f, R) for f, R in flux] for flux in terms]
+    monkeypatch.setattr(HeightSystem, "_pointwise", flipped)
 
 
 def test_line_search_rejects_ascent_step(v_two_layer, params, monkeypatch):
@@ -439,7 +487,8 @@ def test_continuation_zero_schedule(v_two_layer, params):
 
 def test_operators_built_once_per_grid(v_two_layer, params_critical,
                                        monkeypatch):
-    # every HeightSystem of a continuation reads the grid's cached operators
+    # every HeightSystem of a continuation reads the grid's cached 1-D
+    # operator factors
     builds, build = [], grid_module.ReducedOperators
     monkeypatch.setattr(grid_module, "ReducedOperators",
                         lambda g: builds.append(g) or build(g))
@@ -637,7 +686,7 @@ def test_three_layer_polynomial_vorticity_nonunit_params(rng):
         Hx = H.copy()
         Hx[:, 1:] = x[:sys_.n_h].reshape(H.shape[0], g.Np)
         return sys_.residual_vector(Hx, x[sys_.n_h], "amplitude", 1e-3,
-                                    eps_stag=0.0)
+                                    eps_stag=0.0)[0]
 
     delta = rng.standard_normal(len(x0))
     eps = 1e-7
