@@ -230,8 +230,9 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
     g = hf.grid
 
     # quadrature: q is refined to resolve the bump sums (the field's trig
-    # interpolant is exact, so extra q-nodes cost nothing in accuracy);
-    # p stays on field-node multiples, where the sampled field is exact
+    # interpolant is exact, so extra q-nodes cost nothing in accuracy); in
+    # p the sampled field is exact only at level 1's trapezoid nodes and is
+    # interpolated linearly elsewhere, which refinement_order measures too
     nq_base = g.Nq * max(1, -(-256 // g.Nq))
     npp_base = g.Np
 

@@ -50,16 +50,26 @@ def _q_nodes(nq):
 def _trig_eval(c, q, deriv=False):
     """Evaluate the series (nh+1, M) at q (nq,): real result (nq, M).
 
-    When q are the nodes `_q_nodes(nq)` with nq a multiple of the sample
-    count 2 nh, they refine the sample grid and the series is resampled
-    exactly by a zero-padded inverse FFT; at any other q it is summed
-    densely.
+    When q are nodes of `_q_nodes(n)`, all or a subset such as a support
+    window (even one that wraps across q = -pi), with n = 2 pi / (q[1] - q[0])
+    a multiple of the sample count 2 nh and at most nq (nh+1), beyond which
+    the dense sum is cheaper, the series is resampled exactly on all n nodes
+    by a zero-padded inverse FFT and q's rows are returned; any other q is
+    summed densely.
     """
     q = np.asarray(q, dtype=float)
     nh = c.shape[0] - 1
-    if (q.ndim == 1 and nh > 0 and q.size % (2 * nh) == 0
-            and np.array_equal(q, _q_nodes(q.size))):
-        return _trig_resample(c, q.size, deriv)
+    if q.ndim == 1 and q.size > 1 and nh > 0:
+        step = (q[1] - q[0]) % (2.0 * np.pi)                # 2 pi / n
+        coarse = step * q.size * (nh + 1) >= 2.0 * np.pi    # n <= nq (nh+1)
+        n = round(2.0 * np.pi / step) if coarse else 0
+        j = np.rint((q + np.pi) / (2.0 * np.pi) * n)
+        if (n % (2 * nh) == 0 and np.all((j >= 0) & (j < n))
+                and np.array_equal(q, -np.pi + 2.0 * np.pi / n * j)):
+            lo = int(j[0])      # q's rows: a view when they are one run
+            run = np.array_equal(j, np.arange(lo, lo + q.size))
+            return _trig_resample(c, n, deriv)[
+                slice(lo, lo + q.size) if run else j.astype(int)]
     return _trig_dense(c, q, deriv)
 
 

@@ -17,13 +17,13 @@ solution or not.
 
 A `QuadratureLevel` holds every field-only array of the pairings at one
 (nq, npp) rule and pairs any number of test functions against them, so a
-field is resampled once per level, not once per pairing.  On the uniform
-q-nodes of a refinement of the field grid the resampling is an exact
-zero-padded inverse FFT (see `field._trig_eval`).  Every pairing sums over
-its test function's support window only (`_window`), the nodes where the
-bump can be nonzero, never over the exact zeros outside it.  The public
-`pair_*` functions and `cross_identity` are one-level, one-test-function
-calls of the same integrands, on a level narrowed to the window's nodes.
+field is resampled once per level, not once per pairing.  Every pairing
+sums over its test function's support window only (`_window`), the nodes
+where the bump can be nonzero.  The public `pair_*` functions and
+`cross_identity` are one-level, one-test-function calls of the same
+integrands on a level narrowed to those nodes, the only ones where they
+evaluate a field.  On a refinement's uniform q-nodes, or a window of them,
+a sampled field is resampled by an exact inverse FFT (`field._trig_eval`).
 """
 
 from __future__ import annotations
@@ -172,17 +172,20 @@ def _as_evaluator(field_like):
 
 
 def _window(tf: TestFunction, q, p):
-    """(iq, jp): the q-node indices and the p-node slice of tf's support.
+    """(iq, jp): the q-nodes and the p-nodes of tf's support.
 
     The nodes are those where bump1d's own test |t| < 1 holds for both of
     the bump's arguments, so every node at which tf, its pushforward or
-    their gradients are nonzero is kept.  q-windows may wrap across q = -pi;
-    p is monotone, so a p-window is contiguous.
+    their gradients are nonzero is kept.  A contiguous window is a slice,
+    so that cutting it takes views; a q-window that wraps across q = -pi
+    is an index array.  p is monotone, so a p-window is contiguous.
     """
-    tq, tp = tf._args(q, p)
-    jp = np.flatnonzero(np.abs(tp) < 1.0)
-    return (np.flatnonzero(np.abs(tq) < 1.0),
-            slice(jp[0], jp[-1] + 1) if jp.size else slice(0, 0))
+    win = []
+    for t in tf._args(q, p):
+        i = np.flatnonzero(np.abs(t) < 1.0)
+        lo, hi = (i[0], i[-1] + 1) if i.size else (0, 0)
+        win.append(slice(lo, hi) if hi - lo == i.size else i)
+    return tuple(win)
 
 
 def _cut(arrays, win):
@@ -333,17 +336,14 @@ class QuadratureLevel:
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
         _, self.pm, _, self.wpm = _midpoint_nodes(nq, npp)
-        # the rule's q-nodes, and the indices among them of the level's rows
-        self.q_nodes, self.rows = self.q, np.arange(nq)
 
     def _narrow(self, tf: TestFunction):
         """Keep only the nodes of tf's support window, before any field is
-        resampled, so that a level pairing tf alone resamples nothing
-        outside the window's p-columns and works on the window's rows.
-        Returns self."""
+        resampled, so that a level pairing tf alone evaluates every field
+        at the window's nodes only.  Returns self."""
         iq, jp = _window(tf, self.q, self.p)
         _, jm = _window(tf, self.q, self.pm)
-        self.q, self.rows = self.q[iq], self.rows[iq]
+        self.q = self.q[iq]
         self.p, self.wp, self.pm = self.p[jp], self.wp[jp], self.pm[jm]
         return self
 
@@ -374,15 +374,15 @@ class QuadratureLevel:
         """The stream integrand's field factors from `_h_stream`."""
         return _stream_coeffs(*self._h_stream, self.params)
 
-    # a field is resampled at every q-node of the rule, where resampling a
-    # sampled field is an exact FFT (`field._trig_eval`), then cut to the rows
+    # a field is evaluated at the level's own nodes; on a narrowed level
+    # these are a window of the rule's q-nodes, where resampling a sampled
+    # field stays an exact FFT (`field._trig_eval`)
 
     def _field(self, name, p):
-        return getattr(self.ev, name)(self.q_nodes, p)[self.rows]
+        return getattr(self.ev, name)(self.q, p)
 
     def _resample(self, arr):
-        return interp_rows(arr, self.fields.grid, self.q_nodes,
-                           self.pm)[self.rows]
+        return interp_rows(arr, self.fields.grid, self.q, self.pm)
 
     @cached_property
     def _stream(self):
@@ -407,10 +407,9 @@ class QuadratureLevel:
         """(window, value, phi_x, phi_y) of phi at the midpoints of its
         support window, its gradient from phi's own field."""
         win = iq, jp = _window(phi.tf, self.q, self.pm)
-        # phi's field too is resampled at every q-node, then cut
-        px, py = phi.grad_xy_at_qp(self.q_nodes, self.pm[jp])
-        rows = self.rows[iq]
-        return win, phi.tf.value(self.q[iq], self.pm[jp]), px[rows], py[rows]
+        # on a narrowed level, the nodes `_h_stream` evaluates the field at
+        q, pm = self.q[iq], self.pm[jp]
+        return (win, phi.tf.value(q, pm), *phi.grad_xy_at_qp(q, pm))
 
     def pushforward(self, tf: TestFunction):
         """(window, value, phi_x, phi_y) of the pushforward of tf at the

@@ -58,9 +58,31 @@ def test_resampler_nyquist_derivative(Nq):
     _assert_resampler_matches_series(rows, Nq, 1, True)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("idx", [np.arange(5, 13),          # a window
+                                 np.r_[0:3, 12:16],         # one that wraps
+                                 np.r_[-3:0, 0:3]])         # in q order
+def test_node_subsets_take_the_fft(m, idx, monkeypatch):
+    # a subset of the refined nodes, such as a bump's q-window, gets exactly
+    # the rows of the full resampling
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense trigonometric sum taken")
+
+    c = fd._trig_coeffs(np.random.default_rng(5).standard_normal((16, 5)),
+                        Grid(16, 8))
+    q = fd._q_nodes(m * 16)
+    monkeypatch.setattr(fd, "_trig_dense", no_dense)
+    for deriv in (False, True):
+        assert np.array_equal(fd._trig_eval(c, q[idx], deriv),
+                              fd._trig_eval(c, q, deriv)[idx])
+
+
 @pytest.mark.parametrize("q", [fd._q_nodes(24),            # not a multiple
                                fd._q_nodes(32) + 1e-3,      # not the nodes
-                               np.linspace(-1.0, 1.0, 7)])
+                               np.linspace(-1.0, 1.0, 7),
+                               fd._q_nodes(32)[5:12] + 1e-3,  # shifted subset
+                               fd._q_nodes(32)[3:4],        # a single node
+                               fd._q_nodes(1024)[:2]])      # too sparse
 def test_other_nodes_take_the_dense_sum(q, monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("FFT path taken")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -377,23 +379,47 @@ class _Counting:
 @pytest.mark.parametrize("sampled", [False, True])
 def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
     # h_q and h_p once per rule (trapezoid and midpoint), on the window's
-    # p-columns only, at every q-node of the rule
+    # p-columns and the window's q-nodes only
     params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
     f = random_admissible_field(np.random.default_rng(3))
     if sampled:
         f = f.sample(Grid(64, 96, aligned_jumps=(-0.5,)), Q=12.0).evaluator()
     ev = _Counting(f)
-    pc, rp = -0.45, 0.2
+    q0, pc, rq, rp = 3 * np.pi / 4, -0.45, np.pi / 4, 0.2
     nq, npp = 128, 192
-    wf.cross_identity(ev, v_two_layer, params,
-                      wf.bump((3 * np.pi / 4, pc), (np.pi / 4, rp)), nq, npp)
+    wf.cross_identity(ev, v_two_layer, params, wf.bump((q0, pc), (rq, rp)),
+                      nq, npp)
     assert sorted(name for name, _, _ in ev.calls) == [
         "hp_at", "hp_at", "hq_at", "hq_at"]
     nodes = [wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(nq, npp)[1]]
     asked = sorted({tuple(p) for _, _, p in ev.calls})
     assert asked == sorted(tuple(p[np.abs((p - pc) / rp) < 1.0])
                            for p in nodes)
-    assert all(np.array_equal(q, wf._q_nodes(nq)) for _, q, _ in ev.calls)
+    q = wf._q_nodes(nq)
+    iq = np.abs(wf._wrap_q(q - q0) / rq) < 1.0
+    assert 0 < iq.sum() < nq
+    assert all(np.array_equal(qc, q[iq]) for _, qc, _ in ev.calls)
+
+
+def test_cross_identity_memory_is_a_few_window_arrays(v_two_layer):
+    # a one-shot call holds a few arrays of its window's nodes at a time,
+    # never arrays of the rule's full q-rows
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    f = random_admissible_field(np.random.default_rng(3))
+    q0, pc, rq, rp = 3 * np.pi / 4, -0.45, np.pi / 4, 0.2
+    tf = wf.bump((q0, pc), (rq, rp))
+    nq, npp = 512, 768
+    q, p = wf._q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
+    window = (np.sum(np.abs(wf._wrap_q(q - q0) / rq) < 1.0)
+              * np.sum(np.abs((p - pc) / rp) < 1.0) * 8)
+    wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
+    tracemalloc.start()
+    try:
+        wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * window
 
 
 def test_windowed_pairings_keep_the_fft_resampling(v_two_layer, monkeypatch):
