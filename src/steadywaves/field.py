@@ -181,13 +181,10 @@ class SampledEvaluator:
         self._ahp_hi = _trig_coeffs(hp_hi, g)
 
     def _locate(self, p):
-        g = self.grid
         p = np.asarray(p, dtype=float)
         if np.any(p < -1.0 - 1e-12) or np.any(p > 1e-12):
             raise ValueError("p out of [-1, 0]")
-        jc = np.clip(np.floor((p + 1.0) * g.Np).astype(int), 0, g.Np - 1)
-        t = (p - g.p[jc]) / g.dp
-        return jc, np.clip(t, 0.0, 1.0)
+        return self.grid.p_cell(p)
 
     def h_at(self, q, p):
         jc, t = self._locate(p)

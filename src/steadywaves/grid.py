@@ -10,7 +10,7 @@ exactly on a p-node; derivative stencils in p are built per smooth layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,74 +177,32 @@ class Grid:
         """
         return hcols @ (self.Dp_node_hi if upper else self.Dp_node).T
 
-
-# Each source of H as a (q-factor, p-factor) pair, and each operator as
-# (source, q-factor, p-factor), the factors named in ReducedOperators
-_SOURCES = {"h": ("id", "id"), "hq": ("central", "id"),
-            "hp": ("id", "node"), "hp_half": ("id", "half")}
-_OPERATORS = {"hp_half": ("hp_half", "id", "id"),
-              "hq_half": ("hq", "id", "avg"),
-              "dq_edge": ("h", "diff", "inner"),
-              "hp_edge": ("hp", "avg", "inner"),
-              "h_top": ("h", "id", "top"),
-              "hq_top": ("hq", "id", "top"),
-              "hp_top": ("hp", "id", "top")}
+    def p_cell(self, p):
+        """The p-cell jc of each p and its offset t in [0, 1] from p_jc, in
+        cells: the weights of interpolation linear in p."""
+        p = np.asarray(p, dtype=float)
+        jc = np.clip(np.floor((p + 1.0) * self.Np).astype(int), 0,
+                     self.Np - 1)
+        return jc, np.clip((p - self.p[jc]) / self.dp, 0.0, 1.0)
 
 
 class ReducedOperators:
-    """The reduced grid's operators on H (nh+1, Np+1), as 1-D factor pairs.
+    """The reduced grid's operators on H (nh+1, Np+1).
 
     Row r of H is the reduced column q_r = r dq in [0, pi], column j the
-    p-node p_j.  An operator maps H to Q S P^T for a source S of H: a
-    q-factor Q acts along the rows and a p-factor P along the columns.  The
-    sources are H, h_q (the central difference mirrored at q = 0 and pi, so
-    h_q = 0 there) and the per-layer h_p at nodes and half nodes (the
-    grid's Dp_node and Dp_half, applied by `dp` as one product).  The other
-    factors are slices: differences and averages of neighbours, the
-    interior p-nodes and the surface node.
-
-    `sample` applies every operator to an array: h_p and h_q at half nodes
-    (hp_half, hq_half); dh/dq and h_p at the half q-edges of interior nodes
+    p-node p_j.  `sample` applies every operator to an array: H itself
+    (h); the central h_q, mirrored at q = 0 and pi, so h_q = 0 there (hq);
+    the per-layer h_p at nodes and half nodes (hp, hp_half, the grid's
+    Dp_node and Dp_half applied by `dp` as one product); h_q at half nodes
+    (hq_half); dh/dq and h_p at the half q-edges of interior nodes
     (dq_edge, hp_edge); h, h_q and h_p on the surface (h_top, hq_top,
     hp_top).  `div` takes a flux pair (A at half nodes, B at half edges) to
     its divergence at interior nodes; B is odd about q = 0 and pi, so the
-    edge next to either counts twice.  A factor's matrix is the factor
-    applied to an identity (`q_matrix`, `p_matrix`); `kron` and `kron_div`
-    build an operator's Kronecker-product matrix on H.ravel() from them, on
-    demand, for an assembled Jacobian.
+    edge next to either counts twice.
     """
 
     def __init__(self, g: Grid):
-        self.nh, self.Np, dq, dp = g.Nq // 2, g.Np, g.dq, g.dp
-
-        def central(a):
-            hq = np.empty_like(a)
-            hq[[0, -1]] = 0.0
-            np.subtract(a[2:], a[:-2], out=hq[1:-1])
-            hq[1:-1] /= 2 * dq
-            return hq
-
-        def q_div(b):       # b is odd about q = 0 and pi
-            d = np.empty((len(b) + 1,) + b.shape[1:])
-            np.subtract(b[1:], b[:-1], out=d[1:-1])
-            d[0], d[-1] = 2.0 * b[0], -2.0 * b[-1]
-            d /= dq
-            return d
-
-        # q-factors act along axis 0 of an array, p-factors along axis 1 of
-        # an array or a sparse matrix; the div factors act on flux values,
-        # one fewer than the nodes
-        self.q_factors = {"id": lambda a: a, "central": central,
-                          "diff": lambda a: (a[1:] - a[:-1]) / dq,
-                          "avg": lambda a: 0.5 * (a[1:] + a[:-1]),
-                          "div": q_div}
-        self.p_factors = {"id": lambda a: a,
-                          "node": lambda a: a @ g.Dp_node.T,
-                          "half": lambda a: a @ g.Dp_half.T,
-                          "avg": lambda a: 0.5 * (a[:, 1:] + a[:, :-1]),
-                          "inner": lambda a: a[:, 1:-1],
-                          "top": lambda a: a[:, -1],
-                          "div": lambda a: (a[:, 1:] - a[:, :-1]) / dp}
+        self.Np, self.dq, self.dp_step = g.Np, g.dq, g.dp
         self._dp = sp.vstack((g.Dp_node, g.Dp_half), format="csr")
 
     def dp(self, H):
@@ -253,42 +211,23 @@ class ReducedOperators:
         return S[:, :self.Np + 1], S[:, self.Np + 1:]
 
     def sample(self, H):
-        """The sources and every operator applied to H, by name."""
+        """Every operator applied to H, by name."""
+        dq = self.dq
         hp, hp_half = self.dp(H)
-        out = {"h": H, "hq": self.q_factors["central"](H), "hp": hp,
-               "hp_half": hp_half}
-        for name, (s, qf, pf) in _OPERATORS.items():
-            out[name] = self.q_factors[qf](self.p_factors[pf](out[s]))
-        return out
+        hq = np.empty_like(H)
+        hq[[0, -1]] = 0.0
+        np.subtract(H[2:], H[:-2], out=hq[1:-1])
+        hq[1:-1] /= 2 * dq
+        return {"h": H, "hq": hq, "hp": hp, "hp_half": hp_half,
+                "hq_half": 0.5 * (hq[:, 1:] + hq[:, :-1]),
+                "dq_edge": (H[1:, 1:-1] - H[:-1, 1:-1]) / dq,
+                "hp_edge": 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]),
+                "h_top": H[:, -1], "hq_top": hq[:, -1], "hp_top": hp[:, -1]}
 
     def div(self, A, B):
         """The divergence of the flux pair (A, B) at interior nodes."""
-        return self.p_factors["div"](A) + self.q_factors["div"](B)
-
-    def q_matrix(self, *names):
-        """The named q-factors, applied in turn, as a sparse matrix."""
-        a = np.eye(self.nh + 1 - (names[0] == "div"))
-        for k in names:
-            a = self.q_factors[k](a)
-        return sp.csr_matrix(a)
-
-    def p_matrix(self, *names):
-        """The named p-factors, applied in turn, as a sparse matrix."""
-        a = sp.identity(self.Np + 1 - (names[0] == "div"), format="csr")
-        for k in names:
-            a = self.p_factors[k](a)
-        return sp.csr_matrix(a.T)
-
-    def kron(self, name):
-        """The operator `name` as a sparse matrix on H.ravel()."""
-        s, qf, pf = _OPERATORS[name]
-        sq, sp_ = _SOURCES[s]
-        return sp.kron(self.q_matrix(sq, qf), self.p_matrix(sp_, pf),
-                       format="csr")
-
-    def kron_div(self):
-        """`div` as a sparse matrix on the flux pair (A.ravel(), B.ravel())."""
-        eye = partial(sp.identity, format="csr")
-        return sp.hstack((sp.kron(eye(self.nh + 1), self.p_matrix("div")),
-                          sp.kron(self.q_matrix("div"), eye(self.Np - 1))),
-                         format="csr")
+        d = np.empty((len(B) + 1,) + B.shape[1:])
+        np.subtract(B[1:], B[:-1], out=d[1:-1])
+        d[0], d[-1] = 2.0 * B[0], -2.0 * B[-1]
+        d /= self.dq
+        return (A[:, 1:] - A[:, :-1]) / self.dp_step + d

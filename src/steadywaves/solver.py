@@ -11,11 +11,11 @@ jump is node-aligned) and the horizontal flux B = h_q / (1 + h_p) at
 half q-edges.  The solver works on the even-reduced subspace q in [0, pi],
 bed row eliminated.  The dynamic surface condition supplies the top rows.
 The residual evaluates the fluxes pointwise on the outputs of the grid's
-operators (`grid.ReducedOperators`), each a pair of 1-D factors applied to
-the (nh+1, Np+1) state array: the per-layer p-stencils as one sparse
-product, the q-differences, averages, mirrors and the surface selection as
-slices.  The Jacobian is a sum of those operators scaled by the fluxes'
-partials, which the residual evaluation returns with it.
+operators (`grid.ReducedOperators`) on the (nh+1, Np+1) state array: the
+per-layer p-stencils as one sparse product, the q-differences, averages,
+mirrors and the surface selection as slices.  The Jacobian is a sum of
+those operators scaled by the fluxes' partials, which the residual
+evaluation returns with it.
 
 Closures:
   fixed_Q          h unknown, Q given.
@@ -33,16 +33,16 @@ bordered closures append Q and their scalar row.
 Linear solves: each Newton step solves J dx = -r by right-preconditioned
 GMRES with Eisenstat-Walker forcing terms, matrix-free: the fixed-Q block
 is applied as its action (`HeightSystem.linearize`, the Jacobian's terms
-at the accepted residual's state applied through the operators' 1-D
-factors), never assembled.  The preconditioner
+at the accepted residual's state applied through the grid's operators),
+never assembled.  The preconditioner
 is the exact inverse of the fixed-Q Jacobian at the q-mean of a reference
 state (`modal.LaminarModes`: a DCT-I in q and one banded LU of the
 p-blocks, which come from the grid's 1-D p-operators without assembling the
 Jacobian); the closures' Q column and scalar row, held in closed form, are
 handled by a Schur complement.  A step whose true linear residual misses
 its tolerance is solved again by SuperLU, the only solve that assembles the
-Jacobian (`HeightSystem.jacobian_matrix`, which alone builds the operators'
-Kronecker products).  The continuation seed
+Jacobian (`HeightSystem.jacobian_matrix`, which reads it off 27 actions,
+one per colour class of unknowns).  The continuation seed
 cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
 """
 
@@ -56,7 +56,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
-from .grid import Grid
+from .grid import Grid, _STENCIL
 from .field import AdmissibilityError, HeightField
 from .modal import LaminarModes
 from . import laminar
@@ -143,11 +143,6 @@ class HeightSystem:
         self.closures = {"fixed_Q": None, "meanzero": self.mw,
                          "amplitude": amp}
         self.n_h = (nh + 1) * grid.Np
-        cols = np.arange(self.n_h + nh + 1).reshape(nh + 1, grid.Np + 1)
-        self.unknowns = cols[:, 1:].ravel()     # H[:, 1:] among H.ravel()
-        n_int = (nh + 1) * (grid.Np - 1)
-        self._order = np.column_stack((np.arange(n_int).reshape(nh + 1, -1),
-                                       n_int + np.arange(nh + 1))).ravel()
         # the border (c, l) of the bordered closures' Jacobian on the surface
         # rows: the Q column (Q enters each surface row as Q / (2 p0^2)) and
         # the closure row w
@@ -198,21 +193,24 @@ class HeightSystem:
         horizontal flux and the surface row; A1 is the horizontal flux's
         neighbour coupling 1/(m dq^2).
         """
-        P, d, p0 = self.ops.p_matrix, self.params.d, self.params.p0
-        node, half, inner, top = (P(k) for k in ("node", "half", "inner",
-                                                 "top"))
+        g, d, p0 = self.grid, self.params.d, self.params.p0
+        eye = sp.identity(g.Np + 1, format="csr")
+        inner, top = eye[1:-1], eye[-1:]
         h = self.mw @ H
-        hp = node @ h
-        _, _, K_hp = _speed_term(0.0, half @ h, d)
+        hp = g.Dp_node @ h
+        _, _, K_hp = _speed_term(0.0, g.Dp_half @ h, d)
         _, _, Kt_hp = _speed_term(0.0, hp[-1], d)
         m = 1.0 + hp[1:-1]
-        edge = sp.diags(1.0 / (m * self.grid.dq ** 2)) @ inner
-        surface = (Kt_hp * top @ node - (self.params.g * d / p0 ** 2) * top)
-        A0 = sp.vstack((P("div") @ sp.diags(K_hp) @ half - 2.0 * edge,
+        edge = sp.diags(1.0 / (m * g.dq ** 2)) @ inner
+        surface = (Kt_hp * top @ g.Dp_node
+                   - (self.params.g * d / p0 ** 2) * top)
+        div = sp.diags([-1.0 / g.dp, 1.0 / g.dp], [0, 1],
+                       shape=(g.Np - 1, g.Np))
+        A0 = sp.vstack((div @ sp.diags(K_hp) @ g.Dp_half - 2.0 * edge,
                         surface), format="csr")[:, 1:]
-        A1 = sp.vstack((edge, sp.csr_matrix((1, self.grid.Np + 1))),
+        A1 = sp.vstack((edge, sp.csr_matrix((1, g.Np + 1))),
                        format="csr")[:, 1:]
-        return LaminarModes(A0, A1, self.nh, self.grid.Np)
+        return LaminarModes(A0, A1, self.nh, g.Np)
 
     def locate(self, r):
         """Where the largest |entry| of a `residual_vector` sits, as text.
@@ -247,12 +245,11 @@ class HeightSystem:
                    + Q / (2 * p0 ** 2))
         return self.ops.div(A, B), surface, terms
 
-    def _rows(self, interior, surface):
-        """Interior rows (r, j-1) and surface rows r, arrays or sparse, in
-        the unknowns' (r, j) layout (the surface row of column r in place of
-        its unknown h(q_r, 0))."""
-        if sp.issparse(interior):
-            return sp.vstack((interior, surface), format="csr")[self._order]
+    @staticmethod
+    def _rows(interior, surface):
+        """Interior rows (r, j-1) and surface rows r in the unknowns' (r, j)
+        layout (the surface row of column r in place of its unknown
+        h(q_r, 0))."""
         return np.column_stack((interior, surface)).ravel()
 
     def residual_vector(self, H, Q, mode, a=0.0, eps_stag=EPS_STAG_DEFAULT):
@@ -269,17 +266,31 @@ class HeightSystem:
         """Sparse Jacobian: rows as in `residual_vector`, columns the unknowns.
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
-        meanzero/amplitude closures (border `borders[mode]`).  Each term
-        (f', R) of `_pointwise` is diag(f') times R's Kronecker-product
-        matrix, built here on demand.  Newton assembles the Jacobian only
-        for a SuperLU fallback.
+        meanzero/amplitude closures (border `borders[mode]`).  The fixed-Q
+        block is read off its action `linearize`, probed once per colour
+        class of unknowns (Curtis, Powell & Reid 1974): row (r', j') reaches
+        only the columns r' +- 1 and j' +- (_STENCIL - 1), so each class
+        (r mod 3, j mod m), m = 2 (_STENCIL - 1) + 1, meets a row in at most
+        one column, found by index arithmetic.  Newton assembles the
+        Jacobian only for a SuperLU fallback.
         """
-        o = self.ops
-        _, terms = self._pointwise(o.sample(H))
-        A, B, top = (sum(sp.diags(np.ravel(f)) @ o.kron(R) for f, R in t)
-                     for t in terms)
-        J = self._rows(o.kron_div() @ sp.vstack((A, B)),
-                       top)[:, self.unknowns]
+        n, Np, reach = self.n_h, self.grid.Np, _STENCIL - 1
+        m = 2 * reach + 1
+        jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
+        r, j = np.divmod(np.arange(n), Np)
+        j += 1
+        probes = np.array([jac(((r % 3 == a) & (j % m == b)).astype(float))
+                           for a in range(3) for b in range(m)])
+        # column (r + dr, j + dj) of row (r, j) is in class
+        # ((r + dr) mod 3, (j + dj) mod m); the offsets ascend in column
+        dr, dj = (x.ravel() for x in np.mgrid[-1:2, -reach:reach + 1])
+        rc, jc = r[:, None] + dr, j[:, None] + dj
+        vals = probes[(rc % 3) * m + jc % m, np.arange(n)[:, None]]
+        keep = ((rc >= 0) & (rc <= self.nh) & (jc >= 1) & (jc <= Np)
+                & (vals != 0.0))
+        J = sp.csr_matrix((vals[keep], (rc * Np + jc - 1)[keep],
+                           np.append(0, np.cumsum(keep.sum(axis=1)))),
+                          shape=(n, n))
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -291,9 +302,9 @@ class HeightSystem:
         """The fixed-Q Jacobian's action u -> J u at the state whose terms
         `residual_parts` returned.
 
-        J = `jacobian_matrix(H, Q, "fixed_Q")` for any Q: the same terms,
-        applied to u through the operators' 1-D factors; nothing is
-        assembled.
+        `jacobian_matrix(H, Q, "fixed_Q")` is this action, probed; here
+        the terms are applied to u through the grid's operators, and
+        nothing is assembled.
         """
         o, shape = self.ops, (self.nh + 1, self.grid.Np + 1)
 
@@ -320,7 +331,16 @@ def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters):
 
 def jacobian(hf: HeightField, v: VorticityFunction, params: FlowParameters,
              mode="fixed_Q"):
-    """Analytic sparse Jacobian in the even-reduced (r, j) layout."""
+    """Analytic sparse Jacobian in the even-reduced (r, j) layout.
+
+    mode 'fixed_Q': h unknown.  'fixed_amplitude' means the mean-zero
+    closure (the amplitude-0 row of `newton_solve`), as does 'meanzero';
+    'amplitude' is the crest-minus-trough closure.  Any other mode raises
+    ValueError.
+    """
+    if mode not in ("fixed_Q", "fixed_amplitude", "meanzero", "amplitude"):
+        raise ValueError(f"unknown mode {mode!r}: expected 'fixed_Q', "
+                         "'fixed_amplitude', 'meanzero' or 'amplitude'")
     sys_ = HeightSystem(hf.grid, v, params)
     mode = "meanzero" if mode == "fixed_amplitude" else mode
     return sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, mode)

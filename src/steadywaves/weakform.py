@@ -214,9 +214,7 @@ def interp_rows(arr, grid: Grid, q_t, p_t):
     """Interpolate node samples (Nq, Np+1): cosine in q, linear in p."""
     coeffs = _trig_coeffs(arr, grid)
     rows = _trig_eval(coeffs, np.asarray(q_t, dtype=float))   # (nq_t, Np+1)
-    p_t = np.asarray(p_t, dtype=float)
-    jc = np.clip(np.floor((p_t + 1.0) * grid.Np).astype(int), 0, grid.Np - 1)
-    t = np.clip((p_t - grid.p[jc]) / grid.dp, 0.0, 1.0)
+    jc, t = grid.p_cell(p_t)
     return rows[:, jc] * (1.0 - t) + rows[:, jc + 1] * t
 
 

@@ -160,6 +160,19 @@ def test_jacobian_constant_coefficient_limit(v_zero, params, rng):
     assert np.max(np.abs(Jd - expected)) < 1e-11 * max(1, np.max(np.abs(expected)))
 
 
+def test_jacobian_names_its_modes(v_two_layer, params, rng):
+    # the public entry point: fixed_amplitude is the mean-zero closure, and
+    # an unknown mode is a ValueError that names the accepted ones
+    g = Grid(16, 16, aligned_jumps=(-0.5,))
+    hf = random_admissible_field(rng).sample(g, Q=7.5)
+    sys_ = HeightSystem(g, v_two_layer, params)
+    J = solver.jacobian(hf, v_two_layer, params, mode="fixed_amplitude")
+    want = sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, "meanzero")
+    assert (J != want).nnz == 0
+    with pytest.raises(ValueError, match="'fixed_Q', 'fixed_amplitude'"):
+        solver.jacobian(hf, v_two_layer, params, mode="fixed_q")
+
+
 @pytest.fixture(scope="module")
 def small_wave_two_layer(v_two_layer, params_critical):
     """A 16 x 32 two-layer wave from continuation at near-critical data."""
@@ -175,12 +188,19 @@ def small_wave_two_layer(v_two_layer, params_critical):
 def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
                                                      small_wave_two_layer,
                                                      rng, mode):
-    # the action applies the terms that jacobian_matrix assembles, one
-    # operator at a time, and Newton borders it with the closed-form Q
-    # column and closure row
+    # jacobian_matrix reads the action off its colour-class probes, and
+    # Newton borders the action with the closed-form Q column and closure
+    # row; layers next to the bed and the surface make the p-reach widest
     g = Grid(32, 64, aligned_jumps=(-0.5,))
     sampled = random_admissible_field(rng).sample(g, Q=7.5)
-    for hf, v, par in ((sampled, v_two_layer, params), small_wave_two_layer):
+    edges = (-1.0 + 4 / 32, -4 / 32)
+    v_edges = VorticityFunction(pieces=((-1.0, edges[0], (2.0,)),
+                                        (edges[0], edges[1], (0.5, 1.5)),
+                                        (edges[1], 0.0, (-1.0,))))
+    layered = random_admissible_field(rng).sample(
+        Grid(32, 64, aligned_jumps=edges), Q=7.5)
+    for hf, v, par in ((sampled, v_two_layer, params),
+                       (layered, v_edges, params), small_wave_two_layer):
         sys_ = HeightSystem(hf.grid, v, par)
         H = sys_.reduce(hf)
         J = sys_.jacobian_matrix(H, hf.Q, mode)
@@ -200,12 +220,11 @@ def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
 
 def test_operators_match_stencil_tables(rng):
     # each grid operator against the index arithmetic it replaces, with a
-    # 4-cell layer at the bed and a jump node inside: applied through its
-    # 1-D factors, and as the Kronecker-product matrix built on demand
+    # 4-cell layer at the bed and a jump node inside
     g = Grid(16, 32, aligned_jumps=(-1.0 + 4 / 32, -0.5))
     nh = g.Nq // 2
     H = rng.standard_normal((nh + 1, g.Np + 1))
-    o, x = g.operators, H.ravel()
+    o = g.operators
     rp = [g.qmirror(r + 1) for r in range(nh + 1)]
     rm = [g.qmirror(r - 1) for r in range(nh + 1)]
     hq, hp = (H[rp] - H[rm]) / (2 * g.dq), g.node_dp(H)
@@ -217,14 +236,12 @@ def test_operators_match_stencil_tables(rng):
             "dq_edge": (H[1:, 1:-1] - H[:-1, 1:-1]) / g.dq,
             "hp_edge": 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]),
             "h_top": H[:, -1], "hq_top": hq[:, -1], "hp_top": hp[:, -1]}
-    assert set(want) == set(grid_module._OPERATORS)
     div = (A[:, 1:] - A[:, :-1]) / g.dp + (Bx[1:] - Bx[:-1]) / g.dq
     s = o.sample(H)
-    pairs = [(s["hp"], hp), (s["hq"], hq),
+    assert set(s) == set(want) | {"h", "hq", "hp"}
+    pairs = [(s["h"], H), (s["hp"], hp), (s["hq"], hq),
              *((s[k], w) for k, w in want.items()),
-             *((o.kron(k) @ x, w) for k, w in want.items()),
-             (o.div(A, B), div),
-             (o.kron_div() @ np.concatenate((A.ravel(), B.ravel())), div)]
+             (o.div(A, B), div)]
     for got, w in pairs:
         np.testing.assert_allclose(np.ravel(got), w.ravel(), rtol=0,
                                    atol=1e-12 * np.max(np.abs(w)))
