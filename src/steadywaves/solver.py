@@ -30,20 +30,18 @@ Layout: the unknowns h(q_r, p_j), j = 1 .. Np, and the residual rows share
 the index r*Np + (j-1), row (r, Np) being the surface row of column r; the
 bordered closures append Q and their scalar row.
 
-Linear solves: each Newton step solves J dx = -r by right-preconditioned
+Linear solves: each Newton step solves J dx = -r by one right-preconditioned
 GMRES with Eisenstat-Walker forcing terms, matrix-free: the fixed-Q block
-is applied as its action (`HeightSystem.linearize`, the Jacobian's terms
-at the accepted residual's state applied through the grid's operators),
-never assembled.  The preconditioner
-is the exact inverse of the fixed-Q Jacobian at the q-mean of a reference
-state (`modal.LaminarModes`: a DCT-I in q and one banded LU of the
-p-blocks, which come from the grid's 1-D p-operators without assembling the
-Jacobian); the closures' Q column and scalar row, held in closed form, are
-handled by a Schur complement.  A step whose true linear residual misses
-its tolerance is solved again by SuperLU, the only solve that assembles the
-Jacobian (`HeightSystem.jacobian_matrix`, which reads it off 27 actions,
-one per colour class of unknowns).  The continuation seed
-cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
+is applied as its action (`HeightSystem.linearize`), never assembled, and a
+closure borders it with its Q column and scalar row.  The preconditioner is
+the mean-zero bordered laminar inverse: the exact inverse of the fixed-Q
+Jacobian at the q-mean of a reference state (`modal.LaminarModes`, a DCT-I
+in q and one banded LU of the p-blocks), bordered with the Q column and the
+mean-zero row.  A step whose true linear residual misses its tolerance is
+solved again by SuperLU, the only solve that assembles the Jacobian
+(`HeightSystem.jacobian_matrix`, which reads it off 27 actions, one per
+colour class of unknowns).  The continuation seed cos(q) phi_1(p) and the
+critical gravity come from the k = 1 modal block.
 """
 
 from __future__ import annotations
@@ -90,8 +88,8 @@ class NewtonResult:
     history: list
     stagnation_hits: int
     mode: str
-    # GMRES iterations of each Newton step, and the number of steps that
-    # missed their tolerance and were solved again by SuperLU
+    # iterations of each Newton step's one bordered GMRES, and the number of
+    # steps that missed their tolerance and were solved again by SuperLU
     krylov_iters: list = dataclasses.field(default_factory=list)
     fallbacks: int = 0
 
@@ -277,20 +275,25 @@ class HeightSystem:
         n, Np, reach = self.n_h, self.grid.Np, _STENCIL - 1
         m = 2 * reach + 1
         jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
-        r, j = np.divmod(np.arange(n), Np)
-        j += 1
-        probes = np.array([jac(((r % 3 == a) & (j % m == b)).astype(float))
-                           for a in range(3) for b in range(m)])
-        # column (r + dr, j + dj) of row (r, j) is in class
-        # ((r + dr) mod 3, (j + dj) mod m); the offsets ascend in column
+        r, j = np.divmod(np.arange(n), Np)      # unknown (r, j + 1)
+        probes, vals = np.empty((3 * m, n)), np.empty((n, 3 * m))
+        for k in range(3 * m):
+            probes[k] = jac(((r % 3 == k // m) & (j % m == k % m)) * 1.0)
+        # column (r + dr, j + dj) of row (r, j) is in class ((r + dr) mod 3,
+        # (j + dj) mod m); decoded one offset at a time, ascending in column
         dr, dj = (x.ravel() for x in np.mgrid[-1:2, -reach:reach + 1])
-        rc, jc = r[:, None] + dr, j[:, None] + dj
-        vals = probes[(rc % 3) * m + jc % m, np.arange(n)[:, None]]
-        keep = ((rc >= 0) & (rc <= self.nh) & (jc >= 1) & (jc <= Np)
-                & (vals != 0.0))
-        J = sp.csr_matrix((vals[keep], (rc * Np + jc - 1)[keep],
+        for k in range(3 * m):
+            rc, jc = r + dr[k], j + dj[k]
+            vals[:, k] = np.where(
+                (rc >= 0) & (rc <= self.nh) & (jc >= 0) & (jc < Np),
+                probes[(rc % 3) * m + jc % m, np.arange(n)], 0.0)
+        del probes
+        keep = vals != 0.0
+        cols = np.arange(n, dtype=np.int32)[:, None] + np.int32(dr * Np + dj)
+        J = sp.csr_matrix((vals[keep], cols[keep],
                            np.append(0, np.cumsum(keep.sum(axis=1)))),
                           shape=(n, n))
+        del vals, cols
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -349,7 +352,7 @@ def jacobian(hf: HeightField, v: VorticityFunction, params: FlowParameters,
 # Newton-Krylov: preconditioned GMRES with Eisenstat-Walker forcing terms
 _ETA_MAX = 1e-4        # forcing term cap
 _ETA_MIN = 1e-7        # preconditioned solves stagnate near eps * cond(M)
-_SCHUR_ETA = 1.0 / 30  # inner solves of the bordered closures, relative
+_BORDER_ETA = 1.0 / 30  # a closure's one bordered GMRES, relative
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 3
 
@@ -404,43 +407,49 @@ def _gmres(matvec, precond, b, rtol):
     return x, its, False
 
 
-def _krylov_step(jac, r, modes, eta, border):
-    """Newton step solving J dx = -r by GMRES on the laminar modal inverse.
+def _krylov_step(jac, r, precond, eta, border):
+    """Newton step solving J dx = -r by one right-preconditioned GMRES.
 
-    `jac` is the fixed-Q Jacobian's action A (`HeightSystem.linearize`),
-    and `border` the closure's Q column and scalar row (c, l), None for
-    fixed_Q.  The bordered closures are solved by their Schur complement:
-    two inner solves on A, x_b = A^{-1} b and x_c = A^{-1} c, then
-    dQ = (l.x_b - beta)/(l.x_c), and the border only in the true-residual
-    check.  The modal inverse is never bordered itself: the amplitude row
-    sees only odd cosine modes and the Q column only k = 0, so l M^{-1} c = 0.
-    Returns (dx or None when a solve misses its tolerance, iterations).
+    `jac` is the fixed-Q Jacobian's action A (`HeightSystem.linearize`);
+    a closure's `border` (c, l) makes it (x, dQ) -> (A x + dQ c, l.x), and
+    `precond` is then the mean-zero bordered laminar inverse (`_bordered`).
+    Returns (dx or None when the solve misses its tolerance, iterations).
     """
     if border is None:
-        dx, its, ok = _gmres(jac, modes.solve, -r, eta)
-        res = jac(dx) + r
+        matvec, rtol = jac, eta
     else:
         c, ell = border
-        x_b, its_b, ok_b = _gmres(jac, modes.solve, -r[:-1], eta * _SCHUR_ETA)
-        x_c, its_c, ok_c = _gmres(jac, modes.solve, c, eta * _SCHUR_ETA)
-        its, ok = its_b + its_c, ok_b and ok_c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dQ = (ell @ x_b + r[-1]) / (ell @ x_c)
-        x = x_b - dQ * x_c
-        res = np.append(jac(x) + dQ * c, ell @ x) + r
-        dx = np.append(x, dQ)
-    if ok and np.linalg.norm(res) <= 10.0 * eta * np.linalg.norm(r):
+        rtol = eta * _BORDER_ETA
+
+        def matvec(x):
+            return np.append(jac(x[:-1]) + x[-1] * c, ell @ x[:-1])
+    dx, its, ok = _gmres(matvec, precond, -r, rtol)
+    if ok and np.linalg.norm(matvec(dx) + r) <= 10.0 * eta * np.linalg.norm(r):
         return dx, its
     return None, its
+
+
+def _bordered(modes, c, w):
+    """The laminar inverse M^{-1} bordered with the Q column c and the
+    mean-zero row w: (y, eta) -> (z - dQ M^{-1} c, dQ), z = M^{-1} y and
+    dQ = (w.z - eta) / (w.M^{-1} c).  The amplitude row l sees only odd
+    cosine modes and c only k = 0, so l.M^{-1} c = 0: every closure takes w.
+    """
+    xc = modes.solve(c)
+
+    def solve(y):
+        z = modes.solve(y[:-1])
+        dQ = (w @ z - y[-1]) / (w @ xc)
+        return np.append(z - dQ * xc, dQ)
+    return solve
 
 
 def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
                  modes=None):
     H, Q = H0.copy(), float(Q0)
-    nh, Np = sys_.nh, sys_.grid.Np
     history, krylov = [], []
     guards = fallbacks = 0
-    r2_prev = None
+    r2_prev = precond = None
     # each iteration's residual is the line search's accepted one
     r, terms = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
     for it in range(max_iter + 1):
@@ -453,17 +462,19 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
                                 krylov_iters=krylov, fallbacks=fallbacks)
         if it == max_iter:
             break
-        if modes is None:
-            modes = sys_.laminar_modes(H)
+        if precond is None:
+            modes = sys_.laminar_modes(H) if modes is None else modes
+            precond = (modes.solve if mode == "fixed_Q" else
+                       _bordered(modes, *sys_.borders["meanzero"]))
         r2 = float(np.linalg.norm(r))
-        dx, its = _krylov_step(sys_.linearize(terms), r, modes,
+        dx, its = _krylov_step(sys_.linearize(terms), r, precond,
                                _forcing(r2, r2_prev, tol), sys_.borders[mode])
         r2_prev = r2
         krylov.append(its)
         if dx is None:
             fallbacks += 1
             dx = spla.splu(sys_.jacobian_matrix(H, Q, mode).tocsc()).solve(-r)
-        dH = dx[:sys_.n_h].reshape(nh + 1, Np)
+        dH = dx[:sys_.n_h].reshape(H.shape[0], -1)
         dQ = dx[sys_.n_h] if mode != "fixed_Q" else 0.0
         step, accepted = 1.0, False
         for _ in range(30):
@@ -509,13 +520,12 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
     initial.check_admissible(EPS_STAG_DEFAULT)
     sys_ = HeightSystem(initial.grid, v, params)
     H0 = sys_.reduce(initial)
+    Q0 = initial.Q if Q is None else float(Q)
     if mode == "fixed_Q":
-        Q0 = initial.Q if Q is None else float(Q)
         imode, a = "fixed_Q", 0.0
     elif mode == "fixed_amplitude":
         if amplitude is None:
             raise ValueError("fixed_amplitude mode needs an amplitude")
-        Q0 = initial.Q if Q is None else float(Q)
         a = float(amplitude)
         imode = "meanzero" if a == 0.0 else "amplitude"
     else:

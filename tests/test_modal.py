@@ -86,6 +86,28 @@ def test_modal_inverse_is_exact_at_laminar_state(v_two_layer, params):
     assert np.linalg.norm(J @ modes.solve(b) - b) <= 1e-11 * np.linalg.norm(b)
 
 
+def test_bordered_laminar_inverse_is_exact_at_laminar_state(v_two_layer,
+                                                           params):
+    # the closures' preconditioner: the modal inverse bordered with the Q
+    # column c and the mean-zero row w inverts the mean-zero Jacobian
+    hf = laminar_state(v_two_layer, params, 16, 64)
+    sys_ = HeightSystem(hf.grid, v_two_layer, params)
+    H = sys_.reduce(hf)
+    modes = sys_.laminar_modes(H)
+    c, w = sys_.borders["meanzero"]
+    precond = solver._bordered(modes, c, w)
+    J = sys_.jacobian_matrix(H, hf.Q, "meanzero")
+    for u in np.random.default_rng(7).standard_normal((3, J.shape[0])):
+        assert np.linalg.norm(precond(J @ u) - u) <= 1e-10 * np.linalg.norm(u)
+    # why w borders every closure: the amplitude row l sees only odd cosine
+    # modes and c only k = 0, so the modes bordered with l are singular
+    xc = modes.solve(c)
+    ell = sys_.borders["amplitude"][1]
+    norms = np.linalg.norm(ell) * np.linalg.norm(xc)
+    assert abs(ell @ xc) <= 1e-14 * norms
+    assert abs(w @ xc) >= 1e-3 * np.linalg.norm(w) * np.linalg.norm(xc)
+
+
 @pytest.mark.parametrize("Nq,Np", [(16, 32), (128, 256)])
 def test_modal_solve_is_the_axis0_transform(v_two_layer, params, Nq, Np):
     # the DCT-I along the contiguous axis of the transposed array gives the
@@ -221,6 +243,19 @@ def test_continuation_assembles_no_jacobian(v_two_layer, params_critical,
     _, steps = _continuation_steps(monkeypatch, v_two_layer, params_critical,
                                    hf0, [0.0, 2.5e-4, 5e-4, 1e-3])
     assert [s.fallbacks for s in steps] == [0, 0, 0, 0]
+
+
+def test_continuation_krylov_iterations_are_bounded(v_two_layer,
+                                                    params_critical,
+                                                    monkeypatch):
+    # the benchmark's schedule: one bordered GMRES per Newton step on the
+    # mean-zero bordered laminar inverse takes 27 iterations in all
+    hf0 = laminar_state(v_two_layer, params_critical, 64, 128)
+    _, steps = _continuation_steps(monkeypatch, v_two_layer, params_critical,
+                                   hf0, [0.0, 2.5e-4, 5e-4, 1e-3])
+    assert [s.iterations for s in steps] == [2, 2, 2, 1]
+    assert [s.fallbacks for s in steps] == [0, 0, 0, 0]
+    assert sum(sum(s.krylov_iters) for s in steps) <= 35
 
 
 def test_krylov_failure_falls_back_to_superlu(v_two_layer, params,

@@ -361,6 +361,24 @@ def test_residual_and_action_memory_is_a_few_states(v_two_layer, params):
     assert peak <= 32 * H.nbytes
 
 
+def test_jacobian_assembly_memory_is_bounded_in_states(v_two_layer, params):
+    # the probed Jacobian decodes one offset at a time into int32 columns:
+    # its peak is the 27 probes, their values and the CSR, under 100 states
+    # H (nh+1, Np+1); an all-offsets int64 decode takes about 185
+    g = Grid(128, 256, aligned_jumps=(-0.5,))
+    hf = random_admissible_field(np.random.default_rng(4)).sample(g, Q=7.5)
+    H = g.reduced_from_full(hf.h)
+    sys_ = HeightSystem(g, v_two_layer, params)
+    for mode in ("fixed_Q", "amplitude"):
+        tracemalloc.start()
+        try:
+            sys_.jacobian_matrix(H, hf.Q, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * H.nbytes, mode
+
+
 def _flip_jacobian(monkeypatch):
     """Flip the sign of the fixed-Q Jacobian, applied and assembled alike:
     `linearize` and `jacobian_matrix` both read the terms of `_pointwise`."""
