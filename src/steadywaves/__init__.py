@@ -18,8 +18,7 @@ from .field import HeightField, AnalyticHeightField, random_admissible_field
 from .solver import (newton_solve, continuation, residual, jacobian,
                      NewtonResult, ConvergenceError, StagnationError)
 from .transform import (PhysicalFields, physical_map, invert_height,
-                        reconstruct_stream, reconstruct_velocity,
-                        reconstruct_pressure, reconstruct_fields,
+                        reconstruct_stream, reconstruct_fields,
                         bernoulli_function)
 from .weakform import (bump, TestFunction, pushforward_testfn, pair_height,
                        pair_stream, pair_euler, cross_identity,
@@ -33,8 +32,7 @@ __all__ = [
     "newton_solve", "continuation", "residual", "jacobian", "NewtonResult",
     "ConvergenceError", "StagnationError",
     "PhysicalFields", "physical_map", "invert_height", "reconstruct_stream",
-    "reconstruct_velocity", "reconstruct_pressure", "reconstruct_fields",
-    "bernoulli_function",
+    "reconstruct_fields", "bernoulli_function",
     "bump", "TestFunction", "pushforward_testfn", "pair_height",
     "pair_stream", "pair_euler", "cross_identity", "surface_identity",
     "mollification_rate", "PairingReport",

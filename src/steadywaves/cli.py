@@ -122,9 +122,10 @@ def read_field(path, cfg: RunConfig) -> HeightField:
         raise SchemaError(f"{path}: {data.shape[0]} rows, grid needs "
                           f"{n_expected}; stale field file?")
     h = data[:, 2].reshape(g.Nq, g.Np + 1)
-    qq = data[:, 0].reshape(g.Nq, g.Np + 1)[:, 0]
-    if np.max(np.abs(qq - g.q)) > 1e-12:
-        raise SchemaError(f"{path}: q-grid mismatch with config")
+    nodes = np.broadcast_arrays(g.q[:, None], g.p)
+    for name, col, want in zip("qp", data[:, :2].T, nodes):
+        if np.max(np.abs(col.reshape(want.shape) - want)) > 1e-12:
+            raise SchemaError(f"{path}: {name}-grid mismatch with config")
     side = Path(path).with_suffix(".json")
     if not side.exists():
         side = Path(path).parent / "field.json"

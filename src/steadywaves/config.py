@@ -153,6 +153,9 @@ def parse_config(text: str) -> RunConfig:
     for key, least in (("solver.max_iter", 0), ("verify.levels", 1)):
         if np.min(values.get(key, least)) < least:
             raise ConfigError(f"{key} must be >= {least}")
+    levels = values.get("verify.levels", [1, 2])
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"verify.levels repeats a level: {levels}")
     eps_list = values.get("verify.eps_list", [])
     least = 2.0 * max(2.0 * np.pi / Nq, 1.0 / Np) if min(Nq, Np) > 0 else 0.0
     if eps_list and min(eps_list) < least:    # the mollifier's two spacings
@@ -180,7 +183,7 @@ def parse_config(text: str) -> RunConfig:
         tol=values.get("solver.tol", 1e-10),
         max_iter=values.get("solver.max_iter", 50),
         pairing_tol=values.get("verify.pairing_tol", 1e-4),
-        levels=values.get("verify.levels", [1, 2]),
+        levels=levels,
         radii=(radii[0], radii[1]),
         p_centers=list(p_centers),
         n_q_centers=n_q_centers,

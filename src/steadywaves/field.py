@@ -1,11 +1,12 @@
 """Height fields on the rectangle R and their interpolating evaluators.
 
 A HeightField stores node samples h(q_i, p_j) on the full periodic q-grid,
-even in q and zero on the bed row.  Off-grid evaluation uses trigonometric
-(cosine) interpolation in q and piecewise-linear interpolation in p, never
-straddling a vorticity layer boundary; derivative samples come from the
-grid's per-layer stencils.  AnalyticHeightField provides the same interface
-from closed-form coefficients and is used for synthetic admissible fields.
+even in q and zero on the bed row; h_p comes from the grid's per-layer
+stencils.  Every sampled field is interpolated by one rule, `_blend`:
+cosine in q (`_trig_eval`), linear in p within one p-cell, so never
+straddling a vorticity layer boundary.  AnalyticHeightField provides the
+same evaluator interface from closed-form coefficients and is used for
+synthetic admissible fields.
 """
 
 from __future__ import annotations
@@ -16,17 +17,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .grid import Grid
-
-
-def spectral_dq(h):
-    """Spectral q-derivative along axis 0 of periodic samples (Nq, ...)."""
-    Nq = h.shape[0]
-    k = np.fft.rfftfreq(Nq, d=1.0 / Nq)
-    mult = 1j * k
-    mult[-1] = 0.0  # odd Nyquist derivative is not representable
-    shape = (len(k),) + (1,) * (h.ndim - 1)
-    return np.fft.irfft(np.fft.rfft(h, axis=0) * mult.reshape(shape),
-                        n=Nq, axis=0)
 
 
 def _trig_coeffs(rows, grid):
@@ -104,6 +94,31 @@ def _trig_resample(c, nq, deriv=False):
     return np.fft.irfft(spec, n=nq, axis=0)
 
 
+def _blend(lower, upper, grid, q, p, deriv=False):
+    """The interpolant of sampled fields at q x p, (nq, len(p)): column jc
+    of series `lower` and jc + 1 of `upper` (each (nh+1, Np+1)) at q, blended
+    linearly by p's cell jc and offset t; the run of columns the cells touch
+    is resampled once."""
+    jc, t = grid.p_cell(p)
+    if jc.size == 0:
+        return np.zeros((np.size(q), 0))
+    j0, j1 = jc.min(), jc.max() + 1
+    if upper is lower:                  # columns j0..j1, once
+        cols = _trig_eval(lower[:, j0:j1 + 1], q, deriv)
+        lo, hi = cols[:, :-1], cols[:, 1:]
+    else:                               # lower's j0..j1-1, upper's j0+1..j1
+        lo = _trig_eval(lower[:, j0:j1], q, deriv)
+        hi = _trig_eval(upper[:, j0 + 1:j1 + 1], q, deriv)
+    k = jc - j0
+    return lo[:, k] * (1.0 - t) + hi[:, k] * t
+
+
+def interp_rows(arr, grid: Grid, q_t, p_t):
+    """Node samples arr (Nq, Np+1) of any field at q_t x p_t, by `_blend`."""
+    c = _trig_coeffs(arr, grid)
+    return _blend(c, c, grid, q_t, p_t)
+
+
 class AdmissibilityError(ValueError):
     """A height field that is not an admissible state."""
 
@@ -122,9 +137,13 @@ class HeightField:
             raise ValueError(f"h has shape {self.h.shape}, expected "
                              f"{(self.grid.Nq, self.grid.Np + 1)}")
 
+    def columns(self, q, deriv=False):
+        """h (h_q with `deriv`) at q (nq,) on every node column, (nq, Np+1)."""
+        return _trig_eval(_trig_coeffs(self.h, self.grid), q, deriv)
+
     def h_q(self):
         """Spectral q-derivative at all nodes."""
-        return spectral_dq(self.h)
+        return self.columns(self.grid.q, deriv=True)
 
     def h_p(self, upper=False):
         """Per-layer p-derivative at all nodes.
@@ -169,7 +188,9 @@ class HeightField:
 
 
 class SampledEvaluator:
-    """Tensor-grid evaluation of a sampled field: cosine in q, linear in p."""
+    """Tensor-grid evaluation of a sampled field by `_blend`; h_p blends its
+    upper-sided value at a cell's lower node with its lower-sided value at
+    the upper node, so it stays within one vorticity layer."""
 
     def __init__(self, hf: HeightField):
         self.grid = hf.grid
@@ -180,31 +201,23 @@ class SampledEvaluator:
         self._ahp_lo = _trig_coeffs(hp_lo, g)
         self._ahp_hi = _trig_coeffs(hp_hi, g)
 
-    def _locate(self, p):
+    @staticmethod
+    def _checked(p):
         p = np.asarray(p, dtype=float)
         if np.any(p < -1.0 - 1e-12) or np.any(p > 1e-12):
             raise ValueError("p out of [-1, 0]")
-        return self.grid.p_cell(p)
+        return p
 
     def h_at(self, q, p):
-        jc, t = self._locate(p)
-        lo = _trig_eval(self._ah[:, jc], q)
-        hi = _trig_eval(self._ah[:, jc + 1], q)
-        return lo * (1.0 - t) + hi * t
+        return _blend(self._ah, self._ah, self.grid, q, self._checked(p))
 
     def hq_at(self, q, p):
-        jc, t = self._locate(p)
-        lo = _trig_eval(self._ah[:, jc], q, deriv=True)
-        hi = _trig_eval(self._ah[:, jc + 1], q, deriv=True)
-        return lo * (1.0 - t) + hi * t
+        return _blend(self._ah, self._ah, self.grid, q, self._checked(p),
+                      deriv=True)
 
     def hp_at(self, q, p):
-        # cell-interior value: upper-sided at the cell's lower node, lower-sided
-        # at its upper node, so the interpolation stays within one layer
-        jc, t = self._locate(p)
-        lo = _trig_eval(self._ahp_hi[:, jc], q)
-        hi = _trig_eval(self._ahp_lo[:, jc + 1], q)
-        return lo * (1.0 - t) + hi * t
+        return _blend(self._ahp_hi, self._ahp_lo, self.grid, q,
+                      self._checked(p))
 
 
 class AnalyticHeightField:

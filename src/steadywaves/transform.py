@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_tilde
-from .field import HeightField, _trig_coeffs, _trig_eval
+from .field import HeightField
 from .solver import StagnationError
 
 
@@ -65,9 +65,9 @@ def invert_height(hf: HeightField, params: FlowParameters, x, y, rtol=1e-12):
     """p with y = d [h(x, p) + p]; exact inverse of the interpolated map.
 
     x, y may be scalars or equal-shape arrays.  Each point's bracket is
-    found in its own column y_j = d [h(x, p_j) + p_j], increasing in j, all
-    columns at once; a point outside [-d, eta(x)] raises DomainError, the
-    first such point in C order.
+    found in its own column y_j = d [h(x, p_j) + p_j] from
+    `HeightField.columns`, increasing in j, all columns at once; a point
+    outside [-d, eta(x)] raises DomainError, the first such point in C order.
     """
     g = hf.grid
     d = params.d
@@ -76,9 +76,7 @@ def invert_height(hf: HeightField, params: FlowParameters, x, y, rtol=1e-12):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("x and y must have matching shapes")
-    coeffs = _trig_coeffs(hf.h, g)                    # (nh+1, Np+1)
-    hcols = _trig_eval(coeffs, x.ravel())             # (n, Np+1)
-    ycols = d * (hcols + g.p[None, :])
+    ycols = d * (hf.columns(x.ravel()) + g.p[None, :])   # (n, Np+1)
     yv = y.ravel()
     outside = (yv < ycols[:, 0] - rtol * d) | (yv > ycols[:, -1] + rtol * d)
     if np.any(outside):
@@ -108,19 +106,6 @@ def reconstruct_stream(hf: HeightField, params: FlowParameters):
     psi = np.broadcast_to(params.p0 * hf.grid.p[None, :], hf.h.shape).copy()
     psi_x, psi_y = stream_gradient(hf.h_q(), hp, params)
     return psi, psi_x, psi_y
-
-
-def reconstruct_velocity(hf: HeightField, params: FlowParameters):
-    """(u, v) with u - c = psi_y and v = -psi_x; u < c everywhere."""
-    _, psi_x, psi_y = reconstruct_stream(hf, params)
-    return params.c + psi_y, -psi_x
-
-
-def reconstruct_pressure(hf: HeightField, v: VorticityFunction,
-                         params: FlowParameters):
-    """Bernoulli pressure, P_atm at the surface when (the surface condition
-    holds exactly): P = P_atm + Q/2 - |grad psi|^2/2 - g (y+d) + gamma_tilde."""
-    return reconstruct_fields(hf, v, params).P
 
 
 def reconstruct_fields(hf: HeightField, v: VorticityFunction,

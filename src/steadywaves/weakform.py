@@ -22,8 +22,9 @@ sums over its test function's support window only (`_window`), the nodes
 where the bump can be nonzero.  The public `pair_*` functions and
 `cross_identity` are one-level, one-test-function calls of the same
 integrands on a level narrowed to those nodes, the only ones where they
-evaluate a field.  On a refinement's uniform q-nodes, or a window of them,
-a sampled field is resampled by an exact inverse FFT (`field._trig_eval`).
+evaluate a field.  A sampled field is interpolated by `field._blend`, which
+resamples once each node column its p-nodes touch; on a refinement's
+uniform q-nodes, or a window of them, that is an exact inverse FFT.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
-from .field import HeightField, _q_nodes, _trig_coeffs, _trig_eval
-from .grid import Grid, aligned_node
+from .field import HeightField, _q_nodes, interp_rows
+from .grid import aligned_node
 from .transform import PhysicalFields, bernoulli_F, stream_gradient
 from .solver import _speed_term
 
@@ -210,14 +211,6 @@ def _midpoint_nodes(nq, npp):
     return q, pm, 2.0 * np.pi / nq, 1.0 / npp
 
 
-def interp_rows(arr, grid: Grid, q_t, p_t):
-    """Interpolate node samples (Nq, Np+1): cosine in q, linear in p."""
-    coeffs = _trig_coeffs(arr, grid)
-    rows = _trig_eval(coeffs, np.asarray(q_t, dtype=float))   # (nq_t, Np+1)
-    jc, t = grid.p_cell(p_t)
-    return rows[:, jc] * (1.0 - t) + rows[:, jc + 1] * t
-
-
 # -- pairings -------------------------------------------------------------------
 
 
@@ -374,7 +367,7 @@ class QuadratureLevel:
 
     # a field is evaluated at the level's own nodes; on a narrowed level
     # these are a window of the rule's q-nodes, where resampling a sampled
-    # field stays an exact FFT (`field._trig_eval`)
+    # field stays an exact FFT (`field._blend`)
 
     def _field(self, name, p):
         return getattr(self.ev, name)(self.q, p)

@@ -251,6 +251,20 @@ def test_corrupted_field_rejected(tmp_path, capsys, corrupt, message):
     assert message in capsys.readouterr().err
 
 
+def test_reversed_p_column_rejected(tmp_path, capsys):
+    # the p column is checked node by node, not only q at each row's first p
+    cfg = write_cfg(tmp_path, FLAT_CFG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header, data = read_csv(out / "field.csv")
+    q, p, h = (col.reshape(16, 33) for col in data.T)
+    write_csv(out / "field.csv", header, [q, p[:, ::-1], h])
+    capsys.readouterr()
+    assert main(["transform", "--config", cfg, "--out", str(out / "t"),
+                 "--field", str(out / "field.csv"), "--quiet"]) == 2
+    assert "p-grid mismatch" in capsys.readouterr().err
+
+
 def test_empty_lattice_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FLAT_CFG + "verify.n_q_centers = 0\n")
     assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -270,7 +284,7 @@ def small_two_layer_field(tmp_path_factory):
 @pytest.mark.parametrize("key,value", [
     ("grid.Nq", "7"), ("grid.Np", "4"), ("verify.eps_list", "0.01"),
     ("verify.radii", "0.5, 0.6"), ("solver.max_iter", "-1"),
-    ("verify.levels", "0")])
+    ("verify.levels", "0"), ("verify.levels", "2, 2")])
 def test_invalid_config_exits_2_with_one_error_line(
         tmp_path, capsys, small_two_layer_field, key, value):
     # the grid, the bump support and the config (which also checks the

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from steadywaves import field as fd
+from steadywaves import weakform as wf
 from steadywaves.grid import Grid
 
 
@@ -93,6 +94,56 @@ def test_other_nodes_take_the_dense_sum(q, monkeypatch):
     for deriv in (False, True):
         assert np.array_equal(fd._trig_eval(c, q, deriv),
                               fd._trig_dense(c, q, deriv))
+
+
+# -- the sampled-field interpolant ------------------------------------------------
+
+
+def test_each_node_column_is_resampled_once(monkeypatch):
+    # a verify level asks for 2 Np + 1 trapezoid p-nodes on a 2 Nq q-rule:
+    # each node column a call needs is resampled once per series, however
+    # many p-nodes fall in its cells, with the bits of resampling it per
+    # p-node; a narrowed bump window resamples only its own cells' columns
+    Nq, Np = 16, 32
+    g = Grid(Nq, Np, aligned_jumps=(-0.5,))
+    h = fd.random_admissible_field(np.random.default_rng(6)).sample(g).h
+    h = h + 0.1 * np.cos(g.q)[:, None] * np.maximum(g.p + 0.5, 0.0)
+    ev = fd.HeightField(g, h, Q=1.0).evaluator()
+    assert not np.array_equal(ev._ahp_lo, ev._ahp_hi)     # h_p jumps
+    q, p = fd._q_nodes(2 * Nq), np.linspace(-1.0, 0.0, 2 * Np + 1)
+    jc, t = g.p_cell(p)
+
+    def per_p(lower, upper, deriv=False):
+        return (fd._trig_eval(lower[:, jc], q, deriv) * (1.0 - t)
+                + fd._trig_eval(upper[:, jc + 1], q, deriv) * t)
+
+    want = {"h_at": per_p(ev._ah, ev._ah),
+            "hq_at": per_p(ev._ah, ev._ah, True),
+            "hp_at": per_p(ev._ahp_hi, ev._ahp_lo)}
+    cols = []
+    resample = fd._trig_resample
+
+    def recording(c, nq, deriv=False):
+        cols.append(c.shape[1])
+        return resample(c, nq, deriv)
+
+    monkeypatch.setattr(fd, "_trig_resample", recording)
+    for name, most in (("h_at", Np + 1), ("hq_at", Np + 1),
+                       ("hp_at", 2 * (Np + 1))):
+        cols.clear()
+        assert np.array_equal(getattr(ev, name)(q, p), want[name])
+        assert sum(cols) <= most, (name, cols)
+        assert getattr(ev, name)(q, p[:0]).shape == (2 * Nq, 0)
+
+    tf = wf.bump((np.pi / 2, -0.4), (np.pi / 4, 0.2))
+    pm = wf._midpoint_nodes(2 * Nq, 2 * Np)[1]
+    iq, jm = wf._window(tf, q, pm)
+    cells = g.p_cell(pm[jm])[0]
+    cols.clear()
+    wf.interp_rows(h, g, q[iq], pm[jm])
+    assert cols == [cells.max() - cells.min() + 2]
+    assert cols[0] < Np // 2
+    assert wf.interp_rows(h, g, q[iq], pm[:0]).shape == (q[iq].size, 0)
 
 
 # -- analytic fields --------------------------------------------------------------

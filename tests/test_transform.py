@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from steadywaves.vorticity import FlowParameters, gamma_cap
 from steadywaves import laminar
 from steadywaves.grid import Grid
-from steadywaves.field import (HeightField, random_admissible_field,
-                               spectral_dq, _trig_coeffs, _trig_eval)
+from steadywaves import field as fd
+from steadywaves.field import HeightField, random_admissible_field
 from steadywaves import transform as tr
 from steadywaves.solver import StagnationError
 
@@ -89,7 +89,7 @@ def test_inversion_roundtrip_off_node(seed, Nq, Np, d):
 def _invert_per_point(hf, params, x, y, rtol=1e-12):
     """invert_height one point at a time: the per-point reference."""
     g, d = hf.grid, params.d
-    ycols = d * (_trig_eval(_trig_coeffs(hf.h, g), x.ravel()) + g.p[None, :])
+    ycols = d * (hf.columns(x.ravel()) + g.p[None, :])
     out = np.empty(x.size)
     for n, (yc, yn) in enumerate(zip(ycols, y.ravel())):
         if yn < yc[0] - rtol * d or yn > yc[-1] + rtol * d:
@@ -115,8 +115,7 @@ def test_batched_inversion_is_the_per_point_loop(seed, Nq, Np, d):
     g = Grid(Nq, Np, aligned_jumps=(-0.5,))
     hf = random_admissible_field(rng).sample(g, Q=10.0)
     x = rng.uniform(-np.pi, np.pi, (6, 8))
-    ycols = d * (_trig_eval(_trig_coeffs(hf.h, g), x.ravel())
-                 + g.p[None, :]).reshape(6, 8, -1)
+    ycols = d * (hf.columns(x.ravel()) + g.p[None, :]).reshape(6, 8, -1)
     s = rng.uniform(0.0, 1.0, (6, 8))
     y = ycols[..., 0] + s * (ycols[..., -1] - ycols[..., 0])
     y[0], y[1] = -d, ycols[1, :, -1]
@@ -147,9 +146,9 @@ def test_flat_stream_and_velocity(flat, v_zero):
     assert np.max(np.abs(psi_x)) == 0.0
     assert np.max(np.abs(psi_y - params.p0 / params.d)) == 0.0
     assert np.max(np.abs(psi - params.p0 * hf.grid.p[None, :])) == 0.0
-    u, v = tr.reconstruct_velocity(hf, params)
-    assert np.max(np.abs(u - (params.c + params.p0 / params.d))) == 0.0
-    assert np.max(np.abs(v)) == 0.0
+    fields = tr.reconstruct_fields(hf, v_zero, params)
+    assert np.max(np.abs(fields.u - (params.c + params.p0 / params.d))) == 0.0
+    assert np.max(np.abs(fields.v)) == 0.0
 
 
 def test_stream_boundary_values(laminar_two_layer_field):
@@ -176,24 +175,24 @@ def test_laminar_stream_closed_form(laminar_two_layer_field):
 def test_bed_velocity_condition(laminar_two_layer_field, rng):
     # v = 0 on the bed row for any field (h = 0 there)
     params, v, lf, hf = laminar_two_layer_field
-    _, vel_v = tr.reconstruct_velocity(hf, params)
+    vel_v = tr.reconstruct_fields(hf, v, params).v
     assert np.max(np.abs(vel_v[:, 0])) < 1e-14
     g = Grid(32, 48, aligned_jumps=(-0.5,))
     hf2 = random_admissible_field(rng).sample(g, Q=5.0)
-    _, vel_v2 = tr.reconstruct_velocity(hf2, params)
+    vel_v2 = tr.reconstruct_fields(hf2, v, params).v
     assert np.max(np.abs(vel_v2[:, 0])) < 1e-13
 
 
 def test_flat_pressure_hydrostatic(flat, v_zero):
     params, hf = flat
-    P = tr.reconstruct_pressure(hf, v_zero, params)
+    P = tr.reconstruct_fields(hf, v_zero, params).P
     _, y, _ = tr.physical_map(hf, params)
     assert np.max(np.abs(P - (params.P_atm - params.g * y))) < 1e-13
 
 
 def test_surface_pressure_atmospheric(laminar_two_layer_field):
     params, v, lf, hf = laminar_two_layer_field
-    P = tr.reconstruct_pressure(hf, v, params)
+    P = tr.reconstruct_fields(hf, v, params).P
     # surface condition holds to quadrature accuracy for the oracle profile
     assert np.max(np.abs(P[:, -1] - params.P_atm)) < 1e-10
 
@@ -259,7 +258,8 @@ def test_kinematic_surface_condition_on_wave():
     assert cont.converged
     wave = cont.fields[-1]
     fields = tr.reconstruct_fields(wave, v0, params)
-    eta_x = spectral_dq(fields.eta)
+    eta_x = fd._trig_eval(fd._trig_coeffs(fields.eta[:, None], grid), grid.q,
+                          deriv=True)[:, 0]
     gap = fields.v[:, -1] - (fields.u[:, -1] - params.c) * eta_x
     assert np.max(np.abs(gap)) < 1e-8 * max(1.0, np.max(np.abs(eta_x)))
 
