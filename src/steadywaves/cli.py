@@ -2,7 +2,7 @@
 
 All numeric output uses 17 significant digits so files round-trip doubles
 exactly; JSON keys are sorted and iteration order is fixed, making runs
-byte-identical for identical configs (the manifest's timestamp field is the
+byte-identical for identical configs (the manifests' timestamp field is the
 single exception).  A CSV file holds one "%.17g" row per element of its
 columns broadcast to a common shape, in C order, so `field.csv` is written
 from [q[:, None], p, h]; the bytes are those of a per-row formatter, but
@@ -87,6 +87,8 @@ def write_json(path, obj):
 
 
 def write_manifest(outdir, cfg: RunConfig, command):
+    """Provenance of one subcommand, in its own `manifest.<command>.json`,
+    so subcommands sharing an output directory keep each other's."""
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
@@ -94,7 +96,7 @@ def write_manifest(outdir, cfg: RunConfig, command):
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    write_json(Path(outdir) / "manifest.json", manifest)
+    write_json(Path(outdir) / f"manifest.{command}.json", manifest)
 
 
 def make_grid(cfg: RunConfig) -> Grid:
@@ -167,38 +169,46 @@ def run_solve(cfg: RunConfig, outdir, args):
                                          mode="fixed_Q", Q=cfg.Q,
                                          tol=cfg.tol, max_iter=cfg.max_iter)
         hf, iters, res_inf = result.field, result.iterations, result.residual_inf
+        chain = [[g.Nq, g.Np]]
     else:
         lf = laminar_mod.solve(cfg.vorticity, cfg.params, g.p)
         hf0 = HeightField(g, np.tile(lf.h, (g.Nq, 1)), Q=lf.Q)
         cont = solver_mod.continuation(hf0, cfg.vorticity, cfg.params,
                                        cfg.amplitude_schedule, tol=cfg.tol,
                                        max_iter=cfg.max_iter)
+        chain = cont.grid_chain
         if not cont.converged:
             print(f"error: continuation failed at amplitude "
                   f"{cont.failed_amplitude}: {cont.message}", file=sys.stderr)
             if cont.fields:
                 last = cont.fields[-1]
                 write_field(outdir, last, _solve_summary(
-                    last, cfg, iterations=-1, residual_inf=float("nan")))
+                    last, cfg, -1, _residual_inf(last, cfg), chain))
             write_manifest(outdir, cfg, "solve")
             return 3
         hf = cont.fields[-1]
-        interior, surface = solver_mod.residual(hf, cfg.vorticity, cfg.params)
-        res_inf = max(np.max(np.abs(interior)), np.max(np.abs(surface)))
+        res_inf = _residual_inf(hf, cfg)
         iters = len(cont.fields)
-    write_field(outdir, hf, _solve_summary(hf, cfg, iters, res_inf))
+    write_field(outdir, hf, _solve_summary(hf, cfg, iters, res_inf, chain))
     write_manifest(outdir, cfg, "solve")
     _say(args, f"solve: Q = {hf.Q:.12g}, residual_inf = {res_inf:.3e}")
     return 0
 
 
-def _solve_summary(hf: HeightField, cfg: RunConfig, iterations, residual_inf):
+def _residual_inf(hf: HeightField, cfg: RunConfig):
+    interior, surface = solver_mod.residual(hf, cfg.vorticity, cfg.params)
+    return max(np.max(np.abs(interior)), np.max(np.abs(surface)))
+
+
+def _solve_summary(hf: HeightField, cfg: RunConfig, iterations, residual_inf,
+                   grid_chain):
     return {
         "Q": hf.Q,
         "amplitude": hf.amplitude(cfg.params.d),
         "residual_inf": residual_inf,
         "iterations": iterations,
         "min_one_plus_hp": hf.min_one_plus_hp(),
+        "grid_chain": grid_chain,
     }
 
 

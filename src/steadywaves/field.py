@@ -187,6 +187,28 @@ class HeightField:
         return HeightField(self.grid, self.h.copy(), self.Q)
 
 
+def prolong(hf: HeightField, grid: Grid) -> HeightField:
+    """hf on `grid`, which halves hf's grid spacings in q and in p.
+
+    hf's nodes are copied.  In q the cosine series is resampled exactly
+    (`HeightField.columns`); in p each cell midpoint takes the cubic
+    Hermite value (h0 + h1)/2 + dp (h_p+(p0) - h_p-(p1))/8, from h_p on the
+    cell's own side of each node, so no cell straddles a vorticity jump.
+    """
+    g = hf.grid
+    if (grid.Nq, grid.Np) != (2 * g.Nq, 2 * g.Np):
+        raise ValueError(f"cannot prolong {g.Nq}x{g.Np} to "
+                         f"{grid.Nq}x{grid.Np}")
+    cols = hf.columns(grid.q)
+    cols[::2] = hf.h
+    hp_lo, hp_hi = g.node_dp(cols), g.node_dp(cols, upper=True)
+    h = np.empty((grid.Nq, grid.Np + 1))
+    h[:, ::2] = cols
+    h[:, 1::2] = (0.5 * (cols[:, :-1] + cols[:, 1:])
+                  + g.dp / 8.0 * (hp_hi[:, :-1] - hp_lo[:, 1:]))
+    return HeightField(grid, h, hf.Q)
+
+
 class SampledEvaluator:
     """Tensor-grid evaluation of a sampled field by `_blend`; h_p blends its
     upper-sided value at a cell's lower node with its lower-sided value at

@@ -42,6 +42,13 @@ solved again by SuperLU, the only solve that assembles the Jacobian
 (`HeightSystem.jacobian_matrix`, which reads it off 27 actions, one per
 colour class of unknowns).  The continuation seed cos(q) phi_1(p) and the
 critical gravity come from the k = 1 modal block.
+
+Continuation (nested iteration, or mesh sequencing): the amplitude schedule
+runs on the coarsest grid of a chain of halvings of the requested grid, down
+to a floor of 128x256 cells, and each finer grid takes one Newton solve at
+the final amplitude from the coarser solution prolonged to it
+(`field.prolong`).  Grids up to 128x256 run the schedule directly, and any
+failure in the chain runs it on the requested grid instead.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
-from .grid import Grid, _STENCIL
-from .field import AdmissibilityError, HeightField
+from .grid import Grid, GridError, _STENCIL
+from .field import AdmissibilityError, HeightField, prolong
 from .modal import LaminarModes
 from . import laminar
 
@@ -101,6 +108,9 @@ class ContinuationResult:
     converged: bool
     failed_amplitude: float | None = None
     message: str = ""
+    # [Nq, Np] of each grid the schedule and the finer Newton solves ran on,
+    # coarsest first (see `continuation`)
+    grid_chain: list = dataclasses.field(default_factory=list)
 
 
 def _speed_term(hq, hp, d):
@@ -570,24 +580,47 @@ def critical_gravity(v: VorticityFunction, params: FlowParameters, grid: Grid):
     return params.g - 1.0 / (alpha * sys_.laminar_modes(H).surface_response())
 
 
-def continuation(hf0: HeightField, v: VorticityFunction,
-                 params: FlowParameters, amplitude_schedule, tol=1e-10,
-                 max_iter=50) -> ContinuationResult:
-    """Sequence of fixed_amplitude solves warm-started along the schedule.
+# The coarsest grid of the continuation's chain keeps at least this many
+# cells.  Coarser grids misplace the branch at large amplitude: on a
+# schedule to a = 0.25, Q peaks between 0.24 and 0.25 at 64x128 but still
+# rises at 128x256, so a schedule run on them can fail or turn where the
+# fine grid's does not, and such a chain pays for the fallback as well.  On
+# the benchmark's small amplitudes the floor costs little: at 128x256,
+# chained from 64x128, the continuation took 0.084-0.117 s against
+# 0.124-0.148 s unchained (11 alternating runs, one BLAS thread).
+_CHAIN_MIN_CELLS = 128 * 256
 
-    The laminar modes are built once from the start state and once more at
-    the state the wave seed leaves from, and precondition every solve.  An
-    inadmissible start state raises AdmissibilityError; a warm start that a
-    step pushes past stagnation fails that step.
+# what a failed solve of the continuation raises: it ends the schedule's run
+# there, or sends the chain to the full-grid fallback
+_SOLVE_FAILURES = (ConvergenceError, StagnationError, AdmissibilityError)
+
+
+def _grid_chain(grid: Grid):
+    """The grids of the nested iteration, coarsest first, ending at `grid`.
+
+    (Nq, Np) is halved while the half grid keeps `_CHAIN_MIN_CELLS` cells
+    and can be built: each jump on a node and each layer >= 4 cells.
     """
-    hf0.check_admissible(EPS_STAG_DEFAULT)
-    schedule = [float(a) for a in amplitude_schedule]
+    chain = [grid]
+    while (chain[0].Np % 2 == 0
+           and (chain[0].Nq // 2) * (chain[0].Np // 2) >= _CHAIN_MIN_CELLS):
+        try:
+            chain.insert(0, Grid(chain[0].Nq // 2, chain[0].Np // 2,
+                                 aligned_jumps=grid.aligned_jumps))
+        except GridError:
+            break
+    return chain
+
+
+def _follow(hf0: HeightField, v, params, schedule, tol, max_iter):
+    """The amplitude schedule on hf0's grid: the continuation's one loop."""
     fields, amps = [], []
     prev = hf0
     prev_prev = None
+    chain = [[hf0.grid.Nq, hf0.grid.Np]]
     sys_ = HeightSystem(hf0.grid, v, params)
     modes = sys_.laminar_modes(sys_.reduce(hf0))
-    for k, a in enumerate(schedule):
+    for a in schedule:
         warm = prev.copy()
         if a != 0.0:
             a_prev = amps[-1] if amps else 0.0
@@ -604,12 +637,62 @@ def continuation(hf0: HeightField, v: VorticityFunction,
             res = newton_solve(warm, v, params, mode="fixed_amplitude",
                                amplitude=a, tol=tol, max_iter=max_iter,
                                modes=modes)
-        except (ConvergenceError, StagnationError, AdmissibilityError) as exc:
+        except _SOLVE_FAILURES as exc:
             return ContinuationResult(fields=fields, amplitudes=amps,
                                       converged=False, failed_amplitude=a,
-                                      message=str(exc))
+                                      message=str(exc), grid_chain=chain)
         prev_prev = prev
         prev = res.field
         fields.append(res.field)
         amps.append(a)
-    return ContinuationResult(fields=fields, amplitudes=amps, converged=True)
+    return ContinuationResult(fields=fields, amplitudes=amps, converged=True,
+                              grid_chain=chain)
+
+
+def continuation(hf0: HeightField, v: VorticityFunction,
+                 params: FlowParameters, amplitude_schedule, tol=1e-10,
+                 max_iter=50) -> ContinuationResult:
+    """Sequence of fixed_amplitude solves warm-started along the schedule.
+
+    Nested iteration (mesh sequencing, Knoll & Keyes 2004): the schedule
+    runs on the coarsest grid of `_grid_chain(hf0.grid)`, started from hf0
+    injected onto it (every other node per halving).  Each finer grid then
+    takes one `newton_solve` at the final amplitude, started from the
+    coarser solution by `field.prolong`.  The chain stops at the floor of
+    `_CHAIN_MIN_CELLS` = 128x256 cells, because coarser grids misplace the
+    branch at large amplitude, so a grid up to 128x256 is its own chain
+    and runs the schedule directly.  Any failure in the chain (a coarse
+    step, an inadmissible prolonged state, a finer Newton solve) runs the
+    schedule on hf0's grid instead, and its result, converged or partial,
+    is returned as it is.
+
+    `fields[-1]` is on hf0's grid; `fields[:-1]` are on the coarsest grid of
+    `grid_chain`, the [Nq, Np] of each grid run, coarsest first.  In each
+    run of the schedule the laminar modes are built once from the start
+    state and once more at the state the wave seed leaves from, and
+    precondition every solve.  An inadmissible start state raises
+    AdmissibilityError; a warm start that a step pushes past stagnation
+    fails that step.
+    """
+    hf0.check_admissible(EPS_STAG_DEFAULT)
+    schedule = [float(a) for a in amplitude_schedule]
+    chain = _grid_chain(hf0.grid)
+    if len(chain) > 1 and schedule:
+        s = hf0.grid.Np // chain[0].Np
+        coarse = HeightField(chain[0], hf0.h[::s, ::s], hf0.Q)
+        res = _follow(coarse, v, params, schedule, tol, max_iter)
+        if res.converged:
+            hf = res.fields[-1]
+            try:
+                for g in chain[1:]:
+                    hf = newton_solve(prolong(hf, g), v, params,
+                                      mode="fixed_amplitude",
+                                      amplitude=schedule[-1], tol=tol,
+                                      max_iter=max_iter).field
+            except _SOLVE_FAILURES:
+                pass
+            else:
+                return ContinuationResult(
+                    fields=res.fields[:-1] + [hf], amplitudes=res.amplitudes,
+                    converged=True, grid_chain=[[g.Nq, g.Np] for g in chain])
+    return _follow(hf0, v, params, schedule, tol, max_iter)

@@ -294,7 +294,7 @@ verify.pairing_tol = 5e-3
         for p in sorted(out.rglob("*")):
             if p.is_file():
                 body = p.read_bytes()
-                if p.name == "manifest.json":
+                if p.name.startswith("manifest."):
                     data = json.loads(body)
                     data.pop("timestamp")
                     body = json.dumps(data, sort_keys=True).encode()

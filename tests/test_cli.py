@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import steadywaves
-from steadywaves.cli import main, read_csv, write_csv, write_field
+from steadywaves.cli import main, read_csv, read_field, write_csv, write_field
+from steadywaves.config import load_config
 from steadywaves import laminar
 from steadywaves import transform as tr
 from steadywaves import weakform as wf
 from steadywaves.field import HeightField
 from steadywaves.grid import Grid
+from steadywaves.solver import residual
 from steadywaves.vorticity import FlowParameters, two_layer
 
 
@@ -231,6 +233,12 @@ def test_stale_field_file_rejected(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err
 
 
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (lambda g, h: h + np.where(np.arange(g.Np + 1) == 0, 1e-3, 0.0),
      "bed row"),
@@ -244,6 +252,8 @@ def test_corrupted_field_rejected(tmp_path, capsys, corrupt, message):
     _, data = read_csv(out / "field.csv")
     g = Grid(16, 32)
     h = corrupt(g, data[:, 2].reshape(g.Nq, g.Np + 1))
+    # the solve's summary is strict JSON: no NaN or Infinity
+    _strict_json(out / "field.json")
     write_field(out, HeightField(g, h, Q=20.6), {"Q": 20.6})
     capsys.readouterr()
     assert main(["transform", "--config", cfg, "--out", str(out / "t"),
@@ -314,6 +324,33 @@ def test_solve_nonconvergent_amplitude_exit_code(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     assert (out / "field.csv").exists()  # last good field is still written
+    # its summary is strict JSON and reports the written field's residual
+    summary = _strict_json(out / "field.json")
+    assert summary["iterations"] == -1
+    hf = read_field(out / "field.csv", load_config(cfg))
+    interior, surface = residual(hf, two_layer(3.0), FlowParameters(
+        d=1.0, g=9.8, c=1.0, p0=-1.0))
+    assert summary["residual_inf"] == max(np.max(np.abs(interior)),
+                                          np.max(np.abs(surface)))
+    assert summary["residual_inf"] <= 1e-11
+    assert summary["grid_chain"] == [[16, 64]]
+
+
+def test_each_subcommand_keeps_its_manifest(tmp_path):
+    # subcommands sharing one output directory each write their own
+    # manifest, so transform does not overwrite solve's provenance
+    cfg = write_cfg(tmp_path, FLAT_CFG)
+    out = tmp_path / "run"
+    for argv in (["laminar"], ["solve"],
+                 ["transform", "--field", str(out / "field.csv")]):
+        assert main(argv + ["--config", cfg, "--out", str(out),
+                            "--quiet"]) == 0
+    manifests = sorted(p.name for p in out.glob("manifest*"))
+    assert manifests == ["manifest.laminar.json", "manifest.solve.json",
+                         "manifest.transform.json"]
+    for name in manifests:
+        assert json.loads((out / name).read_text())["command"] == \
+            name.split(".")[1]
 
 
 def test_failed_continuation_reports_on_stderr(tmp_path, capsys):
@@ -345,7 +382,7 @@ def test_determinism(tmp_path):
             if p.is_file():
                 rel = p.relative_to(base)
                 body = p.read_bytes()
-                if p.name == "manifest.json":
+                if p.name.startswith("manifest."):
                     data = json.loads(body)
                     data.pop("timestamp")  # the single volatile field
                     body = json.dumps(data, sort_keys=True).encode()

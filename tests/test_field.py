@@ -242,3 +242,29 @@ def test_sampled_analytic_field_has_an_exact_bed_row(v_two_layer, params):
     hf.check_admissible(1e-10)
     with pytest.raises(ConvergenceError, match="no convergence after 0"):
         newton_solve(hf, v_two_layer, params, mode="fixed_Q", max_iter=0)
+
+
+def _kinked(q, p):
+    """cos(q) f(p), f smooth on each side of p = -1/2 with a jump in f_p
+    there (2 cos 1 below, 3 above) and f(-1) = 0."""
+    f = np.where(p <= -0.5, np.sin(2.0 * (p + 1.0)),
+                 np.sin(1.0) + 3.0 * np.expm1(p + 0.5))
+    return np.cos(q)[:, None] * f
+
+
+def test_prolongation_is_fourth_order_across_a_jump():
+    errs = []
+    for Np in (32, 64, 128):
+        g = Grid(16, Np, aligned_jumps=(-0.5,))
+        fine = Grid(32, 2 * Np, aligned_jumps=(-0.5,))
+        hf = fd.HeightField(g, _kinked(g.q, g.p), Q=1.5)
+        out = fd.prolong(hf, fine)
+        # hf's nodes are injected back bit for bit, the bed row stays 0
+        assert np.array_equal(out.h[::2, ::2], hf.h) and out.Q == 1.5
+        assert np.all(out.h[:, 0] == 0.0)
+        errs.append(np.max(np.abs(out.h - _kinked(fine.q, fine.p))))
+    # the cell midpoints' cubic Hermite error falls as dp^4
+    for coarse, finer in zip(errs, errs[1:]):
+        assert 12.0 <= coarse / finer <= 20.0
+    with pytest.raises(ValueError, match="cannot prolong"):
+        fd.prolong(hf, Grid(32, Np, aligned_jumps=(-0.5,)))

@@ -590,6 +590,149 @@ def test_continuation_failure_reports_partial(v_two_layer, params):
     assert len(cont.fields) == 1
 
 
+# -- nested iteration ---------------------------------------------------------
+
+CHAIN_SCHEDULE = [0.0, 2.5e-4, 5e-4, 1e-3]
+
+
+def _laminar_start(v, params, Nq, Np):
+    g = Grid(Nq, Np, aligned_jumps=v.breakpoints)
+    lf = laminar.solve(v, params, g.p)
+    return HeightField(g, np.tile(lf.h, (Nq, 1)), Q=lf.Q)
+
+
+def _same_result(a, b):
+    """Two ContinuationResults agree bit for bit."""
+    assert (a.amplitudes, a.converged, a.failed_amplitude, a.message,
+            a.grid_chain) == (b.amplitudes, b.converged, b.failed_amplitude,
+                              b.message, b.grid_chain)
+    assert len(a.fields) == len(b.fields)
+    for fa, fb in zip(a.fields, b.fields):
+        assert fa.grid == fb.grid and fa.Q == fb.Q
+        assert np.array_equal(fa.h, fb.h)
+
+
+@pytest.fixture()
+def small_floor(monkeypatch):
+    # a 32 x 64 run chains through 16 x 32, and no further
+    monkeypatch.setattr(solver, "_CHAIN_MIN_CELLS", 16 * 32)
+
+
+@pytest.mark.parametrize("Nq,Np,jumps,chain", [
+    (1024, 2048, (-0.5,),
+     [(128, 256), (256, 512), (512, 1024), (1024, 2048)]),
+    (256, 512, (), [(128, 256), (256, 512)]),
+    (128, 256, (-0.5,), [(128, 256)]),          # at the floor
+    (512, 1025, (), [(512, 1025)]),             # odd Np: no half grid
+    (256, 512, (-1 + 5 / 512,), [(256, 512)]),  # the jump is off the half grid
+    (256, 512, (-1 + 6 / 512,), [(256, 512)]),  # a 3-cell layer on it
+])
+def test_grid_chain_halves_down_to_the_floor(Nq, Np, jumps, chain):
+    grids = solver._grid_chain(Grid(Nq, Np, aligned_jumps=jumps))
+    assert [(g.Nq, g.Np) for g in grids] == chain
+    assert all(g.aligned_jumps == grids[-1].aligned_jumps for g in grids)
+
+
+def test_continuation_chains_through_the_half_grid(v_two_layer,
+                                                   params_critical,
+                                                   small_floor):
+    hf0 = _laminar_start(v_two_layer, params_critical, 32, 64)
+    chained = continuation(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE)
+    assert chained.converged
+    assert chained.grid_chain == [[16, 32], [32, 64]]
+    assert chained.amplitudes == CHAIN_SCHEDULE
+    assert [f.grid.Nq for f in chained.fields] == [16, 16, 16, 32]
+    wave = chained.fields[-1]
+    assert wave.grid is hf0.grid
+    assert wave.amplitude(params_critical.d) == pytest.approx(1e-3, abs=1e-10)
+    interior, surface = residual(wave, v_two_layer, params_critical)
+    assert max(np.max(np.abs(interior)), np.max(np.abs(surface))) <= 1e-10
+    # against the schedule on the full grid
+    full = solver._follow(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE,
+                          1e-10, 50)
+    assert abs(wave.Q - full.fields[-1].Q) <= 1e-11
+    assert np.max(np.abs(wave.h - full.fields[-1].h)) <= 1e-11
+
+
+def test_continuation_at_the_floor_runs_the_schedule_directly(
+        v_two_layer, params_critical, small_floor, monkeypatch):
+    # the half of 16 x 32 is below the floor: no coarser grid is built and
+    # nothing is prolonged, so the result is the full-grid schedule's
+    hf0 = _laminar_start(v_two_layer, params_critical, 16, 32)
+    full = solver._follow(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE,
+                          1e-10, 50)
+    monkeypatch.setattr(solver, "Grid", None)
+    monkeypatch.setattr(solver, "prolong", None)
+    cont = continuation(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE)
+    assert cont.grid_chain == [[16, 32]]
+    _same_result(cont, full)
+
+
+def _failing_newton(Nq):
+    """newton_solve, except that its first call on a grid of Nq q-nodes
+    raises ConvergenceError."""
+    newton, failed = solver.newton_solve, []
+
+    def solve(initial, *args, **kwargs):
+        if initial.grid.Nq == Nq and not failed:
+            failed.append(initial)
+            raise ConvergenceError("injected")
+        return newton(initial, *args, **kwargs)
+    return solve
+
+
+@pytest.mark.parametrize("defect", ["coarse step", "fine Newton",
+                                    "inadmissible prolongation"])
+def test_a_failed_chain_falls_back_to_the_full_grid(v_two_layer,
+                                                    params_critical,
+                                                    small_floor, monkeypatch,
+                                                    defect):
+    hf0 = _laminar_start(v_two_layer, params_critical, 32, 64)
+    full = solver._follow(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE,
+                          1e-10, 50)
+    assert full.converged and full.grid_chain == [[32, 64]]
+    if defect == "coarse step":
+        monkeypatch.setattr(solver, "newton_solve", _failing_newton(16))
+    elif defect == "fine Newton":
+        monkeypatch.setattr(solver, "newton_solve", _failing_newton(32))
+    else:       # 1 + h_p < 0 above the bed
+        prolong = solver.prolong
+        monkeypatch.setattr(solver, "prolong", lambda hf, g: HeightField(
+            g, prolong(hf, g).h - 1.5 * (1.0 + g.p), hf.Q))
+    cont = continuation(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE)
+    _same_result(cont, full)
+
+
+def test_a_failed_fallback_is_returned_unchanged(v_two_layer, params,
+                                                 small_floor):
+    # far from critical data the step to 0.3 fails on both grids: the
+    # partial result and its message are the full grid's
+    hf0 = _laminar_start(v_two_layer, params, 32, 64)
+    full = solver._follow(hf0, v_two_layer, params, [0.0, 0.3], 1e-10, 8)
+    assert not full.converged and full.failed_amplitude == 0.3
+    cont = continuation(hf0, v_two_layer, params, [0.0, 0.3], max_iter=8)
+    _same_result(cont, full)
+
+
+def test_continuation_at_256x512_takes_one_fine_newton_solve(
+        v_two_layer, params_critical, monkeypatch):
+    newton, fine = solver.newton_solve, []
+
+    def solve(initial, *args, **kwargs):
+        res = newton(initial, *args, **kwargs)
+        if initial.grid.Nq == 256:
+            fine.append(res)
+        return res
+    monkeypatch.setattr(solver, "newton_solve", solve)
+    hf0 = _laminar_start(v_two_layer, params_critical, 256, 512)
+    cont = continuation(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE)
+    assert cont.converged
+    assert cont.grid_chain == [[128, 256], [256, 512]]
+    assert len(fine) == 1
+    assert fine[0].iterations <= 2 and fine[0].fallbacks == 0
+    assert fine[0].field is cont.fields[-1]
+
+
 def test_solved_laminar_hp_jump_at_aligned_node(v_two_layer, params):
     # h_p jumps across the aligned interface and is smooth within each layer:
     # second p-differences of h are O(1)-discontinuous only at the jump node
