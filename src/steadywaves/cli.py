@@ -9,7 +9,8 @@ from [q[:, None], p, h]; the bytes are those of a per-row formatter, but
 each distinct row of each column is formatted only once.
 
 Exit codes: 0 success, 2 validation error, 3 non-convergence (also no
-laminar flow for the vorticity), 4 verification-threshold failure.
+laminar flow for the vorticity, or an exactly singular laminar modal
+block), 4 verification-threshold failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import __version__
 from .config import RunConfig, load_config, ConfigError
 from .grid import Grid, GridError
 from .field import AdmissibilityError, HeightField
+from .modal import SingularModeError
 from . import laminar as laminar_mod
 from . import solver as solver_mod
 from . import transform as transform_mod
@@ -401,7 +403,7 @@ def main(argv=None):
             print(f"residual history (last {min(6, len(history))}): {tail}",
                   file=sys.stderr)
         return 3
-    except laminar_mod.LaminarError as exc:
+    except (laminar_mod.LaminarError, SingularModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

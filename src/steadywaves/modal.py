@@ -13,19 +13,28 @@ therefore splits into the nh + 1 independent banded p-blocks
 
     M_k = A0 + 2 cos(k pi / nh) A1,   k = 0 .. nh,
 
-one per cosine mode cos(k q).  All of them are factorized in one banded LU
-of their block-diagonal matrix; in the natural ordering it fills nothing
-outside the band.  The k = 1 block is the discrete form of the
-Sturm-Liouville dispersion operator of the linearized wave: it is nearly
-singular at critical data, and its near-null vector is the wave mode.
+one per cosine mode cos(k q).  All of them are factorized in one LAPACK
+band LU (`dgbtrf`, partial pivoting) of their block-diagonal matrix, held
+in band storage with kl sub- and ku superdiagonals read off A0 and A1 (4
+each for the grid's 4th-order p-stencils), and solved by `dgbtrs`.  The
+entries between two blocks are exact zeros, so a pivot search never
+reaches past its block and every multiplier across a block boundary is an
+exact zero: the factorization is the per-mode LU of each M_k.  The k = 1
+block is the discrete form of the Sturm-Liouville dispersion operator of
+the linearized wave: it is nearly singular at critical data, and its
+near-null vector is the wave mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.fft import dct
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+
+class SingularModeError(np.linalg.LinAlgError):
+    """A modal block M_k has an exactly zero pivot."""
 
 
 class LaminarModes:
@@ -35,19 +44,44 @@ class LaminarModes:
     the solver's (r, j) layout, rows and unknowns alike: columns
     j = 1 .. Np, rows the interior residuals j < Np and then the surface
     row.  Vectors in that layout, flattened, have index r*Np + (j-1).
+
+    `lu` and `piv` are `dgbtrf`'s factors of the block diagonal
+    diag(M_0 .. M_nh) in LAPACK band storage: 2 kl + ku + 1 rows, entry
+    (i, j) of the matrix in row kl + ku + i - j of column j, the top kl
+    rows room for the fill of the row interchanges.  Raises
+    `SingularModeError` if a block is exactly singular.
     """
 
     def __init__(self, A0, A1, nh, Np):
         self.nh, self.Np = nh, Np
         self.A0, self.A1 = sp.csr_matrix(A0), sp.csr_matrix(A1)
         self.eig_L = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)
-        blocks = (sp.kron(sp.identity(nh + 1), self.A0)
-                  + sp.kron(sp.diags(self.eig_L), self.A1))
-        self.lu = spla.splu(blocks.tocsc(), permc_spec="NATURAL")
+        both = (abs(self.A0) + abs(self.A1)).tocoo()
+        self.kl = kl = int(np.max(both.row - both.col, initial=0))
+        self.ku = ku = int(np.max(both.col - both.row, initial=0))
+        # Fortran order, which dgbtrf takes without a copy; viewed as
+        # [band row, column within a block, mode k], each diagonal of every
+        # block is one strided slice, filled in place
+        band = np.zeros((2 * kl + ku + 1, (nh + 1) * Np), order="F")
+        blocks = band.reshape(band.shape[0], Np, nh + 1, order="F")
+        for o in range(-kl, ku + 1):
+            diag = blocks[kl + ku - o, max(o, 0):Np + min(o, 0)]
+            np.multiply.outer(self.A1.diagonal(o), self.eig_L, out=diag)
+            diag += self.A0.diagonal(o)[:, None]
+        self.lu, self.piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
+            k, j = divmod(info - 1, Np)
+            raise SingularModeError(
+                f"laminar modal block k = {k} (the cos({k} q) mode) is "
+                f"singular: zero pivot in p-row j = {j + 1} of {Np}")
 
     def solve_modal(self, bhat):
         """Solve M_k xhat_k = bhat_k for every mode; bhat (nh+1, Np)."""
-        return self.lu.solve(np.ravel(bhat)).reshape(self.nh + 1, self.Np)
+        b = np.ravel(bhat)
+        # dgbtrs solves in place, unless b is bhat's own memory
+        x, _ = dgbtrs(self.lu, self.kl, self.ku, b, self.piv,
+                      overwrite_b=not np.may_share_memory(b, bhat))
+        return x.reshape(self.nh + 1, self.Np)
 
     def solve(self, b):
         """J^{-1} b, b and x in the (r, j) layout.
@@ -56,8 +90,9 @@ class LaminarModes:
         contiguous; its floats are those of the transform along axis 0.
         """
         bhat = dct(b.reshape(self.nh + 1, self.Np).T, type=1, axis=1).T
-        x = dct(self.solve_modal(bhat).T, type=1, axis=1).T / (2 * self.nh)
-        return x.ravel()
+        x = dct(self.solve_modal(bhat).T, type=1, axis=1)
+        x /= 2 * self.nh
+        return x.T.ravel()
 
     def neutral_mode(self):
         """Eigenvector of M_1 of smallest |eigenvalue|, surface value 1.

@@ -36,12 +36,12 @@ is applied as its action (`HeightSystem.linearize`), never assembled, and a
 closure borders it with its Q column and scalar row.  The preconditioner is
 the mean-zero bordered laminar inverse: the exact inverse of the fixed-Q
 Jacobian at the q-mean of a reference state (`modal.LaminarModes`, a DCT-I
-in q and one banded LU of the p-blocks), bordered with the Q column and the
-mean-zero row.  A step whose true linear residual misses its tolerance is
-solved again by SuperLU, the only solve that assembles the Jacobian
-(`HeightSystem.jacobian_matrix`, which reads it off 27 actions, one per
-colour class of unknowns).  The continuation seed cos(q) phi_1(p) and the
-critical gravity come from the k = 1 modal block.
+in q and one LAPACK band LU of the p-blocks), bordered with the Q column
+and the mean-zero row.  A step whose true linear residual misses its
+tolerance is solved again by SuperLU, the only sparse LU and the only solve
+that assembles the Jacobian (`HeightSystem.jacobian_matrix`, which reads it
+off 27 actions, one per colour class of unknowns).  The continuation seed
+cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
 
 Continuation (nested iteration, or mesh sequencing): the amplitude schedule
 runs on the coarsest grid of a chain of halvings of the requested grid, down
@@ -113,14 +113,19 @@ class ContinuationResult:
     grid_chain: list = dataclasses.field(default_factory=list)
 
 
-def _speed_term(hq, hp, d):
-    """K = -(1 + d^2 h_q^2) / (2 d^2 (1 + h_p)^2) and (dK/dh_q, dK/dh_p).
+def _speed(hq, u2, d):
+    """K = -(1 + d^2 h_q^2) / (2 d^2 u2), u2 = (1 + h_p)^2.
 
     K is the kinetic part of both the vertical flux A and the surface row.
     """
+    return -(1.0 + d * d * hq ** 2) / (2 * d * d * u2)
+
+
+def _speed_term(hq, hp, d):
+    """K (`_speed`) and its partials (dK/dh_q, dK/dh_p)."""
     u = 1.0 + hp
     u2 = u ** 2
-    K = -(1.0 + d * d * hq ** 2) / (2 * d * d * u2)
+    K = _speed(hq, u2, d)
     return K, -hq / u2, -2.0 * K / u
 
 

@@ -39,7 +39,7 @@ from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
 from .field import HeightField, _q_nodes, interp_rows
 from .grid import aligned_node
 from .transform import PhysicalFields, bernoulli_F, stream_gradient
-from .solver import _speed_term
+from .solver import _speed
 
 
 class SupportError(ValueError):
@@ -345,10 +345,10 @@ class QuadratureLevel:
         """(A, B) of the height integrand A phi~_p + B phi~_q, trapezoid nodes."""
         d = self.params.d
         hq = self._field("hq_at", self.p)
-        hp = self._field("hp_at", self.p)
-        K, _, _ = _speed_term(hq, hp, d)
-        A = K + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d)
-        return A, hq / (1.0 + hp)
+        u = 1.0 + self._field("hp_at", self.p)
+        A = (_speed(hq, u ** 2, d)
+             + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d))
+        return A, hq / u
 
     @cached_property
     def _gamma_tilde(self):
@@ -470,7 +470,7 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
 
     Both sides are computed from the same h-derivatives on the surface row:
       lhs = -2 p0^2 K + 2 g d (1 + h),   K = -(1 + d^2 h_q^2)/(2 d^2 (1+h_p)^2)
-      (the speed term of the solver's surface row, `solver._speed_term`),
+      (the speed term of the solver's surface row, `solver._speed`),
       rhs = |grad psi|^2 + 2 g (y + d).
     Their gap is pure round-off for any admissible field; |lhs - Q| is the
     surface-condition residual.
@@ -489,7 +489,7 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
     h = ev.h_at(q, p0v)[:, 0]
     hq = ev.hq_at(q, p0v)[:, 0]
     hp = ev.hp_at(q, p0v)[:, 0]
-    K, _, _ = _speed_term(hq, hp, d)
+    K = _speed(hq, (1.0 + hp) ** 2, d)
     lhs = -2 * p0 ** 2 * K + 2 * g * d * (1.0 + h)
     psi_x, psi_y = stream_gradient(hq, hp, params)
     y = d * h

@@ -13,6 +13,7 @@ import steadywaves
 from steadywaves.cli import main, read_csv, read_field, write_csv, write_field
 from steadywaves.config import load_config
 from steadywaves import laminar
+from steadywaves import modal
 from steadywaves import transform as tr
 from steadywaves import weakform as wf
 from steadywaves.field import HeightField
@@ -115,6 +116,23 @@ def test_laminar_failures_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 3
     assert "stalled" in capsys.readouterr().err
+
+
+def test_singular_modal_block_exits_3(tmp_path, monkeypatch, capsys):
+    # a zero pivot in p-row 3 of the k = 1 block of the 16x64 grid
+    factor = modal.dgbtrf
+
+    def singular(*args, **kwargs):
+        lu, piv, _ = factor(*args, **kwargs)
+        return lu, piv, 64 + 3
+
+    monkeypatch.setattr(modal, "dgbtrf", singular)
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: laminar modal block k = 1 (the cos(1 q) mode) is "
+                   "singular: zero pivot in p-row j = 3 of 64"]
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_optimize():

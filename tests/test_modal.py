@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dct
 
 from conftest import G_CRITICAL_TWO_LAYER, THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import laminar
 from steadywaves import solver
+from steadywaves.modal import LaminarModes, SingularModeError
 from steadywaves.field import HeightField, random_admissible_field
 from steadywaves.grid import Grid
 from steadywaves.solver import HeightSystem
@@ -63,6 +67,65 @@ def test_modal_blocks_match_jacobian_blocks(v, par, Nq, Np, rng):
     A1 = K[Np:2 * Np, 2 * Np:3 * Np]
     assert abs(modes.A0 - A0).max() <= 1e-14 * scale
     assert abs(modes.A1 - A1).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("v,par,Nq,Np", [
+    (two_layer(3.0), FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0), 16, 32),
+    (THREE_PIECE, THREE_PIECE_PARAMS, 16, 96),
+])
+def test_solve_modal_matches_dense_block_solves(v, par, Nq, Np, rng):
+    # the band LU's solution of every mode against a dense LU of the same
+    # M_k, by backward error, on the 4 sub- and 4 superdiagonals of the
+    # 4th-order p-stencils read off A0 and A1
+    g = Grid(Nq, Np, aligned_jumps=v.breakpoints)
+    sys_ = HeightSystem(g, v, par)
+    H = sys_.reduce(random_admissible_field(rng).sample(g, Q=8.0))
+    modes = sys_.laminar_modes(H)
+    assert (modes.kl, modes.ku) == (4, 4)
+    assert modes.lu.shape == (2 * 4 + 4 + 1, (sys_.nh + 1) * Np)
+    bhat = rng.standard_normal((sys_.nh + 1, Np))
+    x = modes.solve_modal(bhat)
+    for k in range(sys_.nh + 1):
+        M_k = (modes.A0 + modes.eig_L[k] * modes.A1).toarray()
+        want = np.linalg.solve(M_k, bhat[k])
+        scale = np.linalg.norm(M_k, 2)
+        for y in (x[k], want):
+            backward = (np.linalg.norm(M_k @ y - bhat[k])
+                        / (scale * np.linalg.norm(y)))
+            assert backward <= 1e-12
+        assert (np.linalg.norm(x[k] - want)
+                <= 1e-12 * np.linalg.cond(M_k) * np.linalg.norm(want))
+
+
+def test_singular_modal_block_is_named():
+    # diagonal p-blocks with only M_1 = A0 + eig_L[1] A1 exactly singular,
+    # in its p-row 3; every other M_k has the nonzero eig_L[k] - eig_L[1]
+    # there
+    nh, Np = 8, 5
+    eig_1 = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)[1]
+    A0 = sp.diags([3.0, 3.0, -eig_1, 3.0, 3.0])
+    with pytest.raises(SingularModeError,
+                       match=r"block k = 1 .* p-row j = 3 of 5") as exc:
+        LaminarModes(A0, sp.identity(Np), nh, Np)
+    assert isinstance(exc.value, np.linalg.LinAlgError)
+    A0 = sp.diags([3.0, 3.0, -eig_1 + 0.5, 3.0, 3.0])
+    LaminarModes(A0, sp.identity(Np), nh, Np)
+
+
+def test_laminar_modes_peak_memory_is_the_band_storage(v_two_layer,
+                                                       params_critical):
+    # the band is filled in place by diagonals and factorized in place:
+    # no Kronecker product, no sparse LU workspace
+    hf = laminar_state(v_two_layer, params_critical, 128, 256)
+    sys_ = HeightSystem(hf.grid, v_two_layer, params_critical)
+    H = sys_.reduce(hf)
+    tracemalloc.start()
+    try:
+        modes = sys_.laminar_modes(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * modes.lu.nbytes
 
 
 def test_laminar_modes_assemble_no_jacobian(v_two_layer, params, monkeypatch):
@@ -234,11 +297,16 @@ def test_newton_krylov_continuation_matches_superlu(v_two_layer,
 def test_continuation_assembles_no_jacobian(v_two_layer, params_critical,
                                            monkeypatch):
     # the benchmark's schedule: every Newton step applies the Jacobian
-    # through `linearize`; only a SuperLU fallback would assemble it
+    # through `linearize` and the modal inverse factorizes by LAPACK's band
+    # LU; only a SuperLU fallback would assemble the Jacobian or call splu,
+    # and nothing builds a Kronecker product
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Newton step assembled the Jacobian")
+        raise AssertionError("a Newton step assembled the Jacobian, "
+                             "called SuperLU or built a Kronecker product")
 
     monkeypatch.setattr(HeightSystem, "jacobian_matrix", forbidden)
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(sp, "kron", forbidden)
     hf0 = laminar_state(v_two_layer, params_critical, 64, 128)
     _, steps = _continuation_steps(monkeypatch, v_two_layer, params_critical,
                                    hf0, [0.0, 2.5e-4, 5e-4, 1e-3])
