@@ -94,6 +94,14 @@ class LaminarModes:
         x /= 2 * self.nh
         return x.T.ravel()
 
+    def _solve_k1(self, b):
+        """M_1^{-1} b, b (Np,): the k = 1 block's own columns of the band LU
+        are its LU, since no pivot leaves a block (shifted to its rows)."""
+        Np = self.Np
+        x, _ = dgbtrs(self.lu[:, Np:2 * Np], self.kl, self.ku, b,
+                      self.piv[Np:2 * Np] - Np)
+        return x
+
     def neutral_mode(self):
         """Eigenvector of M_1 of smallest |eigenvalue|, surface value 1.
 
@@ -101,12 +109,10 @@ class LaminarModes:
         data the contraction per step is the ratio of the two smallest
         eigenvalues, so a few steps reach round-off.
         """
-        bhat = np.zeros((self.nh + 1, self.Np))
         phi = np.zeros(self.Np)
         phi[-1] = 1.0
         for _ in range(8):
-            bhat[1] = phi / np.linalg.norm(phi)
-            nxt = self.solve_modal(bhat)[1]
+            nxt = self._solve_k1(phi / np.linalg.norm(phi))
             nxt /= nxt[-1]
             if np.max(np.abs(nxt - phi)) <= 1e-15 * np.max(np.abs(nxt)):
                 return nxt
@@ -115,6 +121,4 @@ class LaminarModes:
 
     def surface_response(self):
         """(M_1^{-1} e_s)_s: the k = 1 block's surface-to-surface inverse."""
-        bhat = np.zeros((self.nh + 1, self.Np))
-        bhat[1, -1] = 1.0
-        return float(self.solve_modal(bhat)[1, -1])
+        return float(self._solve_k1(np.eye(1, self.Np, self.Np - 1)[0])[-1])

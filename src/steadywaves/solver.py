@@ -40,8 +40,11 @@ in q and one LAPACK band LU of the p-blocks), bordered with the Q column
 and the mean-zero row.  A step whose true linear residual misses its
 tolerance is solved again by SuperLU, the only sparse LU and the only solve
 that assembles the Jacobian (`HeightSystem.jacobian_matrix`, which reads it
-off 27 actions, one per colour class of unknowns).  The continuation seed
-cos(q) phi_1(p) and the critical gravity come from the k = 1 modal block.
+off 27 actions, one per colour class of unknowns).  The modal p-blocks are
+read off 27 such actions at the q-mean, on a strip of three q-columns, so
+the Jacobian's partials are written once, in `_pointwise`.  The
+continuation seed cos(q) phi_1(p) and the critical gravity come from the
+k = 1 modal block.
 
 Continuation (nested iteration, or mesh sequencing): the amplitude schedule
 runs on the coarsest grid of a chain of halvings of the requested grid, down
@@ -77,11 +80,9 @@ class StagnationError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Newton failed; carries the residual history and solver statistics."""
 
-    def __init__(self, message, history=None, last_field=None,
-                 krylov_iters=None, fallbacks=0):
+    def __init__(self, message, history=None, krylov_iters=None, fallbacks=0):
         super().__init__(message)
         self.history = list(history or [])
-        self.last_field = last_field
         self.krylov_iters = list(krylov_iters or [])
         self.fallbacks = fallbacks
 
@@ -147,7 +148,7 @@ class HeightSystem:
         # every column
         self.A_gamma = gamma_cap(v, params, grid.p_half) / (2 * d ** 2)
         # the surface row's derivative in h(q, 0)
-        self.g_top = np.full(nh + 1, -params.g * d / p0 ** 2)
+        self.g_top = -params.g * d / p0 ** 2
         self.mw = grid.mean_weights_reduced()
         # weights w of the closure row w . h(q, 0) - a: the surface mean, or
         # the crest-minus-trough half height d (h(0, 0) - h(pi, 0)) / 2
@@ -200,30 +201,15 @@ class HeightSystem:
     def laminar_modes(self, H):
         """Modal inverse of the fixed-Q Jacobian at the q-mean of H.
 
-        At a q-invariant state h_q = 0, so B = 0 and K_hq = 0, and the
-        p-blocks of the Jacobian are products of the grid's 1-D
-        p-operators: A0 holds the vertical flux, the diagonal of the
-        horizontal flux and the surface row; A1 is the horizontal flux's
-        neighbour coupling 1/(m dq^2).
+        The p-blocks are read off the action `linearize` at the q-mean,
+        probed on a strip of three reduced q-columns (`_probed`): at a
+        q-invariant state the Jacobian is I (x) A0 + L (x) A1 (`modal`),
+        so the strip's column 0 reaches row 0 through A0 and row 1 through
+        A1, and nothing of the full grid is probed.
         """
-        g, d, p0 = self.grid, self.params.d, self.params.p0
-        eye = sp.identity(g.Np + 1, format="csr")
-        inner, top = eye[1:-1], eye[-1:]
-        h = self.mw @ H
-        hp = g.Dp_node @ h
-        _, _, K_hp = _speed_term(0.0, g.Dp_half @ h, d)
-        _, _, Kt_hp = _speed_term(0.0, hp[-1], d)
-        m = 1.0 + hp[1:-1]
-        edge = sp.diags(1.0 / (m * g.dq ** 2)) @ inner
-        surface = (Kt_hp * top @ g.Dp_node
-                   - (self.params.g * d / p0 ** 2) * top)
-        div = sp.diags([-1.0 / g.dp, 1.0 / g.dp], [0, 1],
-                       shape=(g.Np - 1, g.Np))
-        A0 = sp.vstack((div @ sp.diags(K_hp) @ g.Dp_half - 2.0 * edge,
-                        surface), format="csr")[:, 1:]
-        A1 = sp.vstack((edge, sp.csr_matrix((1, g.Np + 1))),
-                       format="csr")[:, 1:]
-        return LaminarModes(A0, A1, self.nh, g.Np)
+        Np = self.grid.Np
+        J = self._probed(np.tile(self.mw @ H, (3, 1)))
+        return LaminarModes(J[:Np, :Np], J[Np:2 * Np, :Np], self.nh, Np)
 
     def locate(self, r):
         """Where the largest |entry| of a `residual_vector` sits, as text.
@@ -279,36 +265,11 @@ class HeightSystem:
         """Sparse Jacobian: rows as in `residual_vector`, columns the unknowns.
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
-        meanzero/amplitude closures (border `borders[mode]`).  The fixed-Q
-        block is read off its action `linearize`, probed once per colour
-        class of unknowns (Curtis, Powell & Reid 1974): row (r', j') reaches
-        only the columns r' +- 1 and j' +- (_STENCIL - 1), so each class
-        (r mod 3, j mod m), m = 2 (_STENCIL - 1) + 1, meets a row in at most
-        one column, found by index arithmetic.  Newton assembles the
-        Jacobian only for a SuperLU fallback.
+        meanzero/amplitude closures (border `borders[mode]`); the fixed-Q
+        block is `_probed`.  Newton assembles the Jacobian only for a
+        SuperLU fallback.
         """
-        n, Np, reach = self.n_h, self.grid.Np, _STENCIL - 1
-        m = 2 * reach + 1
-        jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
-        r, j = np.divmod(np.arange(n), Np)      # unknown (r, j + 1)
-        probes, vals = np.empty((3 * m, n)), np.empty((n, 3 * m))
-        for k in range(3 * m):
-            probes[k] = jac(((r % 3 == k // m) & (j % m == k % m)) * 1.0)
-        # column (r + dr, j + dj) of row (r, j) is in class ((r + dr) mod 3,
-        # (j + dj) mod m); decoded one offset at a time, ascending in column
-        dr, dj = (x.ravel() for x in np.mgrid[-1:2, -reach:reach + 1])
-        for k in range(3 * m):
-            rc, jc = r + dr[k], j + dj[k]
-            vals[:, k] = np.where(
-                (rc >= 0) & (rc <= self.nh) & (jc >= 0) & (jc < Np),
-                probes[(rc % 3) * m + jc % m, np.arange(n)], 0.0)
-        del probes
-        keep = vals != 0.0
-        cols = np.arange(n, dtype=np.int32)[:, None] + np.int32(dr * Np + dj)
-        J = sp.csr_matrix((vals[keep], cols[keep],
-                           np.append(0, np.cumsum(keep.sum(axis=1)))),
-                          shape=(n, n))
-        del vals, cols
+        J = self._probed(H)
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -316,19 +277,51 @@ class HeightSystem:
         return sp.vstack((sp.hstack((J, sp.csr_matrix(c[:, None]))),
                           sp.csr_matrix(np.append(ell, 0.0))), format="csr")
 
+    def _probed(self, H):
+        """The fixed-Q Jacobian at H, any number of reduced q-columns.
+
+        Read off its action `linearize`, probed once per colour class of
+        unknowns (Curtis, Powell & Reid 1974): row (r', j') reaches only
+        the columns r' +- 1 and j' +- (_STENCIL - 1), so each class
+        (r mod 3, j mod m), m = 2 (_STENCIL - 1) + 1, meets a row in at most
+        one column, found by index arithmetic.
+        """
+        rows, Np, reach = H.shape[0], self.grid.Np, _STENCIL - 1
+        n, m = rows * Np, 2 * reach + 1
+        jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
+        r, j = np.arange(rows)[:, None], np.arange(Np)  # unknown (r, j + 1)
+        probes, vals = np.empty((3, m, rows, Np)), np.empty((rows, Np, 3 * m))
+        for a, b in np.ndindex(3, m):
+            probes[a, b].flat = jac(((r % 3 == a) & (j % m == b)) * 1.0)
+        # column (r + dr, j + dj) of row (r, j) is in class ((r + dr) mod 3,
+        # (j + dj) mod m); decoded one offset at a time, ascending in column
+        dr, dj = (x.ravel() for x in np.mgrid[-1:2, -reach:reach + 1])
+        for k in range(3 * m):
+            rc, jc = r + dr[k], j + dj[k]
+            vals[..., k] = np.where(
+                (rc >= 0) & (rc < rows) & (jc >= 0) & (jc < Np),
+                probes[rc % 3, jc % m, r, j], 0.0)
+        del probes
+        vals = vals.reshape(n, 3 * m)
+        keep = vals != 0.0
+        cols = np.arange(n, dtype=np.int32)[:, None] + np.int32(dr * Np + dj)
+        return sp.csr_matrix((vals[keep], cols[keep],
+                              np.append(0, np.cumsum(keep.sum(axis=1)))),
+                             shape=(n, n))
+
     def linearize(self, terms):
         """The fixed-Q Jacobian's action u -> J u at the state whose terms
         `residual_parts` returned.
 
         `jacobian_matrix(H, Q, "fixed_Q")` is this action, probed; here
         the terms are applied to u through the grid's operators, and
-        nothing is assembled.
+        nothing is assembled.  The number of q-columns is u's.
         """
-        o, shape = self.ops, (self.nh + 1, self.grid.Np + 1)
+        o, Np = self.ops, self.grid.Np
 
         def jac(u):
-            x = np.zeros(shape)
-            x[:, 1:] = u.reshape(shape[0], -1)
+            x = np.zeros((u.size // Np, Np + 1))
+            x[:, 1:] = u.reshape(len(x), Np)
             s = o.sample(x)
             A, B, top = (sum(f * s[R] for f, R in t) for t in terms)
             del s, x        # fewer temporaries live at once
@@ -459,8 +452,10 @@ def _bordered(modes, c, w):
     return solve
 
 
-def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
-                 modes=None):
+def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, modes,
+                 public_mode):
+    """Damped Newton-Krylov on the closure `mode` of `sys_.closures`; the
+    result records `public_mode`, the mode `newton_solve` was given."""
     H, Q = H0.copy(), float(Q0)
     history, krylov = [], []
     guards = fallbacks = 0
@@ -473,7 +468,7 @@ def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter,
         if rn <= tol and sys_.admissible(H):
             return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
                                 residual_inf=rn, history=history,
-                                stagnation_hits=guards, mode=mode,
+                                stagnation_hits=guards, mode=public_mode,
                                 krylov_iters=krylov, fallbacks=fallbacks)
         if it == max_iter:
             break
@@ -545,9 +540,7 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         imode = "meanzero" if a == 0.0 else "amplitude"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    res = _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, modes)
-    res.mode = mode
-    return res
+    return _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, modes, mode)
 
 
 def wave_seed(hf: HeightField, v: VorticityFunction, params: FlowParameters,

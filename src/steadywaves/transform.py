@@ -19,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vorticity import VorticityFunction, FlowParameters, gamma_tilde
+from .vorticity import (DomainError, VorticityFunction, FlowParameters,
+                        gamma_tilde)
 from .field import HeightField
 from .solver import StagnationError
-
-
-class DomainError(ValueError):
-    """Point outside the fluid domain."""
 
 
 @dataclass

@@ -20,7 +20,8 @@ from numpy.polynomial import polynomial as npoly
 
 
 class DomainError(ValueError):
-    """Evaluation point outside [-1, 0]."""
+    """A point outside the function's domain: p outside [-1, 0], or a point
+    outside the fluid domain (`transform.invert_height`)."""
 
 
 def _as_scalar_or_array(p):

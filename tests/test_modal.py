@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dct
@@ -13,7 +14,7 @@ from steadywaves.modal import LaminarModes, SingularModeError
 from steadywaves.field import HeightField, random_admissible_field
 from steadywaves.grid import Grid
 from steadywaves.solver import HeightSystem
-from steadywaves.vorticity import FlowParameters, two_layer
+from steadywaves.vorticity import FlowParameters, VorticityFunction, two_layer
 
 
 def laminar_state(v, params, Nq, Np):
@@ -129,14 +130,95 @@ def test_laminar_modes_peak_memory_is_the_band_storage(v_two_layer,
 
 
 def test_laminar_modes_assemble_no_jacobian(v_two_layer, params, monkeypatch):
+    # A0 and A1 are read off the Newton action on a strip of q-columns:
+    # every state whose terms `linearize` takes, and every vector it is
+    # applied to, has at most 3 of the grid's nh + 1 = 9 columns, and the
+    # Jacobian is never assembled
     hf = laminar_state(v_two_layer, params, 16, 32)
     sys_ = HeightSystem(hf.grid, v_two_layer, params)
+    Np, rows = hf.grid.Np, []
+    pointwise, linearize = HeightSystem._pointwise, HeightSystem.linearize
+
+    def recording_pointwise(self, s):
+        rows.append(len(s["h"]))
+        return pointwise(self, s)
+
+    def recording_linearize(self, terms):
+        jac = linearize(self, terms)
+        return lambda u: rows.append(u.size // Np) or jac(u)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("laminar_modes assembled the Jacobian")
 
+    monkeypatch.setattr(HeightSystem, "_pointwise", recording_pointwise)
+    monkeypatch.setattr(HeightSystem, "linearize", recording_linearize)
     monkeypatch.setattr(HeightSystem, "jacobian_matrix", forbidden)
     sys_.laminar_modes(sys_.reduce(hf))
+    assert len(rows) > 1 and max(rows) <= 3 < sys_.nh + 1
+
+
+@st.composite
+def _layered_flows(draw, Np=32):
+    """1-3 vorticity layers of >= 4 p-cells and random strengths, with
+    random flow parameters."""
+    layers = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.integers(4, Np - 4), min_size=layers - 1,
+                         max_size=layers - 1, unique=True).map(sorted).filter(
+        lambda c: all(b - a >= 4 for a, b in zip([0, *c], [*c, Np]))))
+    edges = [-1.0, *(c / Np - 1.0 for c in cuts), 0.0]
+    strengths = draw(st.lists(st.floats(-5.0, 5.0), min_size=layers,
+                              max_size=layers))
+    v = VorticityFunction(pieces=tuple(
+        (lo, hi, (s,)) for lo, hi, s in zip(edges[:-1], edges[1:], strengths)))
+    par = FlowParameters(d=draw(st.floats(0.5, 2.0)),
+                         g=draw(st.floats(0.5, 10.0)), c=1.0,
+                         p0=draw(st.floats(-2.0, -0.5)))
+    return v, par
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow=_layered_flows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_modal_inverse_at_random_q_invariant_states(flow, seed):
+    # at the q-mean of a random admissible state (itself admissible: h_p
+    # averages over q), the modal inverse leaves the residual of a
+    # backward-stable solve, ||J x - b|| <= 1e-12 ||J|| ||x||
+    v, par = flow
+    g = Grid(16, 32, aligned_jumps=v.breakpoints)
+    sys_ = HeightSystem(g, v, par)
+    rng = np.random.default_rng(seed)
+    H = sys_.reduce(random_admissible_field(rng, max_hp=0.5).sample(g))
+    Hbar = np.tile(sys_.mw @ H, (sys_.nh + 1, 1))
+    jac = sys_.linearize(sys_.residual_parts(Hbar, 0.0)[2])
+    scale = abs(sys_.jacobian_matrix(Hbar, 0.0, "fixed_Q")).sum(axis=1).max()
+    b = rng.standard_normal(sys_.n_h)
+    x = sys_.laminar_modes(H).solve(b)
+    assert (np.max(np.abs(jac(x) - b))
+            <= 1e-12 * scale * np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("v,par,Nq,Np", [
+    (two_layer(3.0), FlowParameters(d=1.0, g=G_CRITICAL_TWO_LAYER, c=1.0,
+                                    p0=-1.0), 128, 256),
+    (THREE_PIECE, THREE_PIECE_PARAMS, 16, 96),
+])
+def test_k1_solves_match_the_all_mode_solve(v, par, Nq, Np, rng, monkeypatch):
+    # the k = 1 block's own slice of the band LU gives the floats of block 1
+    # of the all-mode solve, in the neutral mode and the surface response
+    g = Grid(Nq, Np, aligned_jumps=v.breakpoints)
+    sys_ = HeightSystem(g, v, par)
+    modes = sys_.laminar_modes(
+        sys_.reduce(random_admissible_field(rng).sample(g, Q=8.0)))
+
+    def all_modes(b):
+        bhat = np.zeros((modes.nh + 1, Np))
+        bhat[1] = b
+        return modes.solve_modal(bhat)[1]
+    b = rng.standard_normal(Np)
+    assert np.array_equal(modes._solve_k1(b), all_modes(b))
+    got = modes.neutral_mode(), modes.surface_response()
+    monkeypatch.setattr(modes, "_solve_k1", all_modes)
+    assert np.array_equal(modes.neutral_mode(), got[0])
+    assert modes.surface_response() == got[1]
 
 
 def test_modal_inverse_is_exact_at_laminar_state(v_two_layer, params):

@@ -280,6 +280,7 @@ def test_newton_laminar_two_layer(v_two_layer, params):
     assert abs(res.Q - lf.Q) < 1e-6
     assert abs(res.field.surface_mean()) < 1e-12
     assert np.max(np.abs(res.field.h[:, 0])) == 0.0
+    assert res.mode == "fixed_amplitude"
 
 
 def test_newton_fixed_Q_laminar(v_two_layer, params):
@@ -325,7 +326,13 @@ def test_newton_reuses_the_accepted_residual(v_two_layer, params,
 
 def test_newton_evaluates_each_state_once(v_two_layer, params, monkeypatch):
     # `linearize` takes the terms of the accepted residual, so a fixed-Q
-    # solve forms the fluxes and their partials once per residual
+    # solve forms the fluxes and their partials once per residual; the
+    # modes are built beforehand, since `laminar_modes` probes its own strip
+    g = Grid(16, 32, aligned_jumps=(-0.5,))
+    lf = laminar.solve(v_two_layer, params, g.p)
+    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
+    sys_ = HeightSystem(g, v_two_layer, params)
+    modes = sys_.laminar_modes(sys_.reduce(hf0))
     calls = {"residual_parts": 0, "_pointwise": 0}
     for name in calls:
         method = getattr(HeightSystem, name)
@@ -334,10 +341,8 @@ def test_newton_evaluates_each_state_once(v_two_layer, params, monkeypatch):
             calls[_name] += 1
             return _method(self, *a, **k)
         monkeypatch.setattr(HeightSystem, name, counting)
-    g = Grid(16, 32, aligned_jumps=(-0.5,))
-    lf = laminar.solve(v_two_layer, params, g.p)
-    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
-    res = newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-12)
+    res = newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-12,
+                       modes=modes)
     assert res.iterations >= 2 and res.fallbacks == 0
     assert calls["_pointwise"] == calls["residual_parts"] == res.iterations + 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steadywaves.vorticity import FlowParameters, gamma_cap
+from steadywaves.vorticity import DomainError, FlowParameters, gamma_cap
 from steadywaves import laminar
 from steadywaves.grid import Grid
 from steadywaves import field as fd
@@ -54,6 +54,10 @@ def test_inversion_out_of_range(flat):
         tr.invert_height(hf, params, 0.0, 0.5)
     with pytest.raises(tr.DomainError):
         tr.invert_height(hf, params, 0.0, -1.5)
+    # one DomainError for every point outside a domain: p or (x, y)
+    assert tr.DomainError is DomainError
+    with pytest.raises(DomainError):
+        tr.invert_height(hf, params, 0.0, 0.5)
 
 
 def test_roundtrip_random_field(v_two_layer, rng):
