@@ -125,7 +125,7 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     if data.shape[0] != n_expected:
         raise SchemaError(f"{path}: {data.shape[0]} rows, grid needs "
                           f"{n_expected}; stale field file?")
-    h = data[:, 2].reshape(g.Nq, g.Np + 1)
+    h = data[:, 2].reshape(g.Nq, g.Np + 1).copy()   # a view keeps q, p alive
     nodes = np.broadcast_arrays(g.q[:, None], g.p)
     for name, col, want in zip("qp", data[:, :2].T, nodes):
         if np.max(np.abs(col.reshape(want.shape) - want)) > 1e-12:
@@ -268,6 +268,7 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
                 lhs, rhs, gap = vals["cross"]
                 cross.append({"center": list(tf.center), "lhs": lhs,
                               "rhs": rhs, "gap": gap})
+    del level, ev       # their resampled series, before the mollifier's
 
     reports = []
     rows = []  # flat CSV rows: formulation, q0, pc, level, value, normalizer

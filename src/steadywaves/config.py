@@ -105,16 +105,14 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {ln}: vorticity.piece needs "
                                   "p_lo, p_hi and at least one coefficient")
             pieces.append((nums[0], nums[1], tuple(nums[2:])))
-        elif key in _SCALAR_KEYS:
+        elif key in _SCALAR_KEYS or key in _LIST_KEYS:
             if key in values:
                 raise ConfigError(f"line {ln}: duplicate key {key}")
             try:
-                values[key] = _SCALAR_KEYS[key](val)
-            except ValueError:
-                raise ConfigError(f"line {ln}: cannot parse {key} from {val!r}")
-        elif key in _LIST_KEYS:
-            try:
-                values[key] = [_LIST_KEYS[key](x) for x in val.split(",")]
+                if key in _SCALAR_KEYS:
+                    values[key] = _SCALAR_KEYS[key](val)
+                else:
+                    values[key] = [_LIST_KEYS[key](x) for x in val.split(",")]
             except ValueError:
                 raise ConfigError(f"line {ln}: cannot parse {key} from {val!r}")
         else:

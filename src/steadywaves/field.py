@@ -95,22 +95,29 @@ def _trig_resample(c, nq, deriv=False):
 
 
 def _blend(lower, upper, grid, q, p, deriv=False):
-    """The interpolant of sampled fields at q x p, (nq, len(p)): column jc
-    of series `lower` and jc + 1 of `upper` (each (nh+1, Np+1)) at q, blended
-    linearly by p's cell jc and offset t; the run of columns the cells touch
-    is resampled once."""
+    """The interpolant of sampled fields at q x p, (nq, len(p)): the run of
+    node columns that p's cells touch, of series `lower` and of `upper`
+    (each (nh+1, Np+1)), is resampled once at q (`_trig_eval`), then
+    blended in p (`_blend_cells`)."""
     jc, t = grid.p_cell(p)
     if jc.size == 0:
         return np.zeros((np.size(q), 0))
-    j0, j1 = jc.min(), jc.max() + 1
-    if upper is lower:                  # columns j0..j1, once
-        cols = _trig_eval(lower[:, j0:j1 + 1], q, deriv)
-        lo, hi = cols[:, :-1], cols[:, 1:]
-    else:                               # lower's j0..j1-1, upper's j0+1..j1
-        lo = _trig_eval(lower[:, j0:j1], q, deriv)
-        hi = _trig_eval(upper[:, j0 + 1:j1 + 1], q, deriv)
-    k = jc - j0
-    return lo[:, k] * (1.0 - t) + hi[:, k] * t
+    run = slice(jc.min(), jc.max() + 2)
+    return _blend_cells(*_resample_run(lower, upper, q, deriv, run),
+                        jc - run.start, t)
+
+
+def _resample_run(lower, upper, q, deriv=False, run=slice(None)):
+    """(lo, hi): node columns `run` of series lower and upper at q, each
+    resampled once (once in all when upper is lower)."""
+    lo = _trig_eval(lower[:, run], q, deriv)
+    return lo, lo if upper is lower else _trig_eval(upper[:, run], q, deriv)
+
+
+def _blend_cells(lo, hi, jc, t):
+    """Node columns blended linearly in p: in cell jc at offset t, lo's
+    column jc (the cell's lower node) and hi's column jc + 1 (its upper)."""
+    return lo[:, jc] * (1.0 - t) + hi[:, jc + 1] * t
 
 
 def interp_rows(arr, grid: Grid, q_t, p_t):
@@ -230,16 +237,25 @@ class SampledEvaluator:
             raise ValueError("p out of [-1, 0]")
         return p
 
+    def series(self, name):
+        """(lower, upper, deriv): the series that `name` ("h_at", "hq_at" or
+        "hp_at") blends, and whether it takes their q-derivative."""
+        if name == "hp_at":
+            return self._ahp_hi, self._ahp_lo, False
+        return self._ah, self._ah, name == "hq_at"
+
+    def _at(self, name, q, p):
+        lower, upper, deriv = self.series(name)
+        return _blend(lower, upper, self.grid, q, self._checked(p), deriv)
+
     def h_at(self, q, p):
-        return _blend(self._ah, self._ah, self.grid, q, self._checked(p))
+        return self._at("h_at", q, p)
 
     def hq_at(self, q, p):
-        return _blend(self._ah, self._ah, self.grid, q, self._checked(p),
-                      deriv=True)
+        return self._at("hq_at", q, p)
 
     def hp_at(self, q, p):
-        return _blend(self._ahp_hi, self._ahp_lo, self.grid, q,
-                      self._checked(p))
+        return self._at("hp_at", q, p)
 
 
 class AnalyticHeightField:

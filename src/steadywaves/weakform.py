@@ -15,28 +15,29 @@ second-order quadratures, so the change-of-variables identity
 holds with a gap that vanishes under refinement for any admissible field,
 solution or not.
 
-A `QuadratureLevel` holds every field-only array of the pairings at one
-(nq, npp) rule and pairs any number of test functions against them, so a
-field is resampled once per level, not once per pairing.  Every pairing
-sums over its test function's support window only (`_window`), the nodes
-where the bump can be nonzero.  The public `pair_*` functions and
-`cross_identity` are one-level, one-test-function calls of the same
-integrands on a level narrowed to those nodes, the only ones where they
-evaluate a field.  A sampled field is interpolated by `field._blend`, which
-resamples once each node column its p-nodes touch; on a refinement's
-uniform q-nodes, or a window of them, that is an exact inverse FFT.
+A `QuadratureLevel` pairs any number of test functions at one (nq, npp)
+rule.  It keeps one resampling of each sampled series at the rule's
+q-nodes (`field._resample_run`), so a field is resampled once per level,
+not once per pairing; each test function's arrays are blended in p from
+those rows (`field._blend_cells`) on its support window (`_window`), the
+nodes where the bump can be nonzero, and dropped once it is paired.  An
+evaluator with no node columns (an analytic field) is evaluated on the
+window's nodes.  The public `pair_*` functions and `cross_identity` are
+one-level, one-test-function calls of the same routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
-from .field import HeightField, _q_nodes, interp_rows
+from .field import (HeightField, SampledEvaluator, _blend_cells, _q_nodes,
+                    _resample_run, _trig_coeffs)
+# callers also reach the sampled-field interpolant as weakform.interp_rows
+from .field import interp_rows  # noqa: F401
 from .grid import aligned_node
 from .transform import PhysicalFields, bernoulli_F, stream_gradient
 from .solver import _speed
@@ -189,12 +190,6 @@ def _window(tf: TestFunction, q, p):
     return tuple(win)
 
 
-def _cut(arrays, win):
-    """The window's nodes of each full-level array."""
-    iq, jp = win
-    return [a[iq, jp] for a in arrays]
-
-
 def _height_nodes(nq, npp):
     q = _q_nodes(nq)
     p = np.linspace(-1.0, 0.0, npp + 1)
@@ -231,8 +226,8 @@ def pair_height(field_like, v: VorticityFunction, params: FlowParameters,
                 tf: TestFunction, nq=None, npp=None):
     """I_h: the weak height-form pairing over R, trapezoid quadrature."""
     nq, npp = _default_quadrature(field_like, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
-    return level._narrow(tf).pair_height(tf)
+    return QuadratureLevel(params, nq, npp, v,
+                           field_like=field_like).pair_height(tf)
 
 
 def pair_stream(fields: PhysicalFields, v: VorticityFunction,
@@ -244,7 +239,7 @@ def pair_stream(fields: PhysicalFields, v: VorticityFunction,
     Jacobian d (1 + h_p) = p0 / psi_y taken from the reconstructed fields.
     """
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi.tf)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)
     win, _, px, py = level.test_function(phi)
     return level.pair_stream(win, px, py)
 
@@ -254,7 +249,7 @@ def pair_euler(fields: PhysicalFields, params: FlowParameters,
                v: VorticityFunction | None = None):
     """(R1, R2, R3): weak Euler pairings (momentum-x, momentum-y, mass)."""
     nq, npp = _default_quadrature(fields, nq, npp)
-    level = QuadratureLevel(params, nq, npp, v, fields=fields)._narrow(phi.tf)
+    level = QuadratureLevel(params, nq, npp, v, fields=fields)
     return level.pair_euler(*level.test_function(phi))
 
 
@@ -270,10 +265,11 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
     without a second evaluation.
     """
     ev = _Reusing(_as_evaluator(field_like))
-    level = QuadratureLevel(params, nq, npp, v, field_like=ev)._narrow(tf)
-    phi = PushforwardTestFunction(tf, ev, params)
-    win, _, px, py = level.test_function(phi)
-    return level.cross_identity(level.pair_height(tf), win, px, py)
+    level = QuadratureLevel(params, nq, npp, v, field_like=ev)
+    win, _, px, py = level.test_function(PushforwardTestFunction(tf, ev,
+                                                                 params))
+    return level.cross_identity(level.pair_height(tf), win, px, py,
+                                level.h_stream(win))
 
 
 class _Reusing:
@@ -305,15 +301,19 @@ EULER_NAMES = ("euler_R1", "euler_R2", "euler_R3")
 
 
 class QuadratureLevel:
-    """Every field-only array of the pairings at one (nq, npp) rule.
+    """The pairings of test functions at one (nq, npp) rule.
 
     `field_like` (a HeightField or an evaluator) feeds the height side, the
     pushforward gradient and the stream side of the cross identity;
     `fields` (the reconstructed PhysicalFields) feeds the stream and Euler
-    pairings.  Each group of arrays is resampled on first use and kept, so
-    pairing many test functions at one level costs one resampling of each
-    field; what remains per test function is its gradient and the weighted
-    sums over its support window, sliced out of the level's arrays.
+    pairings.  Each sampled series (the field's h_q and one-sided h_p, the
+    reconstructed psi_x, psi_y, u, v and P) is resampled on first use at
+    the rule's q-nodes on every node column, (nq, Np+1), and kept: pairing
+    many test functions costs one resampling of each.  A test function's
+    arrays (A and B, the psi coefficients, the Euler fluxes, the Jacobian)
+    are blended in p from the rows of its support window and dropped once
+    it is paired.  An evaluator with no node columns is evaluated on the
+    window's nodes.
     """
 
     def __init__(self, params: FlowParameters, nq, npp,
@@ -327,128 +327,108 @@ class QuadratureLevel:
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
         _, self.pm, _, self.wpm = _midpoint_nodes(nq, npp)
+        self._columns = {}
 
-    def _narrow(self, tf: TestFunction):
-        """Keep only the nodes of tf's support window, before any field is
-        resampled, so that a level pairing tf alone evaluates every field
-        at the window's nodes only.  Returns self."""
-        iq, jp = _window(tf, self.q, self.p)
-        _, jm = _window(tf, self.q, self.pm)
-        self.q = self.q[iq]
-        self.p, self.wp, self.pm = self.p[jp], self.wp[jp], self.pm[jm]
-        return self
+    # -- the field at a window's nodes -----------------------------------------
 
-    # -- field-only arrays ----------------------------------------------------
+    def _node_columns(self, name):
+        """(lo, hi, grid): sampled series `name` at every q-node of the
+        rule on every node column of its grid, resampled on first use and
+        kept; `name` is an evaluator method ("hq_at", "hp_at") or a
+        reconstructed field ("psi_x", ...)."""
+        if name not in self._columns:
+            if name.endswith("_at"):
+                grid = self.ev.grid
+                lower, upper, deriv = self.ev.series(name)
+            else:
+                grid = self.fields.grid
+                lower = upper = _trig_coeffs(getattr(self.fields, name), grid)
+                deriv = False
+            self._columns[name] = (*_resample_run(lower, upper, self.q, deriv),
+                                   grid)
+        return self._columns[name]
 
-    @cached_property
-    def _height(self):
-        """(A, B) of the height integrand A phi~_p + B phi~_q, trapezoid nodes."""
-        d = self.params.d
-        hq = self._field("hq_at", self.p)
-        u = 1.0 + self._field("hp_at", self.p)
-        A = (_speed(hq, u ** 2, d)
-             + gamma_cap(self.v, self.params, self.p)[None, :] / (2 * d * d))
-        return A, hq / u
+    def _at(self, name, iq, p):
+        """Series `name` at q-nodes iq x p, blended from its node columns;
+        an evaluator with none is evaluated there."""
+        if name.endswith("_at") and not isinstance(self.ev, SampledEvaluator):
+            return getattr(self.ev, name)(self.q[iq], p)
+        lo, hi, grid = self._node_columns(name)
+        rows = lo[iq]
+        return _blend_cells(rows, rows if hi is lo else hi[iq],
+                            *grid.p_cell(p))
 
-    @cached_property
-    def _gamma_tilde(self):
-        return gamma_tilde(self.v, self.params, self.pm)[None, :]
+    def _fields_at(self, win, *names):
+        iq, jm = win
+        return [self._at(name, iq, self.pm[jm]) for name in names]
 
-    @cached_property
-    def _h_stream(self):
-        """(psi_x, psi_y) from the field's h-derivatives at the midpoints."""
-        return stream_gradient(self._field("hq_at", self.pm),
-                               self._field("hp_at", self.pm), self.params)
-
-    @cached_property
-    def _h_coeffs(self):
-        """The stream integrand's field factors from `_h_stream`."""
-        return _stream_coeffs(*self._h_stream, self.params)
-
-    # a field is evaluated at the level's own nodes; on a narrowed level
-    # these are a window of the rule's q-nodes, where resampling a sampled
-    # field stays an exact FFT (`field._blend`)
-
-    def _field(self, name, p):
-        return getattr(self.ev, name)(self.q, p)
-
-    def _resample(self, arr):
-        return interp_rows(arr, self.fields.grid, self.q, self.pm)
-
-    @cached_property
-    def _stream(self):
-        """Reconstructed psi_x psi_y, (psi_x^2 - psi_y^2)/2 and the Jacobian."""
-        psi_x = self._resample(self.fields.psi_x)
-        psi_y = self._resample(self.fields.psi_y)
-        return _stream_coeffs(psi_x, psi_y, self.params)
-
-    @cached_property
-    def _euler(self):
-        """The flux coefficients of R1, R2 and R3 and the Jacobian."""
-        u = self._resample(self.fields.u)
-        vv = self._resample(self.fields.v)
-        P = self._resample(self.fields.P)
-        c = self.params.c
-        return (u * u - c * u + P, u * vv, u * vv - c * vv, vv * vv + P,
-                u, vv, self._stream[2])
+    def h_stream(self, win):
+        """(psi_x, psi_y) from the field's h-derivatives at the midpoints
+        of a window."""
+        return stream_gradient(*self._fields_at(win, "hq_at", "hp_at"),
+                               self.params)
 
     # -- pairings -------------------------------------------------------------
 
     def test_function(self, phi: PushforwardTestFunction):
         """(window, value, phi_x, phi_y) of phi at the midpoints of its
         support window, its gradient from phi's own field."""
-        win = iq, jp = _window(phi.tf, self.q, self.pm)
-        # on a narrowed level, the nodes `_h_stream` evaluates the field at
-        q, pm = self.q[iq], self.pm[jp]
+        win = iq, jm = _window(phi.tf, self.q, self.pm)
+        q, pm = self.q[iq], self.pm[jm]
         return (win, phi.tf.value(q, pm), *phi.grad_xy_at_qp(q, pm))
 
-    def pushforward(self, tf: TestFunction):
-        """(window, value, phi_x, phi_y) of the pushforward of tf at the
-        midpoints of its support window."""
-        win = iq, jp = _window(tf, self.q, self.pm)
-        q, pm = self.q[iq], self.pm[jp]
-        tq, tp = tf.grad(q, pm)
-        psi_x, psi_y = _cut(self._h_stream, win)
-        return (win, tf.value(q, pm),
-                *_pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0))
-
     def pair_height(self, tf: TestFunction):
-        win = iq, jp = _window(tf, self.q, self.p)
-        A, B = _cut(self._height, win)
-        tq, tp = tf.grad(self.q[iq], self.p[jp])
-        return float(self.wq * np.sum((A * tp + B * tq) @ self.wp[jp]))
+        iq, jp = _window(tf, self.q, self.p)
+        p, d = self.p[jp], self.params.d
+        hq = self._at("hq_at", iq, p)
+        u = 1.0 + self._at("hp_at", iq, p)
+        A = (_speed(hq, u ** 2, d)
+             + gamma_cap(self.v, self.params, p)[None, :] / (2 * d * d))
+        tq, tp = tf.grad(self.q[iq], p)
+        return float(self.wq * np.sum((A * tp + hq / u * tq) @ self.wp[jp]))
+
+    def _stream_pairing(self, win, psi_x, psi_y, px, py):
+        """The stream integrand with the stream function's psi_x, psi_y,
+        summed over a window's midpoints."""
+        return _stream_sum(gamma_tilde(self.v, self.params,
+                                       self.pm[win[1]])[None, :],
+                           *_stream_coeffs(psi_x, psi_y, self.params),
+                           px, py, self.wq * self.wpm)
 
     def pair_stream(self, win, px, py):
-        return _stream_sum(self._gamma_tilde[:, win[1]],
-                           *_cut(self._stream, win), px, py,
-                           self.wq * self.wpm)
+        psi_x, psi_y = self._fields_at(win, "psi_x", "psi_y")
+        return self._stream_pairing(win, psi_x, psi_y, px, py)
 
     def pair_euler(self, win, val, px, py):
-        e11, e12, e21, e22, u, vv, jac = _cut(self._euler, win)
-        w = self.wq * self.wpm
-        R1 = np.sum((e11 * px + e12 * py) * jac)
-        R2 = np.sum((e21 * px + e22 * py - self.params.g * val) * jac)
+        psi_y, u, vv, P = self._fields_at(win, "psi_y", "u", "v", "P")
+        jac = self.params.p0 / psi_y
+        c, w = self.params.c, self.wq * self.wpm
+        R1 = np.sum(((u * u - c * u + P) * px + u * vv * py) * jac)
+        R2 = np.sum(((u * vv - c * vv) * px + (vv * vv + P) * py
+                     - self.params.g * val) * jac)
         R3 = np.sum((u * px + vv * py) * jac)
         return float(w * R1), float(w * R2), float(w * R3)
 
-    def cross_identity(self, height, win, px, py):
-        """(lhs, rhs, gap) from the height pairing and the pushforward
-        gradient on its window."""
+    def cross_identity(self, height, win, px, py, psi):
+        """(lhs, rhs, gap) from the height pairing, and the pushforward
+        gradient and the field's `h_stream` on its window."""
         lhs = self.params.p0 ** 2 * height
-        rhs = _stream_sum(self._gamma_tilde[:, win[1]],
-                          *_cut(self._h_coeffs, win), px, py,
-                          self.wq * self.wpm)
+        rhs = self._stream_pairing(win, *psi, px, py)
         return lhs, rhs, abs(lhs - rhs)
 
     def pairings(self, tf: TestFunction, with_cross=False):
         """{formulation: value} of the five pairings of tf, and with
         `with_cross` the cross identity's (lhs, rhs, gap) under "cross"."""
-        win, val, px, py = self.pushforward(tf)
+        win = iq, jm = _window(tf, self.q, self.pm)
+        q, pm = self.q[iq], self.pm[jm]
+        psi = self.h_stream(win)
+        px, py = _pushforward_grad(*tf.grad(q, pm), *psi, self.params.p0)
         height = self.pair_height(tf)
         out = {"height": height, "stream": self.pair_stream(win, px, py)}
-        out.update(zip(EULER_NAMES, self.pair_euler(win, val, px, py)))
+        out.update(zip(EULER_NAMES,
+                       self.pair_euler(win, tf.value(q, pm), px, py)))
         if with_cross:
-            out["cross"] = self.cross_identity(height, win, px, py)
+            out["cross"] = self.cross_identity(height, win, px, py, psi)
         return out
 
 

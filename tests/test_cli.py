@@ -214,6 +214,19 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "solver.colour" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["verify.levels = 3",
+                                  "verify.eps_list = 0.8",
+                                  "verify.pairing_tol = 1e-3"])
+def test_repeated_key_rejected(tmp_path, capsys, line):
+    # a second line of any key but vorticity.piece is an error, for a list
+    # key as for a scalar one, never a silent replacement of the first
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG + "verify.levels = 1, 2\n"
+                    + line + "\n")
+    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    key = line.split(" = ")[0]
+    assert f"duplicate key {key}" in capsys.readouterr().err
+
+
 def test_misaligned_jump_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TWO_LAYER_CFG.replace("grid.Np = 64",
                                                     "grid.Np = 63"))

@@ -378,7 +378,7 @@ def test_windowed_sums_match_full_domain(v_two_layer, seed, q0, rq, pc, rp,
                       stream=wf.pair_stream(fields, v, params, phi, nq, npp)),
                  sampled)
 
-    # verify's shared level, which slices each window out of its arrays
+    # verify's shared level, which blends each window from its node columns
     level = wf.QuadratureLevel(params, nq, npp, v, field_like=ev,
                                fields=fields)
     vals = level.pairings(tf, with_cross=True)
@@ -469,6 +469,97 @@ def test_windowed_pairings_keep_the_fft_resampling(v_two_layer, monkeypatch):
     wf.pair_euler(fields, params, phi, nq=64, npp=64, v=v_two_layer)
     wf.QuadratureLevel(params, 64, 64, v_two_layer, field_like=hf,
                        fields=fields).pairings(tf, with_cross=True)
+
+
+@pytest.fixture(scope="module")
+def sampled_fields(v_two_layer):
+    """A sampled admissible field on 32 x 64 and its reconstructed fields."""
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    hf = random_admissible_field(np.random.default_rng(7)).sample(
+        Grid(32, 64, aligned_jumps=(-0.5,)), Q=12.0)
+    return params, hf, tr.reconstruct_fields(hf, v_two_layer, params)
+
+
+# h_q, the two one-sided h_p, and the reconstructed fields: what a level
+# resamples, once each
+LEVEL_SERIES = 3 + len(("psi_x", "psi_y", "u", "v", "P"))
+
+
+def _pair_lattice(level):
+    for tf in wf.default_lattice():
+        level.pairings(tf, with_cross=True)
+
+
+@pytest.mark.parametrize("lvl", [1, 2])
+def test_level_memory_is_its_node_columns(sampled_fields, v_two_layer, lvl):
+    # verify's levels on this grid: the lattice paired through one level
+    # holds one (nq, Np+1) resampling per series, one resampling's FFT
+    # input and output and one bump's window arrays at a time, never
+    # arrays over the whole rule (at level 2, npp = 2 Np); about 11.4
+    # column arrays at either level, where whole-rule arrays took 18 and 34
+    params, hf, fields = sampled_fields
+    nq, npp = 4 * 32 * lvl, 64 * lvl
+    column = nq * (hf.grid.Np + 1) * 8
+
+    def level():
+        return wf.QuadratureLevel(params, nq, npp, v_two_layer,
+                                  field_like=hf.evaluator(), fields=fields)
+
+    _pair_lattice(level())
+    tracemalloc.start()
+    try:
+        _pair_lattice(level())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (LEVEL_SERIES + 5) * column, peak / column
+
+
+def test_level_resamples_each_series_once(sampled_fields, v_two_layer,
+                                          monkeypatch):
+    # pairing every bump of a level costs what pairing one does: one FFT
+    # per series, none per window
+    params, hf, fields = sampled_fields
+    calls = []
+    resample = fd._trig_resample
+
+    def counting(c, nq, deriv=False):
+        calls.append(c.shape)
+        return resample(c, nq, deriv)
+
+    monkeypatch.setattr(fd, "_trig_resample", counting)
+    counts = []
+    for tfs in (wf.default_lattice()[:1], wf.default_lattice()):
+        calls.clear()
+        level = wf.QuadratureLevel(params, 128, 64, v_two_layer,
+                                   field_like=hf, fields=fields)
+        for tf in tfs:
+            level.pairings(tf, with_cross=True)
+        counts.append(len(calls))
+    assert counts[1] == counts[0] <= LEVEL_SERIES, counts
+
+
+@pytest.mark.parametrize("lvl", [1, 2])
+def test_level_pairings_match_one_shot_calls(sampled_fields, v_two_layer,
+                                             lvl):
+    # the shared level and the one-shot calls pair each bump of the lattice
+    # by the same routines
+    params, hf, fields = sampled_fields
+    v, nq, npp = v_two_layer, 128 * lvl, 64 * lvl
+    level = wf.QuadratureLevel(params, nq, npp, v, field_like=hf,
+                               fields=fields)
+    for tf in wf.default_lattice():
+        phi = wf.pushforward_testfn(tf, hf, params)
+        one = {"height": wf.pair_height(hf, v, params, tf, nq, npp),
+               "stream": wf.pair_stream(fields, v, params, phi, nq, npp),
+               "cross": wf.cross_identity(hf, v, params, tf, nq, npp)}
+        one.update(zip(wf.EULER_NAMES,
+                       wf.pair_euler(fields, params, phi, nq, npp, v=v)))
+        shared = level.pairings(tf, with_cross=True)
+        assert shared.keys() == one.keys()
+        for name, value in shared.items():
+            a, b = np.atleast_1d(value), np.atleast_1d(one[name])
+            assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), (tf, name)
 
 
 # -- surface identity -----------------------------------------------------------------
