@@ -2,11 +2,12 @@
 
 A HeightField stores node samples h(q_i, p_j) on the full periodic q-grid,
 even in q and zero on the bed row; h_p comes from the grid's per-layer
-stencils.  Every sampled field is interpolated by one rule, `_blend`:
-cosine in q (`_trig_eval`), linear in p within one p-cell, so never
-straddling a vorticity layer boundary.  AnalyticHeightField provides the
-same evaluator interface from closed-form coefficients and is used for
-synthetic admissible fields.
+stencils.  Every sampled series is kept on the grid's sided columns
+(`Grid.sided`), where h_p is one-sided at each jump node, and interpolated
+by one rule, `_blend`: cosine in q (`_trig_eval`), linear in p between the
+two sided columns of one p-cell, so never straddling a vorticity layer
+boundary.  AnalyticHeightField provides the same evaluator interface from
+closed-form coefficients and is used for synthetic admissible fields.
 """
 
 from __future__ import annotations
@@ -94,36 +95,27 @@ def _trig_resample(c, nq, deriv=False):
     return np.fft.irfft(spec, n=nq, axis=0)
 
 
-def _blend(lower, upper, grid, q, p, deriv=False):
-    """The interpolant of sampled fields at q x p, (nq, len(p)): the run of
-    node columns that p's cells touch, of series `lower` and of `upper`
-    (each (nh+1, Np+1)), is resampled once at q (`_trig_eval`), then
-    blended in p (`_blend_cells`)."""
-    jc, t = grid.p_cell(p)
-    if jc.size == 0:
+def _blend(series, grid, q, p, deriv=False):
+    """The interpolant of a sampled series (nh+1, sided columns) at q x p,
+    (nq, len(p)): the run of sided columns that p's cells touch is
+    resampled once at q (`_trig_eval`), then blended in p (`_blend_cells`)."""
+    e, t = grid.p_cell(p)
+    if e.size == 0:
         return np.zeros((np.size(q), 0))
-    run = slice(jc.min(), jc.max() + 2)
-    return _blend_cells(*_resample_run(lower, upper, q, deriv, run),
-                        jc - run.start, t)
+    run = slice(e.min(), e.max() + 2)
+    return _blend_cells(_trig_eval(series[:, run], q, deriv), e - run.start, t)
 
 
-def _resample_run(lower, upper, q, deriv=False, run=slice(None)):
-    """(lo, hi): node columns `run` of series lower and upper at q, each
-    resampled once (once in all when upper is lower)."""
-    lo = _trig_eval(lower[:, run], q, deriv)
-    return lo, lo if upper is lower else _trig_eval(upper[:, run], q, deriv)
-
-
-def _blend_cells(lo, hi, jc, t):
-    """Node columns blended linearly in p: in cell jc at offset t, lo's
-    column jc (the cell's lower node) and hi's column jc + 1 (its upper)."""
-    return lo[:, jc] * (1.0 - t) + hi[:, jc + 1] * t
+def _blend_cells(cols, e, t):
+    """Sided columns blended linearly in p: at offset t in the cell whose
+    lower end is column e, columns e and e + 1."""
+    return cols[:, e] * (1.0 - t) + cols[:, e + 1] * t
 
 
 def interp_rows(arr, grid: Grid, q_t, p_t):
-    """Node samples arr (Nq, Np+1) of any field at q_t x p_t, by `_blend`."""
-    c = _trig_coeffs(arr, grid)
-    return _blend(c, c, grid, q_t, p_t)
+    """Node samples arr (Nq, Np+1) of a continuous field at q_t x p_t, by
+    `_blend`."""
+    return _blend(_trig_coeffs(arr, grid)[:, grid.sided], grid, q_t, p_t)
 
 
 class AdmissibilityError(ValueError):
@@ -152,13 +144,10 @@ class HeightField:
         """Spectral q-derivative at all nodes."""
         return self.columns(self.grid.q, deriv=True)
 
-    def h_p(self, upper=False):
-        """Per-layer p-derivative at all nodes.
-
-        At jump nodes the one-sided value comes from the layer below unless
-        `upper` is set.
-        """
-        return self.grid.node_dp(self.h, upper=upper)
+    def h_p(self):
+        """Per-layer p-derivative at all nodes, the layer below's at a jump
+        node."""
+        return self.grid.node_dp(self.h)
 
     def surface(self):
         return self.h[:, -1]
@@ -200,7 +189,8 @@ def prolong(hf: HeightField, grid: Grid) -> HeightField:
     hf's nodes are copied.  In q the cosine series is resampled exactly
     (`HeightField.columns`); in p each cell midpoint takes the cubic
     Hermite value (h0 + h1)/2 + dp (h_p+(p0) - h_p-(p1))/8, from h_p on the
-    cell's own side of each node, so no cell straddles a vorticity jump.
+    cell's own side of each node (the grid's sided columns), so no cell
+    straddles a vorticity jump.
     """
     g = hf.grid
     if (grid.Nq, grid.Np) != (2 * g.Nq, 2 * g.Np):
@@ -208,27 +198,23 @@ def prolong(hf: HeightField, grid: Grid) -> HeightField:
                          f"{grid.Nq}x{grid.Np}")
     cols = hf.columns(grid.q)
     cols[::2] = hf.h
-    hp_lo, hp_hi = g.node_dp(cols), g.node_dp(cols, upper=True)
+    hp, e = cols @ g.Dp_sided.T, g.p_cell(g.p_half)[0]
     h = np.empty((grid.Nq, grid.Np + 1))
     h[:, ::2] = cols
     h[:, 1::2] = (0.5 * (cols[:, :-1] + cols[:, 1:])
-                  + g.dp / 8.0 * (hp_hi[:, :-1] - hp_lo[:, 1:]))
+                  + g.dp / 8.0 * (hp[:, e] - hp[:, e + 1]))
     return HeightField(grid, h, hf.Q)
 
 
 class SampledEvaluator:
-    """Tensor-grid evaluation of a sampled field by `_blend`; h_p blends its
-    upper-sided value at a cell's lower node with its lower-sided value at
-    the upper node, so it stays within one vorticity layer."""
+    """Tensor-grid evaluation of a sampled field by `_blend` on the grid's
+    sided columns: h_p there is one-sided at each jump node, so a p-cell
+    blends h_p from its own vorticity layer at both ends."""
 
     def __init__(self, hf: HeightField):
-        self.grid = hf.grid
-        g = self.grid
-        self._ah = _trig_coeffs(hf.h, g)                  # h rows
-        hp_lo = hf.h_p(upper=False)
-        hp_hi = hf.h_p(upper=True)
-        self._ahp_lo = _trig_coeffs(hp_lo, g)
-        self._ahp_hi = _trig_coeffs(hp_hi, g)
+        self.grid = g = hf.grid
+        self._ah = _trig_coeffs(hf.h, g)[:, g.sided]      # h rows
+        self._ahp = _trig_coeffs(hf.h @ g.Dp_sided.T, g)  # h_p rows
 
     @staticmethod
     def _checked(p):
@@ -238,15 +224,15 @@ class SampledEvaluator:
         return p
 
     def series(self, name):
-        """(lower, upper, deriv): the series that `name` ("h_at", "hq_at" or
-        "hp_at") blends, and whether it takes their q-derivative."""
+        """(series, deriv): the sided series that `name` ("h_at", "hq_at" or
+        "hp_at") blends, and whether it takes its q-derivative."""
         if name == "hp_at":
-            return self._ahp_hi, self._ahp_lo, False
-        return self._ah, self._ah, name == "hq_at"
+            return self._ahp, False
+        return self._ah, name == "hq_at"
 
     def _at(self, name, q, p):
-        lower, upper, deriv = self.series(name)
-        return _blend(lower, upper, self.grid, q, self._checked(p), deriv)
+        series, deriv = self.series(name)
+        return _blend(series, self.grid, q, self._checked(p), deriv)
 
     def h_at(self, q, p):
         return self._at("h_at", q, p)

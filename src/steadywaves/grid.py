@@ -4,7 +4,10 @@ The q-grid is uniform periodic with q_i = -pi + i * 2pi/Nq, so it contains
 both the evenness axis q = 0 and the trough line q = pi.  The p-grid is
 uniform with nodes p_j = -1 + j/Np.  Every vorticity breakpoint must land
 exactly on a p-node; derivative stencils in p are built per smooth layer
-(5-node, one-sided near layer edges) so they never straddle a jump.
+(5-node, one-sided near layer edges) so they never straddle a jump.  A
+sampled series is kept on the grid's sided columns (`Grid.sided`), the node
+columns with each jump node twice, once per side, and a p-cell reads the
+two of its own layer (`Grid.p_cell`).
 """
 
 from __future__ import annotations
@@ -101,18 +104,24 @@ class Grid:
                              f"{_STENCIL - 1} p-cells at Np={self.Np}")
         object.__setattr__(self, "_layer_edges", tuple(jidx))
 
-        # one operator row (on a column of Np+1 nodes) per stencil: the cell
-        # midpoints p_half on their own layer (Dp_half), then the nodes on
-        # the layer below (Dp_node, the default one-sided value at a jump
-        # node) and on the layer above (Dp_node_hi; identical away from
-        # jumps).  The _STENCIL in-layer nodes nearest the target, ties to
-        # the lower node, all lie within _STENCIL nodes of `center`.
+        # the sided columns: the Np+1 node columns with each jump node twice,
+        # first on the layer below, then on the layer above, so that every
+        # p-cell reads its own layer at both ends (`p_cell`)
         Np, jc, j = self.Np, np.arange(self.Np), np.arange(self.Np + 1)
+        sided = np.repeat(j, 1 + np.isin(j, jidx[1:-1]))
+        upper = np.r_[False, sided[1:] == sided[:-1]]   # a jump's second copy
+        object.__setattr__(self, "sided", sided)
+
+        # one operator row (on a column of Np+1 nodes) per stencil: the cell
+        # midpoints p_half on their own layer (Dp_half), then the sided
+        # columns on their own layer (Dp_sided); Dp_node is Dp_sided's first
+        # copy of each node, so the layer below at a jump node.  The _STENCIL
+        # in-layer nodes nearest the target, ties to the lower node, all lie
+        # within _STENCIL nodes of `center`.
         p_half = self.p[:-1] + 0.5 * dp
-        target = np.concatenate((p_half, self.p, self.p))
-        center = np.concatenate((jc, j, j))
-        cell = np.concatenate((jc, np.clip(j - 1, 0, Np - 1),
-                               np.minimum(j, Np - 1)))
+        target = np.concatenate((p_half, self.p[sided]))
+        center = np.concatenate((jc, sided))
+        cell = np.concatenate((jc, np.clip(sided - 1 + upper, 0, Np - 1)))
         edges = np.array(jidx)
         layer = np.searchsorted(edges, cell, side="right") - 1
         lo, hi = edges[layer, None], edges[layer + 1, None]
@@ -123,9 +132,10 @@ class Grid:
         order = np.argsort(dist, axis=1, kind="stable")[:, :_STENCIL]
         idx = np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
         w = fd_weights(target, self.p[idx], 1)
-        for name, i, wt in zip(("Dp_half", "Dp_node", "Dp_node_hi"),
-                               np.split(idx, [Np, 2 * Np + 1]),
-                               np.split(w, [Np, 2 * Np + 1])):
+        for name, rows in (("Dp_half", slice(Np)),
+                           ("Dp_sided", slice(Np, None)),
+                           ("Dp_node", Np + np.flatnonzero(~upper))):
+            i, wt = idx[rows], w[rows]
             object.__setattr__(self, name, sp.csr_matrix(
                 (wt.ravel(), i.ravel(), np.arange(0, wt.size + 1, _STENCIL)),
                 shape=(len(wt), Np + 1)))
@@ -170,20 +180,23 @@ class Grid:
         w[-1] = 1.0
         return w / (2.0 * nh)
 
-    def node_dp(self, hcols, upper=False):
+    def node_dp(self, hcols):
         """Per-layer 4th-order p-derivative at all nodes; hcols ([M,] Np+1).
 
-        `upper` switches the one-sided value at jump nodes to the layer above.
+        At a jump node the one-sided value is the layer below's.
         """
-        return hcols @ (self.Dp_node_hi if upper else self.Dp_node).T
+        return hcols @ self.Dp_node.T
 
     def p_cell(self, p):
-        """The p-cell jc of each p and its offset t in [0, 1] from p_jc, in
-        cells: the weights of interpolation linear in p."""
+        """The sided column e of the lower end of each p's cell, whose upper
+        end is e + 1, and p's offset t in [0, 1] from the lower end, in
+        cells: the weights of interpolation linear in p within the cell's
+        layer.  Cell jc's lower end is the last copy of node jc."""
         p = np.asarray(p, dtype=float)
         jc = np.clip(np.floor((p + 1.0) * self.Np).astype(int), 0,
                      self.Np - 1)
-        return jc, np.clip((p - self.p[jc]) / self.dp, 0.0, 1.0)
+        return (np.searchsorted(self.sided, jc, side="right") - 1,
+                np.clip((p - self.p[jc]) / self.dp, 0.0, 1.0))
 
 
 class ReducedOperators:

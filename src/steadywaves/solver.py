@@ -452,66 +452,6 @@ def _bordered(modes, c, w):
     return solve
 
 
-def _newton_core(sys_: HeightSystem, H0, Q0, mode, a, tol, max_iter, modes,
-                 public_mode):
-    """Damped Newton-Krylov on the closure `mode` of `sys_.closures`; the
-    result records `public_mode`, the mode `newton_solve` was given."""
-    H, Q = H0.copy(), float(Q0)
-    history, krylov = [], []
-    guards = fallbacks = 0
-    r2_prev = precond = None
-    # each iteration's residual is the line search's accepted one
-    r, terms = sys_.residual_vector(H, Q, mode, a, eps_stag=0.0)
-    for it in range(max_iter + 1):
-        rn = float(np.max(np.abs(r)))
-        history.append(rn)
-        if rn <= tol and sys_.admissible(H):
-            return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
-                                residual_inf=rn, history=history,
-                                stagnation_hits=guards, mode=public_mode,
-                                krylov_iters=krylov, fallbacks=fallbacks)
-        if it == max_iter:
-            break
-        if precond is None:
-            modes = sys_.laminar_modes(H) if modes is None else modes
-            precond = (modes.solve if mode == "fixed_Q" else
-                       _bordered(modes, *sys_.borders["meanzero"]))
-        r2 = float(np.linalg.norm(r))
-        dx, its = _krylov_step(sys_.linearize(terms), r, precond,
-                               _forcing(r2, r2_prev, tol), sys_.borders[mode])
-        r2_prev = r2
-        krylov.append(its)
-        if dx is None:
-            fallbacks += 1
-            dx = spla.splu(sys_.jacobian_matrix(H, Q, mode).tocsc()).solve(-r)
-        dH = dx[:sys_.n_h].reshape(H.shape[0], -1)
-        dQ = dx[sys_.n_h] if mode != "fixed_Q" else 0.0
-        step, accepted = 1.0, False
-        for _ in range(30):
-            Hc = H.copy()
-            Hc[:, 1:] += step * dH
-            Qc = Q + step * dQ
-            if not sys_.admissible(Hc):
-                guards += 1
-                step *= 0.5
-                continue
-            rc, terms_c = sys_.residual_vector(Hc, Qc, mode, a, eps_stag=0.0)
-            if np.max(np.abs(rc)) < rn:
-                H, Q, r, terms = Hc, Qc, rc, terms_c
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"step halving stalled at iteration {it}, residual {rn:.3e}, "
-                f"worst in the {sys_.locate(r)}",
-                history=history, krylov_iters=krylov, fallbacks=fallbacks)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations, residual {rn:.3e}, "
-        f"worst in the {sys_.locate(r)}",
-        history=history, krylov_iters=krylov, fallbacks=fallbacks)
-
-
 def newton_solve(initial: HeightField, v: VorticityFunction,
                  params: FlowParameters, mode="fixed_Q", Q=None, amplitude=None,
                  tol=1e-10, max_iter=50, modes=None) -> NewtonResult:
@@ -529,8 +469,7 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     initial.check_admissible(EPS_STAG_DEFAULT)
     sys_ = HeightSystem(initial.grid, v, params)
-    H0 = sys_.reduce(initial)
-    Q0 = initial.Q if Q is None else float(Q)
+    H, Q = sys_.reduce(initial), float(initial.Q if Q is None else Q)
     if mode == "fixed_Q":
         imode, a = "fixed_Q", 0.0
     elif mode == "fixed_amplitude":
@@ -540,7 +479,59 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         imode = "meanzero" if a == 0.0 else "amplitude"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _newton_core(sys_, H0, Q0, imode, a, tol, max_iter, modes, mode)
+    history, krylov = [], []
+    guards = fallbacks = 0
+    r2_prev = precond = None
+    # each iteration's residual is the line search's accepted one
+    r, terms = sys_.residual_vector(H, Q, imode, a, eps_stag=0.0)
+    for it in range(max_iter + 1):
+        rn = float(np.max(np.abs(r)))
+        history.append(rn)
+        if rn <= tol and sys_.admissible(H):
+            return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
+                                residual_inf=rn, history=history,
+                                stagnation_hits=guards, mode=mode,
+                                krylov_iters=krylov, fallbacks=fallbacks)
+        if it == max_iter:
+            break
+        if precond is None:
+            modes = sys_.laminar_modes(H) if modes is None else modes
+            precond = (modes.solve if imode == "fixed_Q" else
+                       _bordered(modes, *sys_.borders["meanzero"]))
+        r2 = float(np.linalg.norm(r))
+        dx, its = _krylov_step(sys_.linearize(terms), r, precond,
+                               _forcing(r2, r2_prev, tol), sys_.borders[imode])
+        r2_prev = r2
+        krylov.append(its)
+        if dx is None:
+            fallbacks += 1
+            dx = spla.splu(sys_.jacobian_matrix(H, Q, imode).tocsc()).solve(-r)
+        dH = dx[:sys_.n_h].reshape(H.shape[0], -1)
+        dQ = dx[sys_.n_h] if imode != "fixed_Q" else 0.0
+        step, accepted = 1.0, False
+        for _ in range(30):
+            Hc = H.copy()
+            Hc[:, 1:] += step * dH
+            Qc = Q + step * dQ
+            if not sys_.admissible(Hc):
+                guards += 1
+                step *= 0.5
+                continue
+            rc, terms_c = sys_.residual_vector(Hc, Qc, imode, a, eps_stag=0.0)
+            if np.max(np.abs(rc)) < rn:
+                H, Q, r, terms = Hc, Qc, rc, terms_c
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            raise ConvergenceError(
+                f"step halving stalled at iteration {it}, residual {rn:.3e}, "
+                f"worst in the {sys_.locate(r)}",
+                history=history, krylov_iters=krylov, fallbacks=fallbacks)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations, residual {rn:.3e}, "
+        f"worst in the {sys_.locate(r)}",
+        history=history, krylov_iters=krylov, fallbacks=fallbacks)
 
 
 def wave_seed(hf: HeightField, v: VorticityFunction, params: FlowParameters,
@@ -627,8 +618,6 @@ def _follow(hf0: HeightField, v, params, schedule, tol, max_iter):
                 warm.h = prev.h + t * (prev.h - prev_prev.h)
                 warm.Q = prev.Q + t * (prev.Q - prev_prev.Q)
             else:
-                if prev is not hf0:
-                    modes = sys_.laminar_modes(sys_.reduce(prev))
                 seed = wave_seed(prev, v, params, modes=modes)
                 warm.h = prev.h + (a - a_prev) * seed
         try:
@@ -666,11 +655,10 @@ def continuation(hf0: HeightField, v: VorticityFunction,
 
     `fields[-1]` is on hf0's grid; `fields[:-1]` are on the coarsest grid of
     `grid_chain`, the [Nq, Np] of each grid run, coarsest first.  In each
-    run of the schedule the laminar modes are built once from the start
-    state and once more at the state the wave seed leaves from, and
-    precondition every solve.  An inadmissible start state raises
-    AdmissibilityError; a warm start that a step pushes past stagnation
-    fails that step.
+    run of the schedule the laminar modes are built once, from the start
+    state; they give the wave seed and precondition every solve.  An
+    inadmissible start state raises AdmissibilityError; a warm start that a
+    step pushes past stagnation fails that step.
     """
     hf0.check_admissible(EPS_STAG_DEFAULT)
     schedule = [float(a) for a in amplitude_schedule]

@@ -17,9 +17,10 @@ solution or not.
 
 A `QuadratureLevel` pairs any number of test functions at one (nq, npp)
 rule.  It keeps one resampling of each sampled series at the rule's
-q-nodes (`field._resample_run`), so a field is resampled once per level,
-not once per pairing; each test function's arrays are blended in p from
-those rows (`field._blend_cells`) on its support window (`_window`), the
+q-nodes on every sided column of its grid (`Grid.sided`, where h_p is
+one-sided at each jump node), so a field is resampled once per level, not
+once per pairing; each test function's arrays are blended in p from those
+rows (`field._blend_cells`) on its support window (`_window`), the
 nodes where the bump can be nonzero, and dropped once it is paired.  An
 evaluator with no node columns (an analytic field) is evaluated on the
 window's nodes.  The public `pair_*` functions and `cross_identity` are
@@ -35,7 +36,7 @@ from scipy.ndimage import convolve1d
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
 from .field import (HeightField, SampledEvaluator, _blend_cells, _q_nodes,
-                    _resample_run, _trig_coeffs)
+                    _trig_coeffs, _trig_eval)
 # callers also reach the sampled-field interpolant as weakform.interp_rows
 from .field import interp_rows  # noqa: F401
 from .grid import aligned_node
@@ -306,14 +307,14 @@ class QuadratureLevel:
     `field_like` (a HeightField or an evaluator) feeds the height side, the
     pushforward gradient and the stream side of the cross identity;
     `fields` (the reconstructed PhysicalFields) feeds the stream and Euler
-    pairings.  Each sampled series (the field's h_q and one-sided h_p, the
+    pairings.  Each sampled series (the field's h_q and h_p, the
     reconstructed psi_x, psi_y, u, v and P) is resampled on first use at
-    the rule's q-nodes on every node column, (nq, Np+1), and kept: pairing
-    many test functions costs one resampling of each.  A test function's
-    arrays (A and B, the psi coefficients, the Euler fluxes, the Jacobian)
-    are blended in p from the rows of its support window and dropped once
-    it is paired.  An evaluator with no node columns is evaluated on the
-    window's nodes.
+    the rule's q-nodes on every sided column of its grid (Np+1, and one
+    more per jump node) and kept: pairing many test functions costs one
+    resampling of each.  A test function's arrays (A and B, the psi
+    coefficients, the Euler fluxes, the Jacobian) are blended in p from the
+    rows of its support window and dropped once it is paired.  An
+    evaluator with no node columns is evaluated on the window's nodes.
     """
 
     def __init__(self, params: FlowParameters, nq, npp,
@@ -332,20 +333,20 @@ class QuadratureLevel:
     # -- the field at a window's nodes -----------------------------------------
 
     def _node_columns(self, name):
-        """(lo, hi, grid): sampled series `name` at every q-node of the
-        rule on every node column of its grid, resampled on first use and
-        kept; `name` is an evaluator method ("hq_at", "hp_at") or a
-        reconstructed field ("psi_x", ...)."""
+        """(cols, grid): sampled series `name` at every q-node of the rule
+        on every sided column of its grid, resampled on first use and kept;
+        `name` is an evaluator method ("hq_at", "hp_at") or a reconstructed
+        field ("psi_x", ...)."""
         if name not in self._columns:
             if name.endswith("_at"):
                 grid = self.ev.grid
-                lower, upper, deriv = self.ev.series(name)
+                series, deriv = self.ev.series(name)
             else:
                 grid = self.fields.grid
-                lower = upper = _trig_coeffs(getattr(self.fields, name), grid)
+                series = _trig_coeffs(getattr(self.fields, name),
+                                      grid)[:, grid.sided]
                 deriv = False
-            self._columns[name] = (*_resample_run(lower, upper, self.q, deriv),
-                                   grid)
+            self._columns[name] = _trig_eval(series, self.q, deriv), grid
         return self._columns[name]
 
     def _at(self, name, iq, p):
@@ -353,10 +354,8 @@ class QuadratureLevel:
         an evaluator with none is evaluated there."""
         if name.endswith("_at") and not isinstance(self.ev, SampledEvaluator):
             return getattr(self.ev, name)(self.q[iq], p)
-        lo, hi, grid = self._node_columns(name)
-        rows = lo[iq]
-        return _blend_cells(rows, rows if hi is lo else hi[iq],
-                            *grid.p_cell(p))
+        cols, grid = self._node_columns(name)
+        return _blend_cells(cols[iq], *grid.p_cell(p))
 
     def _fields_at(self, win, *names):
         iq, jm = win

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import field as fd
+from steadywaves import transform as tr
 from steadywaves import weakform as wf
-from steadywaves.grid import Grid
+from steadywaves.grid import Grid, fd_weights
 
 
 def _rows(data, Nq, parity):
@@ -101,7 +103,7 @@ def test_other_nodes_take_the_dense_sum(q, monkeypatch):
 
 def test_each_node_column_is_resampled_once(monkeypatch):
     # a verify level asks for 2 Np + 1 trapezoid p-nodes on a 2 Nq q-rule:
-    # each node column a call needs is resampled once per series, however
+    # each sided column a call needs is resampled once per series, however
     # many p-nodes fall in its cells, with the bits of resampling it per
     # p-node; a narrowed bump window resamples only its own cells' columns
     Nq, Np = 16, 32
@@ -109,17 +111,17 @@ def test_each_node_column_is_resampled_once(monkeypatch):
     h = fd.random_admissible_field(np.random.default_rng(6)).sample(g).h
     h = h + 0.1 * np.cos(g.q)[:, None] * np.maximum(g.p + 0.5, 0.0)
     ev = fd.HeightField(g, h, Q=1.0).evaluator()
-    assert not np.array_equal(ev._ahp_lo, ev._ahp_hi)     # h_p jumps
+    below, above = np.flatnonzero(g.sided == Np // 2)
+    assert not np.array_equal(ev._ahp[:, below], ev._ahp[:, above])  # jumps
     q, p = fd._q_nodes(2 * Nq), np.linspace(-1.0, 0.0, 2 * Np + 1)
-    jc, t = g.p_cell(p)
+    e, t = g.p_cell(p)
 
-    def per_p(lower, upper, deriv=False):
-        return (fd._trig_eval(lower[:, jc], q, deriv) * (1.0 - t)
-                + fd._trig_eval(upper[:, jc + 1], q, deriv) * t)
+    def per_p(series, deriv=False):
+        return (fd._trig_eval(series[:, e], q, deriv) * (1.0 - t)
+                + fd._trig_eval(series[:, e + 1], q, deriv) * t)
 
-    want = {"h_at": per_p(ev._ah, ev._ah),
-            "hq_at": per_p(ev._ah, ev._ah, True),
-            "hp_at": per_p(ev._ahp_hi, ev._ahp_lo)}
+    want = {"h_at": per_p(ev._ah), "hq_at": per_p(ev._ah, True),
+            "hp_at": per_p(ev._ahp)}
     cols = []
     resample = fd._trig_resample
 
@@ -128,11 +130,10 @@ def test_each_node_column_is_resampled_once(monkeypatch):
         return resample(c, nq, deriv)
 
     monkeypatch.setattr(fd, "_trig_resample", recording)
-    for name, most in (("h_at", Np + 1), ("hq_at", Np + 1),
-                       ("hp_at", 2 * (Np + 1))):
+    for name in want:
         cols.clear()
         assert np.array_equal(getattr(ev, name)(q, p), want[name])
-        assert sum(cols) <= most, (name, cols)
+        assert sum(cols) <= len(g.sided) == Np + 2, (name, cols)
         assert getattr(ev, name)(q, p[:0]).shape == (2 * Nq, 0)
 
     tf = wf.bump((np.pi / 2, -0.4), (np.pi / 4, 0.2))
@@ -144,6 +145,94 @@ def test_each_node_column_is_resampled_once(monkeypatch):
     assert cols == [cells.max() - cells.min() + 2]
     assert cols[0] < Np // 2
     assert wf.interp_rows(h, g, q[iq], pm[:0]).shape == (q[iq].size, 0)
+
+
+# -- the sided columns ------------------------------------------------------------
+
+
+def _kinked_three_layer():
+    """A sampled field on THREE_PIECE's grid whose h_p jumps at both of its
+    breakpoints, -2/3 and -1/3."""
+    g = Grid(16, 24, aligned_jumps=THREE_PIECE.breakpoints)
+    h = fd.random_admissible_field(np.random.default_rng(8)).sample(g).h
+    h = h + (0.1 * np.cos(g.q)[:, None] * np.maximum(g.p + 2 / 3, 0.0)
+             - 0.05 * np.cos(2 * g.q)[:, None] * np.maximum(g.p + 1 / 3, 0.0))
+    return fd.HeightField(g, h, Q=1.0)
+
+
+def _one_sided_hp(g, h, j, cell):
+    """h_p of h at node j on the layer of p-cell `cell`: Fornberg's weights
+    on the 5 nodes of that layer nearest to p_j, ties to the lower node."""
+    edges = np.array([0, *g.jump_nodes, g.Np])
+    k = np.searchsorted(edges, cell, side="right") - 1
+    nodes = np.arange(edges[k], edges[k + 1] + 1)
+    sel = np.sort(nodes[np.argsort(np.abs(nodes - j), kind="stable")[:5]])
+    return h[:, sel] @ fd_weights(g.p[j], g.p[sel], 1)
+
+
+def test_sided_columns_duplicate_each_jump_node():
+    g = _kinked_three_layer().grid
+    assert g.jump_nodes == (8, 16)
+    assert np.array_equal(g.sided, np.sort(np.r_[0:25, 8, 16]))
+    e, t = g.p_cell(g.p_half)
+    assert np.array_equal(e, np.arange(24) + (np.arange(24) >= 8)
+                          + (np.arange(24) >= 16))
+    assert np.allclose(t, 0.5, rtol=0.0, atol=1e-12)
+
+
+def test_each_cell_blends_its_own_layers_hp():
+    # inside every p-cell, h_p blends the one-sided values of the cell's
+    # own layer at its two nodes; at a jump node the other layer's value is
+    # far off, so a cell that read it would fail here
+    hf = _kinked_three_layer()
+    g, ev = hf.grid, hf.evaluator()
+    q = fd._q_nodes(2 * g.Nq)
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for jc in range(g.Np):
+        ends = np.column_stack([_one_sided_hp(g, hf.h, j, jc)
+                                for j in (jc, jc + 1)])
+        lo, hi = fd._trig_eval(fd._trig_coeffs(ends, g), q).T
+        got = ev.hp_at(q, g.p[jc] + g.dp * t[1:-1])
+        want = np.outer(lo, 1.0 - t[1:-1]) + np.outer(hi, t[1:-1])
+        assert np.max(np.abs(got - want)) <= 1e-12, jc
+        for j, other in ((jc, jc - 1), (jc + 1, jc + 1)):
+            if j in g.jump_nodes:
+                assert np.max(np.abs(_one_sided_hp(g, hf.h, j, other)
+                                     - ends[:, j - jc])) > 1e-2, (jc, j)
+
+
+def test_prolong_reads_each_cells_own_side():
+    # the midpoint of each cell takes the upper-sided h_p at its lower node
+    # and the lower-sided h_p at its upper node, bit for bit
+    hf = _kinked_three_layer()
+    g = hf.grid
+    fine = Grid(2 * g.Nq, 2 * g.Np, aligned_jumps=g.aligned_jumps)
+    cols = hf.columns(fine.q)
+    cols[::2] = hf.h
+    node = np.arange(g.Np + 1)
+    hp = cols @ g.Dp_sided.T
+    hp_lo = hp[:, np.searchsorted(g.sided, node)]
+    hp_hi = hp[:, np.searchsorted(g.sided, node, side="right") - 1]
+    assert np.array_equal(hp_lo, g.node_dp(cols))
+    assert np.array_equal(np.flatnonzero(np.any(hp_lo != hp_hi, axis=0)),
+                          g.jump_nodes)
+    h = fd.prolong(hf, fine).h
+    assert np.array_equal(h[:, ::2], cols)
+    assert np.array_equal(h[:, 1::2],
+                          0.5 * (cols[:, :-1] + cols[:, 1:])
+                          + g.dp / 8.0 * (hp_hi[:, :-1] - hp_lo[:, 1:]))
+
+
+def test_level_keeps_one_hp_array_on_the_sided_columns():
+    hf = _kinked_three_layer()
+    g, v, params = hf.grid, THREE_PIECE, THREE_PIECE_PARAMS
+    level = wf.QuadratureLevel(params, 2 * g.Nq, g.Np, v, field_like=hf,
+                               fields=tr.reconstruct_fields(hf, v, params))
+    level.pairings(wf.bump((0.0, -0.5), (np.pi / 4, 0.3)), with_cross=True)
+    assert sorted(level._columns) == sorted(
+        ("hq_at", "hp_at", "psi_x", "psi_y", "u", "v", "P"))
+    for cols, grid in level._columns.values():
+        assert grid is g and cols.shape == (2 * g.Nq, g.Np + 1 + 2)
 
 
 # -- analytic fields --------------------------------------------------------------

@@ -13,6 +13,7 @@ from steadywaves import solver
 from steadywaves import grid as grid_module
 from steadywaves.grid import Grid, AlignmentError
 from steadywaves.field import HeightField, random_admissible_field
+from steadywaves.modal import LaminarModes
 from steadywaves.solver import (HeightSystem, newton_solve, continuation,
                                 residual, ConvergenceError, StagnationError)
 
@@ -638,6 +639,21 @@ def test_grid_chain_halves_down_to_the_floor(Nq, Np, jumps, chain):
     assert all(g.aligned_jumps == grids[-1].aligned_jumps for g in grids)
 
 
+def test_laminar_modes_built_once_per_schedule_run(v_two_layer,
+                                                   params_critical,
+                                                   monkeypatch):
+    # the wave seed and every solve of a run of the schedule take the
+    # modes of its start state
+    builds, init = [], LaminarModes.__init__
+    monkeypatch.setattr(LaminarModes, "__init__",
+                        lambda self, *a: builds.append(a) or init(self, *a))
+    hf0 = _laminar_start(v_two_layer, params_critical, 16, 32)
+    res = solver._follow(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE,
+                         1e-10, 50)
+    assert res.converged and res.amplitudes == CHAIN_SCHEDULE
+    assert len(builds) == 1
+
+
 def test_continuation_chains_through_the_half_grid(v_two_layer,
                                                    params_critical,
                                                    small_floor):
@@ -836,14 +852,25 @@ def test_batched_stencil_tables_match_per_node_build(layers):
     g = Grid(8, Np, aligned_jumps=tuple(-1.0 + j / Np for j in jumps))
     want = _stencil_tables_per_node(g, np.array([0, *jumps, Np]))
     # each table as its CSR operator stores it, 5 entries a row in node
-    # order; scipy keeps the indices as int32
-    ops = {"half": g.Dp_half, "node": g.Dp_node, "node_hi": g.Dp_node_hi}
+    # order; scipy keeps the indices as int32.  The sided operator holds
+    # both node tables: each node's first sided column is its row on the
+    # layer below, its last the row on the layer above (one column, and
+    # the same row, away from a jump)
+    node = np.arange(Np + 1)
+    assert np.array_equal(g.sided, np.sort(np.r_[node, jumps]))
+    first = np.searchsorted(g.sided, node)
+    last = np.searchsorted(g.sided, node, side="right") - 1
+    assert np.array_equal(np.union1d(first, last), np.arange(len(g.sided)))
+    ops = {"half": [g.Dp_half],
+           "node": [g.Dp_node, g.Dp_sided[first]],
+           "node_hi": [g.Dp_sided[last]]}
     for name, table in want.items():
-        op = ops[name.replace("_idx", "").replace("_w", "")]
-        got = (op.indices.astype(np.int64) if "_idx" in name
-               else op.data).reshape(-1, 5)
-        assert got.dtype == table.dtype and got.shape == table.shape, name
-        assert np.array_equal(got.view(np.int64), table.view(np.int64)), name
+        for op in ops[name.replace("_idx", "").replace("_w", "")]:
+            got = (op.indices.astype(np.int64) if "_idx" in name
+                   else op.data).reshape(-1, 5)
+            assert got.dtype == table.dtype and got.shape == table.shape, name
+            assert np.array_equal(got.view(np.int64),
+                                  table.view(np.int64)), name
 
 
 def test_three_layer_polynomial_vorticity_nonunit_params(rng):

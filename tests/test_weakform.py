@@ -480,9 +480,9 @@ def sampled_fields(v_two_layer):
     return params, hf, tr.reconstruct_fields(hf, v_two_layer, params)
 
 
-# h_q, the two one-sided h_p, and the reconstructed fields: what a level
-# resamples, once each
-LEVEL_SERIES = 3 + len(("psi_x", "psi_y", "u", "v", "P"))
+# h_q, the sided h_p, and the reconstructed fields: what a level resamples,
+# once each
+LEVEL_SERIES = 2 + len(("psi_x", "psi_y", "u", "v", "P"))
 
 
 def _pair_lattice(level):
@@ -493,10 +493,11 @@ def _pair_lattice(level):
 @pytest.mark.parametrize("lvl", [1, 2])
 def test_level_memory_is_its_node_columns(sampled_fields, v_two_layer, lvl):
     # verify's levels on this grid: the lattice paired through one level
-    # holds one (nq, Np+1) resampling per series, one resampling's FFT
-    # input and output and one bump's window arrays at a time, never
-    # arrays over the whole rule (at level 2, npp = 2 Np); about 11.4
-    # column arrays at either level, where whole-rule arrays took 18 and 34
+    # holds one resampling per series on the sided columns (Np+2 here),
+    # one resampling's FFT input and output and one bump's window arrays at
+    # a time, never arrays over the whole rule (at level 2, npp = 2 Np);
+    # about 10.3 column arrays at either level, 11.4 with two whole h_p
+    # arrays, where whole-rule arrays took 18 and 34
     params, hf, fields = sampled_fields
     nq, npp = 4 * 32 * lvl, 64 * lvl
     column = nq * (hf.grid.Np + 1) * 8
