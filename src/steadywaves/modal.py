@@ -8,7 +8,9 @@ r in place of its unknown h(q_r, 0), so the Jacobian reads
 
     K = I (x) A0 + L (x) A1,   (L x)_r = x_{r-1} + x_{r+1},
 
-and the DCT-I along r diagonalizes L with eigenvalues 2 cos(k pi / nh).  K
+and the DCT-I along r diagonalizes L with eigenvalues 2 cos(k pi / nh).  The
+DCT-I is numpy's real FFT of the even extension of r = 0 .. nh to the full
+period (`_dct1`), which gives the floats of scipy's `dct(type=1)`.  K
 therefore splits into the nh + 1 independent banded p-blocks
 
     M_k = A0 + 2 cos(k pi / nh) A1,   k = 0 .. nh,
@@ -29,8 +31,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+
+def _dct1(x, out=None):
+    """Unnormalized DCT-I along the last axis, the real part of the real
+    FFT of the even extension [x_0 .. x_n, x_{n-1} .. x_1]; `out` takes
+    that complex FFT."""
+    ext = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    return np.fft.rfft(ext, out=out).real
 
 
 class SingularModeError(np.linalg.LinAlgError):
@@ -56,6 +65,9 @@ class LaminarModes:
         self.nh, self.Np = nh, Np
         self.A0, self.A1 = sp.csr_matrix(A0), sp.csr_matrix(A1)
         self.eig_L = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)
+        # the complex FFT of both DCT-Is of `solve`, reused: a fresh one
+        # per transform costs about as much as the FFT itself
+        self._spec = np.empty((Np, nh + 1), dtype=complex)
         both = (abs(self.A0) + abs(self.A1)).tocoo()
         self.kl = kl = int(np.max(both.row - both.col, initial=0))
         self.ku = ku = int(np.max(both.col - both.row, initial=0))
@@ -86,11 +98,12 @@ class LaminarModes:
     def solve(self, b):
         """J^{-1} b, b and x in the (r, j) layout.
 
-        The DCT-I along r runs on the transposed array, whose r axis is
-        contiguous; its floats are those of the transform along axis 0.
+        The DCT-I along r is `_dct1` on the transposed array, so that its
+        even extension makes r the contiguous axis; its floats are those of
+        the transform along axis 0.
         """
-        bhat = dct(b.reshape(self.nh + 1, self.Np).T, type=1, axis=1).T
-        x = dct(self.solve_modal(bhat).T, type=1, axis=1)
+        bhat = _dct1(b.reshape(self.nh + 1, self.Np).T, self._spec).T
+        x = _dct1(self.solve_modal(bhat).T, self._spec)
         x /= 2 * self.nh
         return x.T.ravel()
 

@@ -40,9 +40,12 @@ in q and one LAPACK band LU of the p-blocks), bordered with the Q column
 and the mean-zero row.  A step whose true linear residual misses its
 tolerance is solved again by SuperLU, the only sparse LU and the only solve
 that assembles the Jacobian (`HeightSystem.jacobian_matrix`, which reads it
-off 27 actions, one per colour class of unknowns).  The modal p-blocks are
-read off 27 such actions at the q-mean, on a strip of three q-columns, so
-the Jacobian's partials are written once, in `_pointwise`.  The
+off 27 actions, one per colour class of unknowns).  `scipy.sparse.linalg`
+is imported in that fallback branch only, when a step first takes it, so
+that a run which never falls back never loads it; its `splu` is looked up
+on the module at call time.  The modal p-blocks are read off 27 such
+actions at the q-mean, on a strip of three q-columns, so the Jacobian's
+partials are written once, in `_pointwise`.  The
 continuation seed cos(q) phi_1(p) and the critical gravity come from the
 k = 1 modal block.
 
@@ -61,7 +64,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
 from .grid import Grid, GridError, _STENCIL
@@ -505,6 +507,7 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
         krylov.append(its)
         if dx is None:
             fallbacks += 1
+            import scipy.sparse.linalg as spla  # on a fallback only
             dx = spla.splu(sys_.jacobian_matrix(H, Q, imode).tocsc()).solve(-r)
         dH = dx[:sys_.n_h].reshape(H.shape[0], -1)
         dQ = dx[sys_.n_h] if imode != "fixed_Q" else 0.0

@@ -146,6 +146,46 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
     assert out.strip() == "[]"
 
 
+# loads, in a fresh interpreter, numpy, scipy.sparse and LAPACK (the
+# baseline), then steadywaves.cli, then runs solve -> transform -> verify;
+# prints the scipy modules outside the baseline after the import and after
+# the run
+_COLD_START = """\
+import json, sys
+def scipy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+import numpy, scipy.sparse, scipy.linalg.lapack
+base = scipy_modules()
+from steadywaves.cli import main
+after_import = sorted(scipy_modules() - base)
+cfg, out = sys.argv[1:]
+assert main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 0
+for cmd in ("transform", "verify"):
+    assert main([cmd, "--config", cfg, "--out", out, "--quiet",
+                 "--field", out + "/field.csv"]) == 0
+print(json.dumps([after_import, sorted(scipy_modules() - base)]))
+"""
+
+
+def test_cli_loads_no_scipy_beyond_sparse_and_lapack(tmp_path):
+    # scipy.fft, scipy.ndimage (with scipy.special) and scipy.sparse.linalg
+    # would each add tens of ms to every subcommand's start-up; relative to
+    # what numpy, scipy.sparse and scipy.linalg.lapack load on the installed
+    # scipy, neither the import nor a whole two-layer job with the mollifier
+    # may load more
+    src = str(Path(steadywaves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG)
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, cfg, str(tmp_path / "o")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    after_import, after_run = json.loads(out.splitlines()[-1])
+    named = ("scipy.fft, scipy.ndimage, scipy.special and scipy.sparse.linalg "
+             "must stay off steadywaves' path")
+    assert after_import == [], f"import steadywaves.cli loads {after_import}; {named}"
+    assert after_run == [], f"solve, transform and verify load {after_run}; {named}"
+
+
 def test_solve_flat_fixed_Q(tmp_path):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     out = tmp_path / "run"

@@ -9,6 +9,7 @@ from scipy.fft import dct
 
 from conftest import G_CRITICAL_TWO_LAYER, THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import laminar
+from steadywaves import modal
 from steadywaves import solver
 from steadywaves.modal import LaminarModes, SingularModeError
 from steadywaves.field import HeightField, random_admissible_field
@@ -265,6 +266,17 @@ def test_modal_solve_is_the_axis0_transform(v_two_layer, params, Nq, Np):
     bhat = dct(b.reshape(nh + 1, Np), type=1, axis=0)
     want = dct(modes.solve_modal(bhat), type=1, axis=0) / (2 * nh)
     assert np.array_equal(modes.solve(b), want.ravel())
+
+
+@pytest.mark.parametrize("nh", [1, 2, 3, 8, 64])
+def test_dct1_is_scipy_dct_type1(nh):
+    # numpy's real FFT of the even extension gives scipy's floats, down to
+    # the two-point transform of nh = 1, along the last axis and, on the
+    # transposed array as `LaminarModes.solve` runs it, along axis 0
+    x = np.random.default_rng(nh).standard_normal((5, nh + 1))
+    assert np.array_equal(modal._dct1(x), dct(x, type=1))
+    xt = np.ascontiguousarray(x.T)
+    assert np.array_equal(modal._dct1(xt.T).T, dct(xt, type=1, axis=0))
 
 
 def test_wave_seed_matches_eigs_oracle(v_two_layer, params_critical):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.ndimage import convolve1d
 
 from steadywaves import field as fd
 from steadywaves.vorticity import FlowParameters, gamma_cap, gamma_tilde
@@ -645,3 +646,24 @@ def test_mollification_rejects_small_eps(smooth_fields):
     params, fields = smooth_fields
     with pytest.raises(ValueError):
         wf.mollification_rate(fields, params, [1e-4])
+
+
+@pytest.mark.parametrize("shape,mq,mp", [
+    ((24, 17), 2, 2),    # the smallest kernels
+    ((8, 33), 7, 3),     # a q-kernel of 15 taps wraps onto 8 nodes
+    ((16, 9), 3, 11),    # a p-half-width above Np = 8 reads only the clamp
+    ((150, 40), 5, 7),   # p-pass blocks of q-rows, the last one partial
+])
+def test_mollify_matches_direct_convolution(shape, mq, mp):
+    # oracle: the direct separable convolution, wrapped in q and clamped to
+    # the nearest node in p
+    def kernel(m):
+        k = wf.bump1d(np.arange(-m, m + 1) / (m + 0.5))
+        return k / k.sum()
+
+    arr = np.random.default_rng(mq * 100 + mp).standard_normal(shape)
+    want = convolve1d(convolve1d(arr, kernel(mq), axis=0, mode="wrap"),
+                      kernel(mp), axis=1, mode="nearest")
+    got = wf._mollify(arr, mq, mp)
+    assert got.shape == arr.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
