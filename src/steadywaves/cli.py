@@ -6,7 +6,8 @@ byte-identical for identical configs (the manifests' timestamp field is the
 single exception).  A CSV file holds one "%.17g" row per element of its
 columns broadcast to a common shape, in C order, so `field.csv` is written
 from [q[:, None], p, h]; the bytes are those of a per-row formatter, but
-each distinct row of each column is formatted only once.
+each distinct row of each column is formatted only once, held as one text,
+and the file is streamed in blocks of rows assembled from those texts.
 
 Exit codes: 0 success, 2 validation error, 3 non-convergence (also no
 laminar flow for the vorticity, or an exactly singular laminar modal
@@ -39,19 +40,27 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _format_rows(a):
-    """Each value of `a` as a "%.17g" string, in an object array of its shape.
+# cells formatted and written at a time: a block's cells, their strings and
+# its text take about 60 B a cell, on top of the row texts
+_BLOCK_CELLS = 16384
 
-    Rows (along the last axis) with equal bit patterns are formatted once,
-    so 0.0 and -0.0, or values one ulp apart, never share a string.
+
+def _row_texts(a):
+    """(texts, index): each distinct row of `a` along its last axis as one
+    "\n"-joined "%.17g" text, and the index of each row's text, in C order.
+
+    Rows are compared bit for bit, so 0.0 and -0.0, or values one ulp
+    apart, never share a text.
     """
-    rows = np.ascontiguousarray(a).reshape(-1, a.shape[-1])
-    keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = distinct.view(np.float64).tolist()
-    text = ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    strings = np.array(text, dtype=object).reshape(len(distinct), -1)
-    return strings[inverse.ravel()].reshape(a.shape)
+    rows = a.reshape(-1, a.shape[-1])
+    fmt = "\n".join(["%.17g"] * rows.shape[1])
+    seen, texts, index = {}, [], []
+    for r in rows:
+        i = seen.setdefault(r.tobytes(), len(texts))
+        if i == len(texts):
+            texts.append(fmt % tuple(r.tolist()))
+        index.append(i)
+    return texts, index
 
 
 def write_csv(path, header, columns):
@@ -60,18 +69,36 @@ def write_csv(path, header, columns):
     The columns are arrays of one or more dimensions; the rows run in C
     order over their common shape.  Each column is formatted at its own
     shape, so a (Nq, 1) column is formatted Nq times, not once per row it
-    fills.
+    fills.  The file is written in blocks of leading rows (rows of the
+    common shape less its last axis), each block assembled from the
+    columns' row texts and formatted in one call.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    n_rows = int(np.prod(shape))
-    cells = ()
-    if n_rows:
-        cells = tuple(np.stack([np.broadcast_to(_format_rows(a), shape)
-                                for a in arrays], axis=-1).ravel().tolist())
-    row = ",".join(["%s"] * len(arrays)) + "\n"
-    Path(path).write_text(",".join(header) + "\n" + row * n_rows % cells,
-                          encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if not np.prod(shape):
+            return
+        n, lead, ncols = shape[-1], shape[:-1], len(arrays)
+        cols = []
+        for a in arrays:
+            texts, index = _row_texts(a)
+            index = np.broadcast_to(np.reshape(index, a.shape[:-1]), lead)
+            cols.append((texts, index.ravel().tolist(), n // a.shape[-1]))
+        n_lead = int(np.prod(lead))
+        width = n * ncols                 # cells per leading row
+        per_block = max(1, _BLOCK_CELLS // width)
+        row = ",".join(["%s"] * ncols) + "\n"
+        for start in range(0, n_lead, per_block):
+            stop = min(start + per_block, n_lead)
+            cells = [None] * ((stop - start) * width)
+            for c, (texts, index, repeat) in enumerate(cols):
+                last = None
+                for k, i in enumerate(index[start:stop]):
+                    if i != last:       # a repeated row reuses its cells
+                        parts, last = texts[i].split("\n") * repeat, i
+                    cells[k * width + c:(k + 1) * width:ncols] = parts
+            fh.write(row * ((stop - start) * n) % tuple(cells))
 
 
 def read_csv(path):
@@ -268,7 +295,8 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
                 lhs, rhs, gap = vals["cross"]
                 cross.append({"center": list(tf.center), "lhs": lhs,
                               "rhs": rhs, "gap": gap})
-    del level, ev       # their resampled series, before the mollifier's
+        del level   # its resampled series, before the next level's
+    del ev          # and the evaluator's, before the mollifier's
 
     reports = []
     rows = []  # flat CSV rows: formulation, q0, pc, level, value, normalizer

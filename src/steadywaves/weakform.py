@@ -241,7 +241,7 @@ def pair_stream(fields: PhysicalFields, v: VorticityFunction,
     nq, npp = _default_quadrature(fields, nq, npp)
     level = QuadratureLevel(params, nq, npp, v, fields=fields)
     win, _, px, py = level.test_function(phi)
-    return level.pair_stream(win, px, py)
+    return level.pair_stream(win, level.f_stream(win), px, py)
 
 
 def pair_euler(fields: PhysicalFields, params: FlowParameters,
@@ -250,7 +250,8 @@ def pair_euler(fields: PhysicalFields, params: FlowParameters,
     """(R1, R2, R3): weak Euler pairings (momentum-x, momentum-y, mass)."""
     nq, npp = _default_quadrature(fields, nq, npp)
     level = QuadratureLevel(params, nq, npp, v, fields=fields)
-    return level.pair_euler(*level.test_function(phi))
+    win, val, px, py = level.test_function(phi)
+    return level.pair_euler(win, val, px, py, level.f_stream(win))
 
 
 def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
@@ -307,13 +308,15 @@ class QuadratureLevel:
     pushforward gradient and the stream side of the cross identity;
     `fields` (the reconstructed PhysicalFields) feeds the stream and Euler
     pairings.  Each sampled series (the field's h_q and h_p, the
-    reconstructed psi_x, psi_y, u, v and P) is resampled on first use at
-    the rule's q-nodes on every sided column of its grid (Np+1, and one
-    more per jump node) and kept: pairing many test functions costs one
+    reconstructed psi_x, psi_y and P) is resampled on first use at the
+    rule's q-nodes on every sided column of its grid (Np+1, and one more
+    per jump node) and kept: pairing many test functions costs one
     resampling of each.  A test function's arrays (A and B, the psi
     coefficients, the Euler fluxes, the Jacobian) are blended in p from the
-    rows of its support window and dropped once it is paired.  An
-    evaluator with no node columns is evaluated on the window's nodes.
+    rows of its support window and dropped once it is paired; the velocity
+    u = c + psi_y, v = -psi_x is formed from the blended psi_x, psi_y, as
+    `reconstruct_fields` defines it.  An evaluator with no node columns is
+    evaluated on the window's nodes.
     """
 
     def __init__(self, params: FlowParameters, nq, npp,
@@ -366,6 +369,11 @@ class QuadratureLevel:
         return stream_gradient(*self._fields_at(win, "hq_at", "hp_at"),
                                self.params)
 
+    def f_stream(self, win):
+        """(psi_x, psi_y) of the reconstructed fields at the midpoints of a
+        window."""
+        return self._fields_at(win, "psi_x", "psi_y")
+
     # -- pairings -------------------------------------------------------------
 
     def test_function(self, phi: PushforwardTestFunction):
@@ -385,22 +393,21 @@ class QuadratureLevel:
         tq, tp = tf.grad(self.q[iq], p)
         return float(self.wq * np.sum((A * tp + hq / u * tq) @ self.wp[jp]))
 
-    def _stream_pairing(self, win, psi_x, psi_y, px, py):
-        """The stream integrand with the stream function's psi_x, psi_y,
-        summed over a window's midpoints."""
+    def pair_stream(self, win, psi, px, py):
+        """The stream integrand with the stream gradient psi = (psi_x,
+        psi_y), summed over a window's midpoints."""
         return _stream_sum(gamma_tilde(self.v, self.params,
                                        self.pm[win[1]])[None, :],
-                           *_stream_coeffs(psi_x, psi_y, self.params),
+                           *_stream_coeffs(*psi, self.params),
                            px, py, self.wq * self.wpm)
 
-    def pair_stream(self, win, px, py):
-        psi_x, psi_y = self._fields_at(win, "psi_x", "psi_y")
-        return self._stream_pairing(win, psi_x, psi_y, px, py)
-
-    def pair_euler(self, win, val, px, py):
-        psi_y, u, vv, P = self._fields_at(win, "psi_y", "u", "v", "P")
-        jac = self.params.p0 / psi_y
+    def pair_euler(self, win, val, px, py, psi):
+        """(R1, R2, R3) with the reconstructed fields' psi = (psi_x, psi_y)
+        on the window."""
+        psi_x, psi_y = psi
+        P, = self._fields_at(win, "P")
         c, w = self.params.c, self.wq * self.wpm
+        u, vv, jac = c + psi_y, -psi_x, self.params.p0 / psi_y
         R1 = np.sum(((u * u - c * u + P) * px + u * vv * py) * jac)
         R2 = np.sum(((u * vv - c * vv) * px + (vv * vv + P) * py
                      - self.params.g * val) * jac)
@@ -411,7 +418,7 @@ class QuadratureLevel:
         """(lhs, rhs, gap) from the height pairing, and the pushforward
         gradient and the field's `h_stream` on its window."""
         lhs = self.params.p0 ** 2 * height
-        rhs = self._stream_pairing(win, *psi, px, py)
+        rhs = self.pair_stream(win, psi, px, py)
         return lhs, rhs, abs(lhs - rhs)
 
     def pairings(self, tf: TestFunction, with_cross=False):
@@ -422,9 +429,11 @@ class QuadratureLevel:
         psi = self.h_stream(win)
         px, py = _pushforward_grad(*tf.grad(q, pm), *psi, self.params.p0)
         height = self.pair_height(tf)
-        out = {"height": height, "stream": self.pair_stream(win, px, py)}
+        f_psi = self.f_stream(win)
+        out = {"height": height,
+               "stream": self.pair_stream(win, f_psi, px, py)}
         out.update(zip(EULER_NAMES,
-                       self.pair_euler(win, tf.value(q, pm), px, py)))
+                       self.pair_euler(win, tf.value(q, pm), px, py, f_psi)))
         if with_cross:
             out["cross"] = self.cross_identity(height, win, px, py, psi)
         return out

@@ -230,7 +230,7 @@ def test_level_keeps_one_hp_array_on_the_sided_columns():
                                fields=tr.reconstruct_fields(hf, v, params))
     level.pairings(wf.bump((0.0, -0.5), (np.pi / 4, 0.3)), with_cross=True)
     assert sorted(level._columns) == sorted(
-        ("hq_at", "hp_at", "psi_x", "psi_y", "u", "v", "P"))
+        ("hq_at", "hp_at", "psi_x", "psi_y", "P"))
     for cols, grid in level._columns.values():
         assert grid is g and cols.shape == (2 * g.Nq, g.Np + 1 + 2)
 

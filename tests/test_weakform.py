@@ -481,9 +481,9 @@ def sampled_fields(v_two_layer):
     return params, hf, tr.reconstruct_fields(hf, v_two_layer, params)
 
 
-# h_q, the sided h_p, and the reconstructed fields: what a level resamples,
-# once each
-LEVEL_SERIES = 2 + len(("psi_x", "psi_y", "u", "v", "P"))
+# h_q, the sided h_p, and the reconstructed psi_x, psi_y and P (the
+# velocity is formed from psi_x, psi_y): what a level resamples, once each
+LEVEL_SERIES = 2 + len(("psi_x", "psi_y", "P"))
 
 
 def _pair_lattice(level):
@@ -497,8 +497,8 @@ def test_level_memory_is_its_node_columns(sampled_fields, v_two_layer, lvl):
     # holds one resampling per series on the sided columns (Np+2 here),
     # one resampling's FFT input and output and one bump's window arrays at
     # a time, never arrays over the whole rule (at level 2, npp = 2 Np);
-    # about 10.3 column arrays at either level, 11.4 with two whole h_p
-    # arrays, where whole-rule arrays took 18 and 34
+    # about 8.1 and 8.4 column arrays, 10.3 with u and v resampled too,
+    # 11.4 with two whole h_p arrays, where whole-rule arrays took 18 and 34
     params, hf, fields = sampled_fields
     nq, npp = 4 * 32 * lvl, 64 * lvl
     column = nq * (hf.grid.Np + 1) * 8
