@@ -98,18 +98,21 @@ def _trig_resample(c, nq, deriv=False):
 def _blend(series, grid, q, p, deriv=False):
     """The interpolant of a sampled series (nh+1, sided columns) at q x p,
     (nq, len(p)): the run of sided columns that p's cells touch is
-    resampled once at q (`_trig_eval`), then blended in p (`_blend_cells`)."""
+    resampled once at q (`_trig_eval`), then blended in p (`_blender`)."""
     e, t = grid.p_cell(p)
     if e.size == 0:
         return np.zeros((np.size(q), 0))
     run = slice(e.min(), e.max() + 2)
-    return _blend_cells(_trig_eval(series[:, run], q, deriv), e - run.start, t)
+    return _blender(e - run.start, t)(_trig_eval(series[:, run], q, deriv))
 
 
-def _blend_cells(cols, e, t):
-    """Sided columns blended linearly in p: at offset t in the cell whose
-    lower end is column e, columns e and e + 1."""
-    return cols[:, e] * (1.0 - t) + cols[:, e + 1] * t
+def _blender(e, t):
+    """Sided columns blended linearly in p, as a function of the columns:
+    at offset t in the cell whose lower end is column e, columns e and
+    e + 1.  What depends on the cells alone is found once, here."""
+    e1, s = e + 1, 1.0 - t
+    return lambda cols: (np.take(cols, e, axis=1) * s
+                         + np.take(cols, e1, axis=1) * t)
 
 
 def interp_rows(arr, grid: Grid, q_t, p_t):
@@ -281,14 +284,22 @@ class AnalyticHeightField:
     def _kq(self, q):
         return np.outer(np.asarray(q, dtype=float), self._k)
 
+    def at_p(self, p):
+        """{name: f}: h_at, hq_at and hp_at on q x p as functions f(q) of q
+        alone, with p's polynomials evaluated once, here."""
+        P, Pp = self._poly(self._C, p), self._poly(self._Cp, p)
+        return {"h_at": lambda q: np.cos(self._kq(q)) @ P,
+                "hq_at": lambda q: (np.sin(self._kq(q)) * -self._k) @ P,
+                "hp_at": lambda q: np.cos(self._kq(q)) @ Pp}
+
     def h_at(self, q, p):
-        return np.cos(self._kq(q)) @ self._poly(self._C, p)
+        return self.at_p(p)["h_at"](q)
 
     def hq_at(self, q, p):
-        return (np.sin(self._kq(q)) * -self._k) @ self._poly(self._C, p)
+        return self.at_p(p)["hq_at"](q)
 
     def hp_at(self, q, p):
-        return np.cos(self._kq(q)) @ self._poly(self._Cp, p)
+        return self.at_p(p)["hp_at"](q)
 
     def sample(self, grid: Grid, Q=None) -> HeightField:
         """Sample onto a grid as a HeightField, with an exactly zero bed row.

@@ -409,48 +409,107 @@ class _Counting:
 
 @pytest.mark.parametrize("sampled", [False, True])
 def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
-    # h_q and h_p once per rule (trapezoid and midpoint), on the window's
-    # p-columns and the window's q-nodes only
+    # h_q and h_p on the window's p-nodes of each rule (trapezoid and
+    # midpoint), one q-block at a time: at this level the window takes
+    # several blocks, and their q-nodes partition the window's, so each
+    # node is asked once per series per rule
     params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
     f = random_admissible_field(np.random.default_rng(3))
     if sampled:
         f = f.sample(Grid(64, 96, aligned_jumps=(-0.5,)), Q=12.0).evaluator()
     ev = _Counting(f)
     q0, pc, rq, rp = 3 * np.pi / 4, -0.45, np.pi / 4, 0.2
-    nq, npp = 128, 192
+    nq, npp = 512, 768
     wf.cross_identity(ev, v_two_layer, params, wf.bump((q0, pc), (rq, rp)),
                       nq, npp)
-    assert sorted(name for name, _, _ in ev.calls) == [
-        "hp_at", "hp_at", "hq_at", "hq_at"]
-    nodes = [wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(nq, npp)[1]]
-    asked = sorted({tuple(p) for _, _, p in ev.calls})
-    assert asked == sorted(tuple(p[np.abs((p - pc) / rp) < 1.0])
-                           for p in nodes)
     q = wf._q_nodes(nq)
-    iq = np.abs(wf._wrap_q(q - q0) / rq) < 1.0
-    assert 0 < iq.sum() < nq
-    assert all(np.array_equal(qc, q[iq]) for _, qc, _ in ev.calls)
+    window = q[np.abs(wf._wrap_q(q - q0) / rq) < 1.0]
+    assert 0 < window.size < nq
+    asked = 0
+    for p in (wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(nq, npp)[1]):
+        p = p[np.abs((p - pc) / rp) < 1.0]
+        for name in ("hq_at", "hp_at"):
+            blocks = [qc for n, qc, pc_ in ev.calls
+                      if n == name and np.array_equal(pc_, p)]
+            assert len(blocks) > 1
+            assert all(b.size * p.size <= wf._BLOCK_CELLS for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), window)
+            asked += len(blocks)
+    assert asked == len(ev.calls)
 
 
-def test_cross_identity_memory_is_a_few_window_arrays(v_two_layer):
-    # a one-shot call holds a few arrays of its window's nodes at a time,
-    # never arrays of the rule's full q-rows
+def test_cross_identity_memory_is_a_few_block_arrays(v_two_layer):
+    # a one-shot call holds a fixed number of q-block arrays at a time,
+    # however large its bump's window: at (512, 768) the first bump's window
+    # is 39k nodes, the second's, which wraps across q = +-pi, 338k, so an
+    # array over either window is 4.8 or 41 blocks.  The peak is about 12.7
+    # blocks for both; it was 67 and 579 when each window was paired whole
     params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
     f = random_admissible_field(np.random.default_rng(3))
-    q0, pc, rq, rp = 3 * np.pi / 4, -0.45, np.pi / 4, 0.2
-    tf = wf.bump((q0, pc), (rq, rp))
     nq, npp = 512, 768
-    q, p = wf._q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
-    window = (np.sum(np.abs(wf._wrap_q(q - q0) / rq) < 1.0)
-              * np.sum(np.abs((p - pc) / rp) < 1.0) * 8)
-    wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
-    tracemalloc.start()
-    try:
+    block = wf._BLOCK_CELLS * 8
+    for radii in ((np.pi / 4, 0.2), (3.0, 0.45)):
+        tf = wf.bump((3 * np.pi / 4, -0.5), radii)
         wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * window
+        tracemalloc.start()
+        try:
+            wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * block, (radii, peak / block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       q0=st.floats(-np.pi, np.pi), rq=st.floats(0.05, 3.1),
+       pc=st.floats(-0.95, -0.05), rp=st.floats(0.01, 0.49),
+       nq=st.sampled_from([32, 64, 128]), npp=st.sampled_from([16, 24, 32]),
+       rows=st.integers(1, 80))
+# windows that wrap across q = +-pi into two runs, of 5 and 5 q-nodes in
+# blocks of 3 rows and of 5 and 4 in blocks of 2: runs that end in a short
+# block
+@example(q0=3.0, rq=1.0, pc=-0.5, rp=0.3, seed=2, nq=32, npp=16, rows=3)
+@example(q0=-np.pi, rq=0.9, pc=-0.45, rp=0.2, seed=5, nq=32, npp=24, rows=2)
+# one row per block, and one block holding the whole window
+@example(q0=0.3, rq=1.2, pc=-0.3, rp=0.2, seed=7, nq=64, npp=32, rows=1)
+@example(q0=0.3, rq=1.2, pc=-0.3, rp=0.2, seed=7, nq=64, npp=32, rows=80)
+def test_blocked_sums_match_one_block(v_two_layer, seed, q0, rq, pc, rp, nq,
+                                      npp, rows):
+    # blocks of `rows` q-nodes, from one up to more than the window, give
+    # every pairing the sum of one block over the whole window, to 1e-14 of
+    # the sum of its terms' sizes: on verify's level over a sampled field
+    # and in the one-shot cross identity over the analytic field
+    assume(pc - rp > -1.0 and pc + rp < 0.0)
+    params = FlowParameters(d=1.2, g=3.3, c=1.0, p0=-0.9)
+    v = v_two_layer
+    tf = wf.bump((q0, pc), (rq, rp))
+    f = random_admissible_field(np.random.default_rng(seed))
+    hf = f.sample(Grid(16, 16, aligned_jumps=(-0.5,)), Q=7.5)
+    fields = tr.reconstruct_fields(hf, v, params)
+
+    def sums(cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wf, "_BLOCK_CELLS", cells)
+            level = wf.QuadratureLevel(params, nq, npp, v, field_like=hf,
+                                       fields=fields)
+            out = level.pairings(tf, with_cross=True)
+            out["lhs"], out["rhs"], _ = out.pop("cross")
+            out["analytic_lhs"], out["analytic_rhs"], _ = wf.cross_identity(
+                f, v, params, tf, nq, npp)
+        return out
+
+    # `rows` q-nodes per block of the midpoint rule's p-window; the
+    # trapezoid rule's p-window has a node more or less, so its blocks hold
+    # about as many
+    n = np.sum(np.abs(wf._midpoint_nodes(nq, npp)[1] - pc) < rp)
+    blocked, whole = sums(rows * max(n, 1)), sums(nq * (npp + 1))
+    terms = _full_domain_terms(hf.evaluator(), fields, v, params, tf, nq, npp)
+    analytic = _full_domain_terms(f, None, v, params, tf, nq, npp)
+    terms.update(analytic_lhs=analytic["lhs"], analytic_rhs=analytic["rhs"])
+    for name, value in blocked.items():
+        size = np.sum(np.abs(terms[name]))
+        assert abs(value - whole[name]) <= 1e-14 * size, name
 
 
 def test_windowed_pairings_keep_the_fft_resampling(v_two_layer, monkeypatch):
