@@ -463,14 +463,16 @@ class QuadratureLevel:
         `PushforwardTestFunction.grad_xy_at_qp`, over the field's h_q,
         h_p and the bump's gradient that the block has just formed.
         """
+        stream, euler, cross = (n in names for n in ("stream", "euler",
+                                                     "cross"))
         iq, jm = _window(tf, self.q, self.pm)
         pm, p0, c = self.pm[jm], self.params.p0, self.params.c
         bq, dbq, bp, dbp = tf.factors(self.q[iq], pm)
         bq, dbq = bq[:, None], dbq[:, None]
         hq_at, hp_at = self._rows(pm, "hq_at", "hp_at")
-        if "stream" in names or "euler" in names:
+        if stream or euler:
             psi_x_at, psi_y_at, P_at = self._rows(pm, "psi_x", "psi_y", "P")
-        if "stream" in names or "cross" in names:
+        if stream or cross:
             gt = gamma_tilde(self.v, self.params, pm)
         memo = _Reusing(tf, self.ev)
         phi = PushforwardTestFunction(memo, memo, self.params)
@@ -480,14 +482,14 @@ class QuadratureLevel:
             memo.keep(q, pm, hq_at=hq, hp_at=hp,
                       grad=(dbq[rel] * bp, bq[rel] * dbp))
             px, py = phi.grad_xy_at_qp(q, pm)
-            if "cross" in names:
+            if cross:
                 sums["cross"] += _stream_sum(
                     gt, *stream_gradient(hq, hp, self.params), px, py, p0)
-            if "stream" in names or "euler" in names:
+            if stream or euler:
                 psi_x, psi_y = psi_x_at(b), psi_y_at(b)
-            if "stream" in names:
+            if stream:
                 sums["stream"] += _stream_sum(gt, psi_x, psi_y, px, py, p0)
-            if "euler" in names:
+            if euler:
                 P = P_at(b)
                 u, vv, jac = c + psi_y, -psi_x, p0 / psi_y
                 uv, val = u * vv, bq[rel] * bp
