@@ -6,8 +6,9 @@ byte-identical for identical configs (the manifests' timestamp field is the
 single exception).  A CSV file holds one "%.17g" row per element of its
 columns broadcast to a common shape, in C order, so `field.csv` is written
 from [q[:, None], p, h]; the bytes are those of a per-row formatter, but
-each distinct row of each column is formatted only once, held as one text,
-and the file is streamed in blocks of rows assembled from those texts.
+the file is streamed one leading row (a q-row) at a time, each made by one
+or two `%` calls on a line template that holds the texts of the columns'
+repeated rows, each formatted once (`write_csv`).
 
 Exit codes: 0 success, 2 validation error, 3 non-convergence (also no
 laminar flow for the vorticity, or an exactly singular laminar modal
@@ -40,38 +41,49 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-# cells formatted and written at a time: a block's cells, their strings and
-# its text take about 60 B a cell, on top of the row texts
-_BLOCK_CELLS = 16384
-
-
-def _row_texts(a):
-    """(texts, index): each distinct row of `a` along its last axis as one
-    "\n"-joined "%.17g" text, and the index of each row's text, in C order.
+def _distinct_rows(a, lead):
+    """(rows, index, count): `a`'s rows along its last axis, for each
+    leading row of the common shape `lead` (C order) the position in rows
+    of the first row equal to its own, and the number of distinct rows.
 
     Rows are compared bit for bit, so 0.0 and -0.0, or values one ulp
-    apart, never share a text.
+    apart, are never the same row.
     """
     rows = a.reshape(-1, a.shape[-1])
-    fmt = "\n".join(["%.17g"] * rows.shape[1])
-    seen, texts, index = {}, [], []
+    seen, first = {}, []
     for r in rows:
-        i = seen.setdefault(r.tobytes(), len(texts))
-        if i == len(texts):
-            texts.append(fmt % tuple(r.tolist()))
-        index.append(i)
-    return texts, index
+        first.append(seen.setdefault(r.tobytes(), len(first)))
+    index = np.broadcast_to(np.reshape(first, a.shape[:-1]), lead)
+    return rows, index.ravel().tolist(), len(seen)
+
+
+def _interleaved(rows):
+    """The values of equal-length rows as one tuple, line by line."""
+    return tuple(np.stack(rows, axis=-1).ravel().tolist()) if rows else ()
+
+
+def _markers():
+    """Characters that no "%.17g" text, separator or placeholder holds,
+    one to mark each column with one value per leading row."""
+    return (chr(c) for c in range(sys.maxunicode + 1)
+            if chr(c) not in "%+-.0123456789einfa,\n")
 
 
 def write_csv(path, header, columns):
     """One row per element of the columns broadcast to a common shape.
 
     The columns are arrays of one or more dimensions; the rows run in C
-    order over their common shape.  Each column is formatted at its own
-    shape, so a (Nq, 1) column is formatted Nq times, not once per row it
-    fills.  The file is written in blocks of leading rows (rows of the
-    common shape less its last axis), each block assembled from the
-    columns' row texts and formatted in one call.
+    order over their common shape.  Each leading row (a row of the common
+    shape less its last axis, a q-row of `field.csv`) is written as one
+    text, made by one or two `%` calls on a line template for all of its
+    lines.  A column's values enter the template by its rows' kind:
+    - one distinct row (`p`, `psi`): formatted once, as literal text;
+    - one value per leading row (`q[:, None]`, `x[:, None]`): formatted
+      once per leading row, and put in place of the column's marker;
+    - rows that repeat (`h`, or `y`, `u`, `P`, which are even in q):
+      formatted once per distinct combination of these columns' rows, a
+      template kept until the last leading row that uses it;
+    - rows that do not (`v`): formatted into the template per leading row.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
@@ -79,26 +91,44 @@ def write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         if not np.prod(shape):
             return
-        n, lead, ncols = shape[-1], shape[:-1], len(arrays)
-        cols = []
-        for a in arrays:
-            texts, index = _row_texts(a)
-            index = np.broadcast_to(np.reshape(index, a.shape[:-1]), lead)
-            cols.append((texts, index.ravel().tolist(), n // a.shape[-1]))
+        n, lead = shape[-1], shape[:-1]
         n_lead = int(np.prod(lead))
-        width = n * ncols                 # cells per leading row
-        per_block = max(1, _BLOCK_CELLS // width)
-        row = ",".join(["%s"] * ncols) + "\n"
-        for start in range(0, n_lead, per_block):
-            stop = min(start + per_block, n_lead)
-            cells = [None] * ((stop - start) * width)
-            for c, (texts, index, repeat) in enumerate(cols):
-                last = None
-                for k, i in enumerate(index[start:stop]):
-                    if i != last:       # a repeated row reuses its cells
-                        parts, last = texts[i].split("\n") * repeat, i
-                    cells[k * width + c:(k + 1) * width:ncols] = parts
-            fh.write(row * ((stop - start) * n) % tuple(cells))
+        # each placeholder is escaped once for each `%` before its own:
+        # the literal texts', the combination's and the leading row's
+        markers, cells = _markers(), []
+        const, per_lead, repeat, unique = [], [], [], []
+        for a in arrays:
+            rows, index, count = _distinct_rows(a, lead)
+            if count == 1:
+                cells.append("%.17g")
+                const.append(np.broadcast_to(rows[0], n))
+            elif a.shape[-1] < n:
+                cells.append(next(markers))
+                per_lead.append((cells[-1], rows[index, 0].tolist()))
+            elif count < n_lead:
+                cells.append("%%.17g")
+                repeat.append((rows, index))
+            else:
+                cells.append("%%%%.17g")
+                unique.append((rows, index))
+        base = (",".join(cells) + "\n") * n % _interleaved(const)
+        keys = (list(zip(*(index for _, index in repeat))) if repeat
+                else [()] * n_lead)
+        last = {key: i for i, key in enumerate(keys)}
+        templates = {}
+        for i, key in enumerate(keys):
+            text = templates.pop(key, None)
+            if text is None:
+                text = base % _interleaved(
+                    [rows[k] for (rows, _), k in zip(repeat, key)])
+            if last[key] > i:
+                templates[key] = text
+            if unique:
+                text %= _interleaved([rows[index[i]]
+                                      for rows, index in unique])
+            for marker, values in per_lead:
+                text = text.replace(marker, _fmt(values[i]))
+            fh.write(text)
 
 
 def read_csv(path):

@@ -444,13 +444,13 @@ class QuadratureLevel:
         hq_at, hp_at = self._rows(p, "hq_at", "hp_at")
         gc = gamma_cap(self.v, self.params, p) / (2 * d * d)
         bq, dbq, bp, dbp = tf.factors(self.q[iq], p)
-        bq, dbq = bq[:, None], dbq[:, None]
-        w, total = self.wp[jp], 0.0
+        # the bump is separable: each block's sum contracts its arrays with
+        # the p-factors, then with the q-factors
+        w_dbp, w_bp, total = self.wp[jp] * dbp, self.wp[jp] * bp, 0.0
         for rel, b in _blocks(iq, p.size):
             hq, u = hq_at(b), 1.0 + hp_at(b)
             A = _speed(hq, u ** 2, d) + gc
-            total += np.sum((A * (bq[rel] * dbp) + hq / u * (dbq[rel] * bp))
-                            @ w)
+            total += bq[rel] @ (A @ w_dbp) + dbq[rel] @ (hq / u @ w_bp)
         return float(self.wq * total)
 
     def midpoint_sums(self, tf: TestFunction, *names):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import steadywaves
-from steadywaves import cli
 from steadywaves.cli import main, read_csv, read_field, write_csv, write_field
 from steadywaves.config import load_config
 from steadywaves import laminar
@@ -593,13 +592,11 @@ def _csv_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=_csv_tables(), block=st.integers(1, 64))
+@given(table=_csv_tables())
 @example(table=(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1, 2)],
                           [0.0, 1.0]]), np.array([0.0, -0.0, 0.0, 5e-324]),
-                np.array([np.nan, -np.inf])), block=cli._BLOCK_CELLS)
-def test_write_csv_matches_per_row_formatter(tmp_path_factory, table, block):
-    # `block` cells to a block: from one leading row per block to all of
-    # them in one, with a short last block between
+                np.array([np.nan, -np.inf])))
+def test_write_csv_matches_per_row_formatter(tmp_path_factory, table):
     A, col, row = table
     d = tmp_path_factory.mktemp("csv")
     cases = {
@@ -609,13 +606,70 @@ def test_write_csv_matches_per_row_formatter(tmp_path_factory, table, block):
         "3d": (["a", "b"], [A[:, None, :], -A[None, ::-1, :]]),
     }
     for name, (header, columns) in cases.items():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_CELLS", block)
-            write_csv(d / f"{name}.csv", header, columns)
-        flat = np.broadcast_arrays(*columns)
-        _write_csv_per_row(d / f"{name}.ref.csv", header, flat)
-        assert ((d / f"{name}.csv").read_bytes()
-                == (d / f"{name}.ref.csv").read_bytes())
+        _assert_writes_per_row_bytes(d / name, header, columns)
+
+
+def _assert_writes_per_row_bytes(stem, header, columns):
+    write_csv(f"{stem}.csv", header, columns)
+    _write_csv_per_row(f"{stem}.ref.csv", header,
+                       np.broadcast_arrays(*columns))
+    assert (Path(f"{stem}.csv").read_bytes()
+            == Path(f"{stem}.ref.csv").read_bytes())
+
+
+_CSV_ROWS = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+# the kinds of column that write_csv formats each in its own way
+_CSV_KINDS = ("one row", "one value per leading row", "repeating rows",
+              "drawn rows")
+
+
+@st.composite
+def _csv_mixed_tables(draw):
+    """12 to 48 columns on a drawn 2-D or 3-D shape, with each kind among
+    them in a drawn order.  A column of repeating rows may repeat them
+    along some leading axes only, and a column of drawn rows may repeat
+    some by chance."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.permutations(_CSV_KINDS)) + draw(
+        st.lists(st.sampled_from(_CSV_KINDS), min_size=8, max_size=44))
+    pool = draw(hnp.arrays(float, 8, elements=_CSV_VALUES))
+
+    def values(shape, size=len(pool)):
+        return draw(hnp.arrays(np.intp, shape, elements=st.integers(
+            0, size - 1)))
+
+    columns = []
+    for kind in kinds:
+        if kind == "one row":
+            columns.append(pool[values(n)])
+        elif kind == "one value per leading row":
+            columns.append(pool[values(lead + (1,))])
+        elif kind == "repeating rows":
+            own = tuple(draw(st.sampled_from([1, m])) for m in lead)
+            rows = pool[values((draw(st.integers(1, 3)), n))]
+            columns.append(rows[values(own, len(rows))])
+        else:
+            columns.append(pool[values(lead + (n,))])
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_csv_mixed_tables())
+# 48 columns of one value per leading row, each marked by a character in
+# the templates: the markers run past "\n" and ","
+@example(columns=[np.array([[k / 7], [-k - 0.5]]) for k in range(48)]
+         + [np.array([0.0, -0.0, 1.0])])
+# two columns of repeating rows, whose combinations repeat less than either
+@example(columns=[_CSV_ROWS[[0, 1, 2, 0, 1, 2]],
+                  -_CSV_ROWS[[0, 1, 1, 0, 1, 1]], np.arange(6.0)[:, None],
+                  np.array([0.5, -0.0]), np.arange(12.0).reshape(6, 2)])
+def test_write_csv_matches_per_row_formatter_on_mixed_columns(
+        tmp_path_factory, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    _assert_writes_per_row_bytes(tmp_path_factory.mktemp("csv") / "mixed",
+                                 header, columns)
 
 
 def test_write_csv_memory_is_a_fraction_of_its_bytes(tmp_path):
