@@ -275,19 +275,20 @@ class AnalyticHeightField:
         self._Cp = self._C[:, 1:] * np.arange(1, deg)   # the p-derivative
         self._k = ks.astype(float)
 
-    @staticmethod
-    def _poly(C, p):
-        """(n_k, len(p)): each row's p-polynomial at p."""
-        return C @ npoly.polyvander(np.asarray(p, dtype=float),
-                                    C.shape[1] - 1).T
-
     def _kq(self, q):
         return np.outer(np.asarray(q, dtype=float), self._k)
 
     def at_p(self, p):
         """{name: f}: h_at, hq_at and hp_at on q x p as functions f(q) of q
-        alone, with p's polynomials evaluated once, here."""
-        P, Pp = self._poly(self._C, p), self._poly(self._Cp, p)
+        alone, with p's polynomials evaluated once, here: C and C_p times
+        the Vandermonde rows p^0, p^1, ..., built by repeated products as
+        `npoly.polyvander` builds them (which also turns -0.0 into 0.0)."""
+        x = np.array(p, dtype=float, ndmin=1) + 0.0
+        vander = np.empty((self._C.shape[1], x.size))
+        vander[0] = 1.0
+        for i in range(1, len(vander)):
+            np.multiply(vander[i - 1], x, out=vander[i])
+        P, Pp = self._C @ vander, self._Cp @ vander[:-1]
         return {"h_at": lambda q: np.cos(self._kq(q)) @ P,
                 "hq_at": lambda q: (np.sin(self._kq(q)) * -self._k) @ P,
                 "hp_at": lambda q: np.cos(self._kq(q)) @ Pp}

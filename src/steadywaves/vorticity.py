@@ -25,11 +25,28 @@ class DomainError(ValueError):
 
 
 def _as_scalar_or_array(p):
+    """(arr, scalar): p as a float array, and whether p was a scalar; raise
+    DomainError for a p outside [-1, 0] (to 1e-14) or NaN.  An empty p
+    passes."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1.0 - 1e-14) or np.any(arr > 1e-14):
-        raise DomainError(f"p must lie in [-1, 0], got range "
-                          f"[{arr.min():g}, {arr.max():g}]")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()       # NaN if any p is NaN
+        if not (lo >= -1.0 - 1e-14 and hi <= 1e-14):
+            raise DomainError(f"p must lie in [-1, 0], got range "
+                              f"[{lo:g}, {hi:g}]")
     return arr, np.isscalar(p) or arr.ndim == 0
+
+
+def _horner_table(polys):
+    """(deg + 1, n): column k the ascending coefficients of polys[k],
+    zero-padded to the longest.  Horner's rule from x*0 + c[-1] over a
+    padded column gives `npoly.polyval`'s bits on the unpadded one: each
+    padding zero leaves +0, and the top coefficient c is then added to
+    (+0)*x, which is polyval's c + x*0."""
+    table = np.zeros((max(len(cs) for cs in polys), len(polys)))
+    for k, cs in enumerate(polys):
+        table[:len(cs), k] = cs
+    return table
 
 
 @dataclass(frozen=True)
@@ -71,9 +88,10 @@ class VorticityFunction:
     """
 
     pieces: tuple
-    _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _inner: np.ndarray = field(init=False, repr=False, compare=False)
     _coeffs: tuple = field(init=False, repr=False, compare=False)
     _anti: tuple = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pieces = tuple((float(lo), float(hi), tuple(float(c) for c in cs))
@@ -102,14 +120,16 @@ class VorticityFunction:
             a[0] += const - npoly.polyval(edges[k + 1], a)
             anti[k] = a
             const = npoly.polyval(edges[k], a)
-        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_inner", edges[1:-1])
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_anti", tuple(anti))
+        object.__setattr__(self, "_tables", {"eval": _horner_table(coeffs),
+                                             "integral": _horner_table(anti)})
 
     @property
     def breakpoints(self):
         """Interior piece boundaries in (-1, 0)."""
-        return tuple(self._edges[1:-1])
+        return tuple(self._inner)
 
     @property
     def jump_points(self):
@@ -120,36 +140,32 @@ class VorticityFunction:
                 out.append(b)
         return tuple(out)
 
-    def _piece_index(self, p, side):
-        if side == "right":
-            idx = np.searchsorted(self._edges, p, side="right") - 1
-        elif side == "left":
-            idx = np.searchsorted(self._edges, p, side="left") - 1
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def _piecewise(self, name, p, side):
+        """The polynomial of each p's piece, from `_tables[name]`, at p.
+
+        One `searchsorted` over the interior breakpoints finds the pieces
+        (at a breakpoint, the piece above it for side "right", below it for
+        "left"; a p within 1e-14 outside [-1, 0] takes the end piece), and
+        Horner's rule runs in place over each p's own coefficients, with
+        `npoly.polyval`'s operations (`_horner_table`).
+        """
+        arr, scalar = _as_scalar_or_array(p)
+        # searchsorted raises ValueError for any other side
+        coeffs = self._tables[name][:, np.searchsorted(self._inner, arr, side)]
+        out = arr * 0
+        out += coeffs[-1]
+        for c in coeffs[-2::-1]:
+            out *= arr
+            out += c
+        return float(out) if scalar else out
 
     def eval(self, p, side="right"):
         """gamma(p); `side` picks the one-sided value at a jump."""
-        arr, scalar = _as_scalar_or_array(p)
-        idx = self._piece_index(arr, side)
-        out = np.empty_like(arr, dtype=float)
-        for k, cs in enumerate(self._coeffs):
-            m = idx == k
-            if np.any(m):
-                out[m] = npoly.polyval(arr[m], cs)
-        return float(out) if scalar else out
+        return self._piecewise("eval", p, side)
 
     def integral(self, p):
         """I(p) = integral_0^p gamma(s) ds, exact and continuous."""
-        arr, scalar = _as_scalar_or_array(p)
-        idx = self._piece_index(arr, "right")
-        out = np.empty_like(arr, dtype=float)
-        for k, a in enumerate(self._anti):
-            m = idx == k
-            if np.any(m):
-                out[m] = npoly.polyval(arr[m], a)
-        return float(out) if scalar else out
+        return self._piecewise("integral", p, "right")
 
     def bounds(self):
         """(inf, sup) of gamma over [-1, 0], exact per-piece extrema."""

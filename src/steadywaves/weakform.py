@@ -20,10 +20,11 @@ rule.  It keeps one resampling of each sampled series at the rule's
 q-nodes on every sided column of its grid (`Grid.sided`, where h_p is
 one-sided at each jump node), so a field is resampled once per level, not
 once per pairing.  Each test function is paired over its support window
-(`_window`), the nodes where the bump can be nonzero, in q-blocks of at
-most `_BLOCK_CELLS` nodes (`_blocks`): what depends on p alone is found
-once per window, and each block blends its arrays in p from its rows
-(`field._blender`), adds to the sums and drops them.  The blocks keep
+(`_bump_window`), the nodes where the bump can be nonzero, in q-blocks of
+at most `_BLOCK_CELLS` nodes (`_blocks`): the q-window and the bump's
+q-factors are found once per call, for both rules, and what depends on p
+alone once per rule's window; each block blends its arrays in p from its
+rows (`field._blender`), adds to the sums and drops them.  The blocks keep
 every array at 64 KB, under glibc's 128 KB mmap threshold, so it comes
 from the heap, and the dozen that one block frees are reused by the next
 instead of being trimmed and faulted in again.  Window-sized arrays (about
@@ -83,6 +84,23 @@ def bump1d_deriv(t):
     return out
 
 
+def _bump_inside(t):
+    """(B(t), B'(t)) for |t| < 1, from one exp; the values of bump1d and
+    bump1d_deriv there, to the bit."""
+    w = 1.0 - t ** 2
+    b = np.exp(-1.0 / w)
+    return b, b * (-2.0 * t / w ** 2)
+
+
+def _bump_pair(t):
+    """(bump1d(t), bump1d_deriv(t)) from one mask and one exp."""
+    t = np.asarray(t, dtype=float)
+    b, db = np.zeros_like(t), np.zeros_like(t)
+    m = np.abs(t) < 1.0
+    b[m], db[m] = _bump_inside(t[m])
+    return b, db
+
+
 def _wrap_q(dq):
     """Wrap offsets into [-pi, pi)."""
     return (dq + np.pi) % (2.0 * np.pi) - np.pi
@@ -109,21 +127,23 @@ class TestFunction:
                 f"p-support [{pc - r2:g}, {pc + r2:g}] must lie strictly "
                 "inside (-1, 0)")
 
+    def _arg(self, axis, x):
+        """The 1-D bump argument t on `axis` (0: q, periodic; 1: p) at x:
+        the bump's factor there is nonzero exactly where |t| < 1."""
+        t = np.asarray(x) - self.center[axis]
+        return (_wrap_q(t) if axis == 0 else t) / self.radii[axis]
+
     def _args(self, q, p):
-        """The 1-D bump arguments (t_q, t_p) at q and p: the bump is nonzero
-        exactly where |t_q| < 1 and |t_p| < 1."""
-        q0, pc = self.center
-        r1, r2 = self.radii
-        return _wrap_q(np.asarray(q) - q0) / r1, (np.asarray(p) - pc) / r2
+        """The 1-D bump arguments (t_q, t_p) at q and p."""
+        return self._arg(0, q), self._arg(1, p)
 
     def factors(self, q, p):
         """(bq, bq', bp, bp'): the bump's 1-D factors at q and at p and
         their derivatives, each in its own variable: value is
         outer(bq, bp) and grad (outer(bq', bp), outer(bq, bp'))."""
         r1, r2 = self.radii
-        tq, tp = self._args(q, p)
-        return (bump1d(tq), bump1d_deriv(tq) / r1,
-                bump1d(tp), bump1d_deriv(tp) / r2)
+        (bq, dbq), (bp, dbp) = map(_bump_pair, self._args(q, p))
+        return bq, dbq / r1, bp, dbp / r2
 
     def value(self, q, p):
         bq, _, bp, _ = self.factors(q, p)
@@ -191,21 +211,23 @@ def _as_evaluator(field_like):
     raise TypeError(f"cannot evaluate {type(field_like).__name__} as a field")
 
 
-def _window(tf: TestFunction, q, p):
-    """(iq, jp): the q-nodes and the p-nodes of tf's support.
+def _bump_window(tf: TestFunction, axis, x):
+    """(win, b, db): the window of tf's support on `axis` (0: q, 1: p) of
+    the nodes x, and the bump's factor there and its derivative, as
+    `TestFunction.factors` gives them, from the argument evaluated once.
 
-    The nodes are those where bump1d's own test |t| < 1 holds for both of
-    the bump's arguments, so every node at which tf, its pushforward or
-    their gradients are nonzero is kept.  A contiguous window is a slice,
-    so that cutting it takes views; a q-window that wraps across q = -pi
-    is an index array.  p is monotone, so a p-window is contiguous.
+    The window holds the nodes where bump1d's own test |t| < 1 holds, so
+    every node at which tf, its pushforward or their gradients are nonzero
+    is kept.  A contiguous window is a slice, so that cutting it takes
+    views; a q-window that wraps across q = -pi is an index array.  p is
+    monotone, so a p-window is contiguous.
     """
-    win = []
-    for t in tf._args(q, p):
-        i = np.flatnonzero(np.abs(t) < 1.0)
-        lo, hi = (i[0], i[-1] + 1) if i.size else (0, 0)
-        win.append(slice(lo, hi) if hi - lo == i.size else i)
-    return tuple(win)
+    t = tf._arg(axis, x)
+    i = np.flatnonzero(np.abs(t) < 1.0)
+    lo, hi = (i[0], i[-1] + 1) if i.size else (0, 0)
+    win = slice(lo, hi) if hi - lo == i.size else i
+    b, db = _bump_inside(t[win])
+    return win, b, db / tf.radii[axis]
 
 
 def _height_nodes(nq, npp):
@@ -255,9 +277,10 @@ def _blocks(iq, n):
 def norm_grad_rect(tf: TestFunction, nq=256, npp=256):
     """L1 norm of |grad phi~| over R (the pairing normalizer)."""
     q, p, wq, wp = _height_nodes(nq, npp)
-    iq, jp = _window(tf, q, p)
-    tq, tp = tf.grad(q[iq], p[jp])
-    return float(wq * np.sum(np.hypot(tq, tp) @ wp[jp]))
+    _, bq, dbq = _bump_window(tf, 0, q)
+    jp, bp, dbp = _bump_window(tf, 1, p)
+    return float(wq * np.sum(np.hypot(np.outer(dbq, bp), np.outer(bq, dbp))
+                             @ wp[jp]))
 
 
 def _default_quadrature(field_like, nq, npp):
@@ -270,7 +293,7 @@ def pair_height(field_like, v: VorticityFunction, params: FlowParameters,
     """I_h: the weak height-form pairing over R, trapezoid quadrature."""
     nq, npp = _default_quadrature(field_like, nq, npp)
     return QuadratureLevel(params, nq, npp, v,
-                           field_like=field_like).pair_height(tf)
+                           field_like=field_like).sums(tf, "height")["height"]
 
 
 def pair_stream(fields: PhysicalFields, v: VorticityFunction,
@@ -284,7 +307,7 @@ def pair_stream(fields: PhysicalFields, v: VorticityFunction,
     nq, npp = _default_quadrature(fields, nq, npp)
     level = QuadratureLevel(params, nq, npp, v, field_like=phi.field,
                             fields=fields)
-    return level.midpoint_sums(phi.tf, "stream")["stream"]
+    return level.sums(phi.tf, "stream")["stream"]
 
 
 def pair_euler(fields: PhysicalFields, params: FlowParameters,
@@ -294,7 +317,7 @@ def pair_euler(fields: PhysicalFields, params: FlowParameters,
     nq, npp = _default_quadrature(fields, nq, npp)
     level = QuadratureLevel(params, nq, npp, v, field_like=phi.field,
                             fields=fields)
-    sums = level.midpoint_sums(phi.tf, "euler")
+    sums = level.sums(phi.tf, "euler")
     return tuple(sums[name] for name in EULER_NAMES)
 
 
@@ -309,9 +332,9 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
     pushforward gradient asks for the same h_q, h_p there, and gets them
     without a second evaluation.
     """
-    level = QuadratureLevel(params, nq, npp, v, field_like=field_like)
-    return _cross(params, level.pair_height(tf),
-                  level.midpoint_sums(tf, "cross")["cross"])
+    sums = QuadratureLevel(params, nq, npp, v, field_like=field_like).sums(
+        tf, "height", "cross")
+    return _cross(params, sums["height"], sums["cross"])
 
 
 def _cross(params, height, rhs):
@@ -371,9 +394,10 @@ class QuadratureLevel:
     rule's q-nodes on every sided column of its grid (Np+1, and one more
     per jump node) and kept: pairing many test functions costs one
     resampling of each.  A test function is paired over its support
-    window in q-blocks (`_blocks`): what depends on p alone (the bump's
-    p-factors, gamma_cap or gamma_tilde, the p-cells, an analytic field's
-    p-polynomials) is computed once per window, and each block blends its
+    window in q-blocks (`_blocks`): its q-window and q-factors are found
+    once per call (`sums`), for both rules, what depends on p alone (the
+    bump's p-factors, gamma_cap or gamma_tilde, the p-cells, an analytic
+    field's p-polynomials) once per rule's window, and each block blends its
     arrays (A and B, the psi coefficients, the Euler fluxes, the Jacobian)
     from its rows and adds to the sums; the velocity u = c + psi_y,
     v = -psi_x is formed from the blended psi_x, psi_y, as
@@ -438,12 +462,32 @@ class QuadratureLevel:
 
     # -- pairings -------------------------------------------------------------
 
-    def pair_height(self, tf: TestFunction):
-        iq, jp = _window(tf, self.q, self.p)
+    def sums(self, tf: TestFunction, *names):
+        """{name: pairing} of tf, for names among "height" (the height
+        pairing, on the trapezoid rule) and the midpoint rule's "stream"
+        (the reconstructed fields' stream pairing), "euler" (the three
+        Euler pairings, under EULER_NAMES) and "cross" (the stream side of
+        the cross identity, psi from the field's h-derivatives).
+
+        Both rules have the same q-nodes, so tf's q-window and q-factors
+        are found once, here.
+        """
+        qside = _bump_window(tf, 0, self.q)
+        out = {}
+        if "height" in names:
+            out["height"] = self._height_sum(tf, qside)
+        midpoint = [name for name in names if name != "height"]
+        if midpoint:
+            out.update(self._midpoint_sums(tf, qside, *midpoint))
+        return out
+
+    def _height_sum(self, tf, qside):
+        """The trapezoid rule's part of `sums`, the height pairing."""
+        iq, bq, dbq = qside
+        jp, bp, dbp = _bump_window(tf, 1, self.p)
         p, d = self.p[jp], self.params.d
         hq_at, hp_at = self._rows(p, "hq_at", "hp_at")
         gc = gamma_cap(self.v, self.params, p) / (2 * d * d)
-        bq, dbq, bp, dbp = tf.factors(self.q[iq], p)
         # the bump is separable: each block's sum contracts its arrays with
         # the p-factors, then with the q-factors
         w_dbp, w_bp, total = self.wp[jp] * dbp, self.wp[jp] * bp, 0.0
@@ -453,11 +497,8 @@ class QuadratureLevel:
             total += bq[rel] @ (A @ w_dbp) + dbq[rel] @ (hq / u @ w_bp)
         return float(self.wq * total)
 
-    def midpoint_sums(self, tf: TestFunction, *names):
-        """{name: pairing} of tf on the midpoint rule, for names among
-        "stream" (the reconstructed fields' stream pairing), "euler" (the
-        three Euler pairings, under EULER_NAMES) and "cross" (the stream
-        side of the cross identity, psi from the field's h-derivatives).
+    def _midpoint_sums(self, tf, qside, *names):
+        """The midpoint rule's part of `sums`.
 
         Each q-block's pushforward gradient is asked of
         `PushforwardTestFunction.grad_xy_at_qp`, over the field's h_q,
@@ -465,9 +506,9 @@ class QuadratureLevel:
         """
         stream, euler, cross = (n in names for n in ("stream", "euler",
                                                      "cross"))
-        iq, jm = _window(tf, self.q, self.pm)
+        iq, bq, dbq = qside
+        jm, bp, dbp = _bump_window(tf, 1, self.pm)
         pm, p0, c = self.pm[jm], self.params.p0, self.params.c
-        bq, dbq, bp, dbp = tf.factors(self.q[iq], pm)
         bq, dbq = bq[:, None], dbq[:, None]
         hq_at, hp_at = self._rows(pm, "hq_at", "hp_at")
         if stream or euler:
@@ -506,9 +547,8 @@ class QuadratureLevel:
     def pairings(self, tf: TestFunction, with_cross=False):
         """{formulation: value} of the five pairings of tf, and with
         `with_cross` the cross identity's (lhs, rhs, gap) under "cross"."""
-        out = {"height": self.pair_height(tf)}
-        out.update(self.midpoint_sums(
-            tf, "stream", "euler", *(("cross",) if with_cross else ())))
+        out = self.sums(tf, "height", "stream", "euler",
+                        *(("cross",) if with_cross else ()))
         if with_cross:
             out["cross"] = _cross(self.params, out["height"], out["cross"])
         return out
@@ -630,14 +670,14 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     parts.  Fits log-log slopes and reports alpha_hat together with the
     sign of 3 alpha_hat - 1.  Diagnostic only: no pass/fail.
 
-    The default tf is centred on the crest q = 0, where the integrand is
-    odd in q on an even wave: there `total`, `mixed` and `smooth` vanish
-    by symmetry and hold round-off only (-4.6e-18 at 128x256), so the split
-    carries information only for a bump off the crest.
+    The default tf is centred off the crest, at q = pi/4: on an even wave
+    the integrand is odd in q, so a bump centred on the crest q = 0 gives
+    `total`, `mixed` and `smooth` that vanish by symmetry and hold
+    round-off only.
     """
     g = fields.grid
     if tf is None:
-        tf = bump((0.0, -0.5), (np.pi / 3, 0.25))
+        tf = bump((np.pi / 4, -0.5), (np.pi / 3, 0.25))
     eps_list = sorted(float(e) for e in eps_list)
     dmin = max(g.dq, g.dp)
     for e in eps_list:

@@ -674,9 +674,11 @@ def test_write_csv_matches_per_row_formatter_on_mixed_columns(
 
 def test_write_csv_memory_is_a_fraction_of_its_bytes(tmp_path):
     # a field.csv table at 256 x 512 whose h is even in q, as a solved
-    # field is: the row texts of q, p and h's 129 distinct rows and one
-    # block's cells take about 0.36 of the bytes written; formatting every
-    # cell at once took 3.1 times them
+    # field is: the line template of each of h's 129 distinct rows is
+    # formatted once and kept until the last q-row that uses it, and each
+    # q-row's text is its template with that row's q put in.  The peak is
+    # about 0.34 of the bytes written; formatting every cell at once took
+    # 3.1 times them
     g = Grid(256, 512)
     k = np.arange(g.Nq)
     h = np.random.default_rng(3).standard_normal((g.Nq // 2 + 1, g.Np + 1))

@@ -138,7 +138,8 @@ def test_each_node_column_is_resampled_once(monkeypatch):
 
     tf = wf.bump((np.pi / 2, -0.4), (np.pi / 4, 0.2))
     pm = wf._midpoint_nodes(2 * Nq, 2 * Np)[1]
-    iq, jm = wf._window(tf, q, pm)
+    iq, jm = (wf._bump_window(tf, axis, x)[0]
+              for axis, x in ((0, q), (1, pm)))
     cells = g.p_cell(pm[jm])[0]
     cols.clear()
     wf.interp_rows(h, g, q[iq], pm[jm])
@@ -278,6 +279,26 @@ _POLY = st.one_of(
        p=hnp.arrays(float, st.integers(1, 16), elements=st.floats(-1.0, 0.0)))
 def test_analytic_gemm_matches_per_term_sum(terms, q, p):
     _assert_gemm_matches_per_term(fd.AnalyticHeightField(terms), q, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 5), _POLY, _COEFF),
+                      max_size=8),
+       q=hnp.arrays(float, st.integers(1, 16), elements=st.floats(-4.0, 4.0)),
+       p=hnp.arrays(float, st.integers(0, 16), elements=st.floats(-1.0, 0.0)))
+def test_analytic_at_p_is_the_polyvander_product(terms, q, p):
+    # at_p's Vandermonde rows give the bits of npoly.polyvander's, -0.0
+    # in p included
+    f = fd.AnalyticHeightField(terms)
+    P, Pp = (C @ npoly.polyvander(p, C.shape[1] - 1).T
+             for C in (f._C, f._Cp))
+    kq = np.outer(q, f._k)
+    want = {"h_at": np.cos(kq) @ P, "hq_at": (np.sin(kq) * -f._k) @ P,
+            "hp_at": np.cos(kq) @ Pp}
+    for name, f_q in f.at_p(p).items():
+        got = f_q(q)
+        assert got.shape == want[name].shape
+        assert np.array_equal(got.view(np.int64), want[name].view(np.int64))
 
 
 def test_analytic_gemm_repeated_and_zero_wavenumbers():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.ndimage import convolve1d
 
@@ -55,6 +56,40 @@ def test_bump_integral_oracle():
     assert val == pytest.approx(0.443994, abs=5e-7)
     qsum = wf.bump1d(np.linspace(-1, 1, 20001)).sum() * (2.0 / 20000)
     assert qsum == pytest.approx(val, abs=1e-9)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q0=st.floats(-np.pi, np.pi), rq=st.floats(0.05, 3.1),
+       pc=st.floats(-0.95, -0.05), rp=st.floats(0.01, 0.49),
+       q=hnp.arrays(float, st.integers(0, 24), elements=st.floats(-4.0, 4.0)),
+       p=hnp.arrays(float, st.integers(0, 24), elements=st.floats(-1.0, 0.0)),
+       nq=st.sampled_from([16, 64, 128]), npp=st.sampled_from([16, 24, 96]))
+# points on the support's edges, |t| = 1 exactly, where the bump is 0
+@example(q0=0.0, rq=0.5, pc=-0.5, rp=0.25, q=np.array([-0.5, 0.0, 0.5]),
+         p=np.array([-0.75, -0.5, -0.25]), nq=16, npp=16)
+def test_bump_factors_are_bump1d_bits(q0, rq, pc, rp, q, p, nq, npp):
+    # factors, and the window's factors on a rule's nodes, give bump1d's and
+    # bump1d_deriv's values to the bit
+    assume(pc - rp > -1.0 and pc + rp < 0.0)
+    tf = wf.bump((q0, pc), (rq, rp))
+    tq, tp = tf._args(q, p)
+    want = (wf.bump1d(tq), wf.bump1d_deriv(tq) / rq,
+            wf.bump1d(tp), wf.bump1d_deriv(tp) / rp)
+    assert all(map(_same_bits, tf.factors(q, p), want))
+    nodes = wf._q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
+    full = tf.factors(*nodes)
+    for axis, x in enumerate(nodes):
+        win, b, db = wf._bump_window(tf, axis, x)
+        t = tf._args(*nodes)[axis]
+        assert np.array_equal(np.arange(x.size)[win],
+                              np.flatnonzero(np.abs(t) < 1.0))
+        assert _same_bits(b, full[2 * axis][win])
+        assert _same_bits(db, full[2 * axis + 1][win])
 
 
 def test_support_validation():
@@ -621,6 +656,31 @@ def test_level_pairings_match_one_shot_calls(sampled_fields, v_two_layer,
         for name, value in shared.items():
             a, b = np.atleast_1d(value), np.atleast_1d(one[name])
             assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), (tf, name)
+
+
+def test_one_call_finds_the_q_window_once(sampled_fields, v_two_layer,
+                                          monkeypatch):
+    # both rules have the rule's q-nodes: one cross identity or one level's
+    # pairings find a bump's q-window and q-factors once, and its p-window
+    # once per rule
+    params, hf, fields = sampled_fields
+    found, window = [], wf._bump_window
+
+    def counting(tf, axis, x):
+        found.append(axis)
+        return window(tf, axis, x)
+
+    monkeypatch.setattr(wf, "_bump_window", counting)
+    tf = wf.bump((3 * np.pi / 4, -0.45), (np.pi / 4, 0.2))
+    level = wf.QuadratureLevel(params, 64, 128, v_two_layer, field_like=hf,
+                               fields=fields)
+    for pair in (lambda: wf.cross_identity(hf, v_two_layer, params, tf,
+                                           64, 128),
+                 lambda: level.pairings(tf, with_cross=True),
+                 lambda: level.pairings(tf)):
+        found.clear()
+        pair()
+        assert found == [0, 1, 1]
 
 
 # -- surface identity -----------------------------------------------------------------
