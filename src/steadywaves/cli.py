@@ -195,7 +195,7 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     Q = json.loads(side.read_text())["Q"]
     hf = HeightField(g, h, Q=Q)
     try:
-        hf.check_admissible(solver_mod.EPS_STAG_DEFAULT)
+        hf.check_admissible()
     except AdmissibilityError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return hf

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AlignmentError, aligned_node
+from .grid import AlignmentError, aligned_node, mollifier_scales_problem
 from .vorticity import VorticityFunction, FlowParameters
 
 
@@ -154,11 +154,9 @@ def parse_config(text: str) -> RunConfig:
     levels = values.get("verify.levels", [1, 2])
     if len(set(levels)) < len(levels):
         raise ConfigError(f"verify.levels repeats a level: {levels}")
-    eps_list = values.get("verify.eps_list", [])
-    least = 2.0 * max(2.0 * np.pi / Nq, 1.0 / Np) if min(Nq, Np) > 0 else 0.0
-    if eps_list and min(eps_list) < least:    # the mollifier's two spacings
-        raise ConfigError(f"verify.eps_list: eps={min(eps_list):g} is below "
-                          f"2 grid spacings ({least:g})")
+    eps_list = values.get("verify.eps_list", [])    # empty: no mollifier
+    if eps_list and (problem := mollifier_scales_problem(eps_list, Nq, Np)):
+        raise ConfigError(f"verify.eps_list: {problem}")
 
     radii = values.get("verify.radii", [np.pi / 4, 0.2])
     if len(radii) != 2:

@@ -4,10 +4,17 @@ A HeightField stores node samples h(q_i, p_j) on the full periodic q-grid,
 even in q and zero on the bed row; h_p comes from the grid's per-layer
 stencils.  Every sampled series is kept on the grid's sided columns
 (`Grid.sided`), where h_p is one-sided at each jump node, and interpolated
-by one rule, `_blend`: cosine in q (`_trig_eval`), linear in p between the
-two sided columns of one p-cell, so never straddling a vorticity layer
+by one rule, `_blend`: cosine in q (`_trig_eval`: one inverse FFT on a
+full node set, a dense sum at any other q), linear in p between the two
+sided columns of one p-cell, so never straddling a vorticity layer
 boundary.  AnalyticHeightField provides the same evaluator interface from
 closed-form coefficients and is used for synthetic admissible fields.
+
+The semi-hodograph map needs no stagnation: 1 + h_p > EPS_STAG, the one
+threshold, which `HeightField.check_admissible` checks at the nodes
+(raising AdmissibilityError) and the solver's residual at the nodes and
+half nodes (raising StagnationError, which the transform raises where
+1 + h_p <= 0).
 """
 
 from __future__ import annotations
@@ -41,26 +48,15 @@ def _q_nodes(nq):
 def _trig_eval(c, q, deriv=False):
     """Evaluate the series (nh+1, M) at q (nq,): real result (nq, M).
 
-    When q are nodes of `_q_nodes(n)`, all or a subset such as a support
-    window (even one that wraps across q = -pi), with n = 2 pi / (q[1] - q[0])
-    a multiple of the sample count 2 nh and at most nq (nh+1), beyond which
-    the dense sum is cheaper, the series is resampled exactly on all n nodes
-    by a zero-padded inverse FFT and q's rows are returned; any other q is
-    summed densely.
+    When q is the full node set `_q_nodes(nq)`, nq a multiple of the sample
+    count 2 nh, the series is resampled exactly by a zero-padded inverse FFT
+    (`_trig_resample`); any other q is summed densely (`_trig_dense`).
     """
     q = np.asarray(q, dtype=float)
     nh = c.shape[0] - 1
-    if q.ndim == 1 and q.size > 1 and nh > 0:
-        step = (q[1] - q[0]) % (2.0 * np.pi)                # 2 pi / n
-        coarse = step * q.size * (nh + 1) >= 2.0 * np.pi    # n <= nq (nh+1)
-        n = round(2.0 * np.pi / step) if coarse else 0
-        j = np.rint((q + np.pi) / (2.0 * np.pi) * n)
-        if (n % (2 * nh) == 0 and np.all((j >= 0) & (j < n))
-                and np.array_equal(q, -np.pi + 2.0 * np.pi / n * j)):
-            lo = int(j[0])      # q's rows: a view when they are one run
-            run = np.array_equal(j, np.arange(lo, lo + q.size))
-            return _trig_resample(c, n, deriv)[
-                slice(lo, lo + q.size) if run else j.astype(int)]
+    if (q.ndim == 1 and q.size and nh > 0 and q.size % (2 * nh) == 0
+            and np.array_equal(q, _q_nodes(q.size))):
+        return _trig_resample(c, q.size, deriv)
     return _trig_dense(c, q, deriv)
 
 
@@ -121,8 +117,16 @@ def interp_rows(arr, grid: Grid, q_t, p_t):
     return _blend(_trig_coeffs(arr, grid)[:, grid.sided], grid, q_t, p_t)
 
 
+# the no-stagnation threshold: a state is admissible where 1 + h_p > EPS_STAG
+EPS_STAG = 1e-10
+
+
 class AdmissibilityError(ValueError):
     """A height field that is not an admissible state."""
+
+
+class StagnationError(RuntimeError):
+    """A state at which the flow stagnates, or comes within EPS_STAG of it."""
 
 
 @dataclass
@@ -165,19 +169,19 @@ class HeightField:
     def min_one_plus_hp(self):
         return float(1.0 + np.min(self.h_p()))   # rounding is monotone
 
-    def check_admissible(self, eps):
+    def check_admissible(self):
         """Raise AdmissibilityError unless h is an admissible state: 0 on
-        the bed row, even in q to 1e-12 relative and 1 + h_p > eps at every
-        node."""
+        the bed row, even in q to 1e-12 relative and 1 + h_p > EPS_STAG at
+        every node."""
         h = self.h
         if np.any(h[:, 0] != 0.0):
             raise AdmissibilityError("h is not 0 on the bed row p = -1")
         if np.max(np.abs(h - h[-np.arange(len(h)) % len(h)])) \
                 > 1e-12 * np.max(np.abs(h)):
             raise AdmissibilityError("h is not even in q")
-        if self.min_one_plus_hp() <= eps:
-            raise AdmissibilityError(f"1 + h_p <= {eps} somewhere; the "
-                                     "field stagnates")
+        if self.min_one_plus_hp() <= EPS_STAG:
+            raise AdmissibilityError(f"1 + h_p <= {EPS_STAG} somewhere; "
+                                     "the field stagnates")
 
     def evaluator(self):
         return SampledEvaluator(self)

@@ -36,6 +36,19 @@ def aligned_node(b, n):
     return j
 
 
+def mollifier_scales_problem(eps_list, Nq, Np):
+    """Why `eps_list` cannot be the mollifier's scales on an Nq x Np grid,
+    or None: a scale below two grid spacings, or fewer than two distinct
+    scales, too few to fit a rate through."""
+    least = 2.0 * max(2.0 * np.pi / Nq, 1.0 / Np) if min(Nq, Np) > 0 else 0.0
+    if eps_list and min(eps_list) < least:
+        return f"eps={min(eps_list):g} is below 2 grid spacings ({least:g})"
+    if len(set(eps_list)) < 2:
+        return (f"a rate needs at least two distinct scales, got "
+                f"{[float(e) for e in eps_list]}")
+    return None
+
+
 def fd_weights(z, x, m):
     """Finite-difference weights for the m-th derivative at z from nodes x.
 

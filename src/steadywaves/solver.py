@@ -15,7 +15,10 @@ operators (`grid.ReducedOperators`) on the (nh+1, Np+1) state array: the
 per-layer p-stencils as one sparse product, the q-differences, averages,
 mirrors and the surface selection as slices.  The Jacobian is a sum of
 those operators scaled by the fluxes' partials, which the residual
-evaluation returns with it.
+evaluation returns with it.  The residual first checks no stagnation,
+1 + h_p > `field.EPS_STAG` at every node and half node, and raises
+`StagnationError` (defined in `field`) before any flux is formed; Newton's
+line search halves a step whose trial state fails it.
 
 Closures:
   fixed_Q          h unknown, Q given.
@@ -67,16 +70,10 @@ import scipy.sparse as sp
 
 from .vorticity import VorticityFunction, FlowParameters, gamma_cap
 from .grid import Grid, GridError, _STENCIL
-from .field import AdmissibilityError, HeightField, prolong
+from .field import (EPS_STAG, AdmissibilityError, HeightField,
+                    StagnationError, prolong)
 from .modal import LaminarModes
 from . import laminar
-
-
-EPS_STAG_DEFAULT = 1e-10
-
-
-class StagnationError(RuntimeError):
-    """A cell violated 1 + h_p > eps_stag."""
 
 
 class ConvergenceError(RuntimeError):
@@ -227,20 +224,18 @@ class HeightSystem:
         return (f"{block} at (q, p) = "
                 f"({i * self.grid.dq:.6g}, {(j + 1 - Np) / Np:.6g})")
 
-    @staticmethod
-    def _admissible(hp, hp_half, eps):
-        return min(np.min(1.0 + hp_half), np.min(1.0 + hp)) > eps
-
-    def admissible(self, H, eps=EPS_STAG_DEFAULT):
-        return self._admissible(*self.ops.dp(H), eps)
-
-    def residual_parts(self, H, Q, eps_stag=EPS_STAG_DEFAULT):
+    def residual_parts(self, H, Q):
         """(interior (nh+1, Np-1), surface (nh+1,)) residuals at (H, Q), and
-        the fixed-Q Jacobian's terms at H, which `linearize` takes."""
+        the fixed-Q Jacobian's terms at H, which `linearize` takes.
+
+        Raises StagnationError, before any flux is formed, unless
+        1 + h_p > EPS_STAG at every node and half node of H.
+        """
         d, p0, grav = self.params.d, self.params.p0, self.params.g
         s = self.ops.sample(H)
-        if not self._admissible(s["hp"], s["hp_half"], eps_stag):
-            raise StagnationError("1 + h_p fell below eps_stag")
+        if not min(np.min(1.0 + s["hp_half"]),
+                   np.min(1.0 + s["hp"])) > EPS_STAG:
+            raise StagnationError(f"1 + h_p fell to {EPS_STAG} or below")
         (A, B, K_top), terms = self._pointwise(s)
         surface = (K_top - grav * d * (s["h_top"] + 1.0) / p0 ** 2
                    + Q / (2 * p0 ** 2))
@@ -253,11 +248,11 @@ class HeightSystem:
         h(q_r, 0))."""
         return np.column_stack((interior, surface)).ravel()
 
-    def residual_vector(self, H, Q, mode, a=0.0, eps_stag=EPS_STAG_DEFAULT):
+    def residual_vector(self, H, Q, mode, a=0.0):
         """Residual rows in the unknowns' (r, j) layout, then the closure,
         and the fixed-Q Jacobian's terms at H (see `residual_parts`)."""
         w = self.closures[mode]
-        interior, surface, terms = self.residual_parts(H, Q, eps_stag)
+        interior, surface, terms = self.residual_parts(H, Q)
         r = self._rows(interior, surface)
         return (r if w is None else np.append(r, w @ H[:, -1] - a)), terms
 
@@ -465,11 +460,14 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
     `modes` (a LaminarModes) preconditions every linear solve; by default
     it is built from the q-mean of the initial state.  An initial state
     that is not admissible raises `field.AdmissibilityError`, a ValueError,
-    before any solve; a negative `max_iter` raises ValueError.
+    before any solve, and one within EPS_STAG of stagnation at a half node
+    raises StagnationError; a negative `max_iter` raises ValueError.  A
+    line-search trial whose residual raises StagnationError is a guard hit
+    (`stagnation_hits`) and halves the step.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    initial.check_admissible(EPS_STAG_DEFAULT)
+    initial.check_admissible()
     sys_ = HeightSystem(initial.grid, v, params)
     H, Q = sys_.reduce(initial), float(initial.Q if Q is None else Q)
     if mode == "fixed_Q":
@@ -485,11 +483,11 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
     guards = fallbacks = 0
     r2_prev = precond = None
     # each iteration's residual is the line search's accepted one
-    r, terms = sys_.residual_vector(H, Q, imode, a, eps_stag=0.0)
+    r, terms = sys_.residual_vector(H, Q, imode, a)
     for it in range(max_iter + 1):
         rn = float(np.max(np.abs(r)))
         history.append(rn)
-        if rn <= tol and sys_.admissible(H):
+        if rn <= tol:
             return NewtonResult(field=sys_.expand(H, Q), Q=Q, iterations=it,
                                 residual_inf=rn, history=history,
                                 stagnation_hits=guards, mode=mode,
@@ -511,22 +509,21 @@ def newton_solve(initial: HeightField, v: VorticityFunction,
             dx = spla.splu(sys_.jacobian_matrix(H, Q, imode).tocsc()).solve(-r)
         dH = dx[:sys_.n_h].reshape(H.shape[0], -1)
         dQ = dx[sys_.n_h] if imode != "fixed_Q" else 0.0
-        step, accepted = 1.0, False
+        step = 1.0
         for _ in range(30):
             Hc = H.copy()
             Hc[:, 1:] += step * dH
             Qc = Q + step * dQ
-            if not sys_.admissible(Hc):
+            try:
+                rc, terms_c = sys_.residual_vector(Hc, Qc, imode, a)
+            except StagnationError:
                 guards += 1
-                step *= 0.5
-                continue
-            rc, terms_c = sys_.residual_vector(Hc, Qc, imode, a, eps_stag=0.0)
-            if np.max(np.abs(rc)) < rn:
-                H, Q, r, terms = Hc, Qc, rc, terms_c
-                accepted = True
-                break
+            else:
+                if np.max(np.abs(rc)) < rn:
+                    H, Q, r, terms = Hc, Qc, rc, terms_c
+                    break
             step *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"step halving stalled at iteration {it}, residual {rn:.3e}, "
                 f"worst in the {sys_.locate(r)}",
@@ -663,7 +660,7 @@ def continuation(hf0: HeightField, v: VorticityFunction,
     inadmissible start state raises AdmissibilityError; a warm start that a
     step pushes past stagnation fails that step.
     """
-    hf0.check_admissible(EPS_STAG_DEFAULT)
+    hf0.check_admissible()
     schedule = [float(a) for a in amplitude_schedule]
     chain = _grid_chain(hf0.grid)
     if len(chain) > 1 and schedule:

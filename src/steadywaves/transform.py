@@ -21,8 +21,7 @@ import numpy as np
 
 from .vorticity import (DomainError, VorticityFunction, FlowParameters,
                         gamma_tilde)
-from .field import HeightField
-from .solver import StagnationError
+from .field import HeightField, StagnationError
 
 
 @dataclass

@@ -50,7 +50,7 @@ from .field import (HeightField, SampledEvaluator, _blender, _q_nodes,
                     _trig_coeffs, _trig_eval)
 # callers also reach the sampled-field interpolant as weakform.interp_rows
 from .field import interp_rows  # noqa: F401
-from .grid import aligned_node
+from .grid import aligned_node, mollifier_scales_problem
 from .transform import PhysicalFields, bernoulli_F, stream_gradient
 from .solver import _speed
 
@@ -60,7 +60,8 @@ class SupportError(ValueError):
 
 
 class MollifierError(ValueError):
-    """A mollifier scale below two grid spacings."""
+    """Mollifier scales that cannot give a rate: one below two grid
+    spacings, or fewer than two distinct scales."""
 
 
 # -- C^1 bump -----------------------------------------------------------------
@@ -75,30 +76,12 @@ def bump1d(t):
     return out
 
 
-def bump1d_deriv(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    w = 1.0 - t[m] ** 2
-    out[m] = np.exp(-1.0 / w) * (-2.0 * t[m] / w ** 2)
-    return out
-
-
 def _bump_inside(t):
-    """(B(t), B'(t)) for |t| < 1, from one exp; the values of bump1d and
-    bump1d_deriv there, to the bit."""
+    """(B(t), B'(t)) for |t| < 1, from one exp; B is bump1d's value there,
+    to the bit."""
     w = 1.0 - t ** 2
     b = np.exp(-1.0 / w)
     return b, b * (-2.0 * t / w ** 2)
-
-
-def _bump_pair(t):
-    """(bump1d(t), bump1d_deriv(t)) from one mask and one exp."""
-    t = np.asarray(t, dtype=float)
-    b, db = np.zeros_like(t), np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    b[m], db[m] = _bump_inside(t[m])
-    return b, db
 
 
 def _wrap_q(dq):
@@ -133,17 +116,18 @@ class TestFunction:
         t = np.asarray(x) - self.center[axis]
         return (_wrap_q(t) if axis == 0 else t) / self.radii[axis]
 
-    def _args(self, q, p):
-        """The 1-D bump arguments (t_q, t_p) at q and p."""
-        return self._arg(0, q), self._arg(1, p)
-
     def factors(self, q, p):
         """(bq, bq', bp, bp'): the bump's 1-D factors at q and at p and
         their derivatives, each in its own variable: value is
-        outer(bq, bp) and grad (outer(bq', bp), outer(bq, bp'))."""
-        r1, r2 = self.radii
-        (bq, dbq), (bp, dbp) = map(_bump_pair, self._args(q, p))
-        return bq, dbq / r1, bp, dbp / r2
+        outer(bq, bp) and grad (outer(bq', bp), outer(bq, bp')).  Each
+        axis's window (`_bump_window`) is filled into zeros."""
+        out = []
+        for axis, x in enumerate((q, p)):
+            win, b, db = _bump_window(self, axis, x)
+            full = np.zeros((2, np.size(x)))
+            full[:, win] = b, db
+            out += [*full]
+        return tuple(out)
 
     def value(self, q, p):
         bq, _, bp, _ = self.factors(q, p)
@@ -213,14 +197,14 @@ def _as_evaluator(field_like):
 
 def _bump_window(tf: TestFunction, axis, x):
     """(win, b, db): the window of tf's support on `axis` (0: q, 1: p) of
-    the nodes x, and the bump's factor there and its derivative, as
-    `TestFunction.factors` gives them, from the argument evaluated once.
+    the points x (1-D), and the bump's factor there and its derivative in
+    x, from the argument evaluated once; the one evaluator of the factors.
 
-    The window holds the nodes where bump1d's own test |t| < 1 holds, so
+    The window holds the points where bump1d's own test |t| < 1 holds, so
     every node at which tf, its pushforward or their gradients are nonzero
     is kept.  A contiguous window is a slice, so that cutting it takes
-    views; a q-window that wraps across q = -pi is an index array.  p is
-    monotone, so a p-window is contiguous.
+    views; any other, such as a q-window of a rule's nodes that wraps
+    across q = -pi, is an index array.
     """
     t = tf._arg(axis, x)
     i = np.flatnonzero(np.abs(t) < 1.0)
@@ -240,10 +224,10 @@ def _height_nodes(nq, npp):
     return q, p, wq, wp
 
 
-def _midpoint_nodes(nq, npp):
-    q = _q_nodes(nq)
-    pm = -1.0 + (np.arange(npp) + 0.5) / npp
-    return q, pm, 2.0 * np.pi / nq, 1.0 / npp
+def _midpoint_nodes(npp):
+    """(pm, wpm): the midpoint rule's p-nodes and weight; its q-nodes and
+    weight are `_height_nodes`'s."""
+    return -1.0 + (np.arange(npp) + 0.5) / npp, 1.0 / npp
 
 
 # cells per q-block of a window (`_blocks`): 64 KB arrays, under glibc's
@@ -415,7 +399,7 @@ class QuadratureLevel:
         self.ev = None if field_like is None else _as_evaluator(field_like)
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
-        _, self.pm, _, self.wpm = _midpoint_nodes(nq, npp)
+        self.pm, self.wpm = _midpoint_nodes(npp)
         self._columns = {}
 
     # -- the field at a window's nodes -----------------------------------------
@@ -679,11 +663,8 @@ def mollification_rate(fields: PhysicalFields, params: FlowParameters,
     if tf is None:
         tf = bump((np.pi / 4, -0.5), (np.pi / 3, 0.25))
     eps_list = sorted(float(e) for e in eps_list)
-    dmin = max(g.dq, g.dp)
-    for e in eps_list:
-        if e < 2.0 * dmin:
-            raise MollifierError(f"eps={e:g} is below 2 grid spacings "
-                                 f"({2 * dmin:g})")
+    if problem := mollifier_scales_problem(eps_list, g.Nq, g.Np):
+        raise MollifierError(problem)
     F = bernoulli_F(fields, params)
     q, p = g.q, g.p
     _, _, wq, wp = _height_nodes(g.Nq, g.Np)

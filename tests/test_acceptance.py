@@ -247,8 +247,8 @@ def test_criterion_8_jacobian_correctness(v_two_layer, params):
         def resv(x):
             Hx = H.copy()
             Hx[:, 1:] = x[:sys_.n_h].reshape(H.shape[0], g.Np)
-            return sys_.residual_vector(Hx, x[sys_.n_h], "meanzero", 0.0,
-                                        eps_stag=0.0)[0]
+            return sys_.residual_vector(Hx, x[sys_.n_h], "meanzero",
+                                        0.0)[0]
 
         delta = rng.standard_normal(n)
         eps = 1e-7

@@ -365,6 +365,7 @@ def small_two_layer_field(tmp_path_factory):
 
 @pytest.mark.parametrize("key,value", [
     ("grid.Nq", "7"), ("grid.Np", "4"), ("verify.eps_list", "0.01"),
+    ("verify.eps_list", "0.8"), ("verify.eps_list", "0.8, 0.8"),
     ("verify.radii", "0.5, 0.6"), ("solver.max_iter", "-1"),
     ("verify.levels", "0"), ("verify.levels", "2, 2")])
 def test_invalid_config_exits_2_with_one_error_line(

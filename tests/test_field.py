@@ -61,32 +61,18 @@ def test_resampler_nyquist_derivative(Nq):
     _assert_resampler_matches_series(rows, Nq, 1, True)
 
 
-@pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("idx", [np.arange(5, 13),          # a window
-                                 np.r_[0:3, 12:16],         # one that wraps
-                                 np.r_[-3:0, 0:3]])         # in q order
-def test_node_subsets_take_the_fft(m, idx, monkeypatch):
-    # a subset of the refined nodes, such as a bump's q-window, gets exactly
-    # the rows of the full resampling
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense trigonometric sum taken")
-
-    c = fd._trig_coeffs(np.random.default_rng(5).standard_normal((16, 5)),
-                        Grid(16, 8))
-    q = fd._q_nodes(m * 16)
-    monkeypatch.setattr(fd, "_trig_dense", no_dense)
-    for deriv in (False, True):
-        assert np.array_equal(fd._trig_eval(c, q[idx], deriv),
-                              fd._trig_eval(c, q, deriv)[idx])
-
-
 @pytest.mark.parametrize("q", [fd._q_nodes(24),            # not a multiple
                                fd._q_nodes(32) + 1e-3,      # not the nodes
                                np.linspace(-1.0, 1.0, 7),
                                fd._q_nodes(32)[5:12] + 1e-3,  # shifted subset
                                fd._q_nodes(32)[3:4],        # a single node
-                               fd._q_nodes(1024)[:2]])      # too sparse
+                               fd._q_nodes(1024)[:2],       # too sparse
+                               fd._q_nodes(48)[8:24],       # a window of 16
+                               np.roll(fd._q_nodes(32), 5),  # out of order
+                               fd._q_nodes(32)[np.r_[0:8, 24:32]]])  # wraps
 def test_other_nodes_take_the_dense_sum(q, monkeypatch):
+    # only a full node set is resampled by the FFT; a subset of the nodes,
+    # even a window of 2 nh of them, is summed densely
     def no_fft(*args, **kwargs):
         raise AssertionError("FFT path taken")
 
@@ -105,7 +91,7 @@ def test_each_node_column_is_resampled_once(monkeypatch):
     # a verify level asks for 2 Np + 1 trapezoid p-nodes on a 2 Nq q-rule:
     # each sided column a call needs is resampled once per series, however
     # many p-nodes fall in its cells, with the bits of resampling it per
-    # p-node; a narrowed bump window resamples only its own cells' columns
+    # p-node; a bump's p-window resamples only its own cells' columns
     Nq, Np = 16, 32
     g = Grid(Nq, Np, aligned_jumps=(-0.5,))
     h = fd.random_admissible_field(np.random.default_rng(6)).sample(g).h
@@ -137,15 +123,14 @@ def test_each_node_column_is_resampled_once(monkeypatch):
         assert getattr(ev, name)(q, p[:0]).shape == (2 * Nq, 0)
 
     tf = wf.bump((np.pi / 2, -0.4), (np.pi / 4, 0.2))
-    pm = wf._midpoint_nodes(2 * Nq, 2 * Np)[1]
-    iq, jm = (wf._bump_window(tf, axis, x)[0]
-              for axis, x in ((0, q), (1, pm)))
+    pm = wf._midpoint_nodes(2 * Np)[0]
+    jm = wf._bump_window(tf, 1, pm)[0]
     cells = g.p_cell(pm[jm])[0]
     cols.clear()
-    wf.interp_rows(h, g, q[iq], pm[jm])
+    wf.interp_rows(h, g, q, pm[jm])
     assert cols == [cells.max() - cells.min() + 2]
     assert cols[0] < Np // 2
-    assert wf.interp_rows(h, g, q[iq], pm[:0]).shape == (q[iq].size, 0)
+    assert wf.interp_rows(h, g, q, pm[:0]).shape == (q.size, 0)
 
 
 # -- the sided columns ------------------------------------------------------------
@@ -349,7 +334,7 @@ def test_sampled_analytic_field_has_an_exact_bed_row(v_two_layer, params):
     g = Grid(256, 512, aligned_jumps=(-0.5,))
     hf = fd.random_admissible_field(np.random.default_rng(0)).sample(g, Q=7.5)
     assert np.all(hf.h[:, 0] == 0.0)
-    hf.check_admissible(1e-10)
+    hf.check_admissible()
     with pytest.raises(ConvergenceError, match="no convergence after 0"):
         newton_solve(hf, v_two_layer, params, mode="fixed_Q", max_iter=0)
 

@@ -12,7 +12,8 @@ from steadywaves import laminar
 from steadywaves import solver
 from steadywaves import grid as grid_module
 from steadywaves.grid import Grid, AlignmentError
-from steadywaves.field import HeightField, random_admissible_field
+from steadywaves import field as fd
+from steadywaves.field import EPS_STAG, HeightField, random_admissible_field
 from steadywaves.modal import LaminarModes
 from steadywaves.solver import (HeightSystem, newton_solve, continuation,
                                 residual, ConvergenceError, StagnationError)
@@ -64,10 +65,36 @@ def test_stagnation_error(v_zero, params, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a flux was evaluated at a stagnant state")
 
-    # the stagnation test comes before any flux is formed
+    # the stagnation test comes before any flux is formed; the error is
+    # field's, re-exported by solver
     monkeypatch.setattr(solver, "_speed_term", forbidden)
-    with pytest.raises(StagnationError):
+    with pytest.raises(fd.StagnationError):
         residual(hf, v_zero, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), margin=st.floats(-3e-10, 3e-10))
+@example(seed=0, margin=0.0)
+@example(seed=1, margin=-1e-10)
+@example(seed=1, margin=1e-10)
+def test_residual_guards_at_the_threshold(seed, margin):
+    # residual_parts raises StagnationError exactly when min(1 + h_p) over
+    # the nodes and the half nodes is at or below EPS_STAG: a random state
+    # tilted by s (1 + p), which adds s to h_p, brings that minimum to
+    # EPS_STAG + margin, up to round-off
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    g = Grid(8, 16, aligned_jumps=(-0.5,))
+    sys_ = HeightSystem(g, two_layer(3.0), params)
+    H = sys_.reduce(random_admissible_field(
+        np.random.default_rng(seed)).sample(g))
+    least = min(np.min(hp) for hp in sys_.ops.dp(H))
+    H = H + (EPS_STAG - 1.0 - least + margin) * (1.0 + g.p)
+    lowest = min(np.min(1.0 + hp) for hp in sys_.ops.dp(H))
+    if lowest <= EPS_STAG:
+        with pytest.raises(StagnationError):
+            sys_.residual_parts(H, 10.0)
+    else:
+        sys_.residual_parts(H, 10.0)
 
 
 def test_manufactured_field_scheme_consistency(params):
@@ -127,7 +154,7 @@ def test_jacobian_matches_central_differences(params, rng, mode, a, p_jump):
         Hx = H.copy()
         Hx[:, 1:] = x[:sys_.n_h].reshape(H.shape[0], g.Np)
         Qx = x[sys_.n_h] if mode != "fixed_Q" else hf.Q
-        return sys_.residual_vector(Hx, Qx, mode, a, eps_stag=0.0)[0]
+        return sys_.residual_vector(Hx, Qx, mode, a)[0]
 
     n = J.shape[1]
     x0 = H[:, 1:].ravel() if mode == "fixed_Q" else \
@@ -292,6 +319,10 @@ def test_newton_fixed_Q_laminar(v_two_layer, params):
     hf0 = HeightField(g, np.zeros((16, 129)), Q=lf.Q)
     res = newton_solve(hf0, v_two_layer, params, mode="fixed_Q", tol=1e-10)
     assert np.max(np.abs(res.field.h - lf.h[None, :])) < 1.0 / 128 ** 2
+    # a full step of the cold start stagnates; the line search's guard
+    # halves it, and the solve still converges
+    assert res.stagnation_hits >= 1
+    assert res.residual_inf <= 1e-10 and res.history[-1] == res.residual_inf
 
 
 def test_newton_nonconvergence_reports_history(v_zero, params):
@@ -895,8 +926,8 @@ def test_three_layer_polynomial_vorticity_nonunit_params(rng):
     def resv(x):
         Hx = H.copy()
         Hx[:, 1:] = x[:sys_.n_h].reshape(H.shape[0], g.Np)
-        return sys_.residual_vector(Hx, x[sys_.n_h], "amplitude", 1e-3,
-                                    eps_stag=0.0)[0]
+        return sys_.residual_vector(Hx, x[sys_.n_h], "amplitude",
+                                    1e-3)[0]
 
     delta = rng.standard_normal(len(x0))
     eps = 1e-7

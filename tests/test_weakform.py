@@ -44,7 +44,9 @@ def test_bump_values():
     assert wf.bump1d(np.array([0.0]))[0] == pytest.approx(np.exp(-1.0),
                                                           abs=1e-16)
     assert wf.bump1d(np.array([1.0, -1.0, 2.0])).tolist() == [0.0, 0.0, 0.0]
-    assert wf.bump1d_deriv(np.array([1.0, -1.0])).tolist() == [0.0, 0.0]
+    tf = wf.bump((0.0, -0.5), (0.5, 0.25))
+    factors = tf.factors(np.array([-0.5, 0.5]), np.array([-0.75, -0.25]))
+    assert [f.tolist() for f in factors] == [[0.0, 0.0]] * 4
     # smooth approach to the support edge
     t = np.array([0.999999])
     assert wf.bump1d(t)[0] < 1e-200
@@ -73,19 +75,27 @@ def _same_bits(a, b):
 @example(q0=0.0, rq=0.5, pc=-0.5, rp=0.25, q=np.array([-0.5, 0.0, 0.5]),
          p=np.array([-0.75, -0.5, -0.25]), nq=16, npp=16)
 def test_bump_factors_are_bump1d_bits(q0, rq, pc, rp, q, p, nq, npp):
-    # factors, and the window's factors on a rule's nodes, give bump1d's and
-    # bump1d_deriv's values to the bit
+    # factors, and the window's factors on a rule's nodes, give bump1d's
+    # values and B'(t) = B(t) (-2 t / (1 - t^2)^2) to the bit
     assume(pc - rp > -1.0 and pc + rp < 0.0)
     tf = wf.bump((q0, pc), (rq, rp))
-    tq, tp = tf._args(q, p)
-    want = (wf.bump1d(tq), wf.bump1d_deriv(tq) / rq,
-            wf.bump1d(tp), wf.bump1d_deriv(tp) / rp)
+
+    def deriv(t):
+        return wf.bump1d(t) * (-2.0 * t / (1.0 - t ** 2) ** 2)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = []
+        for axis, x in enumerate((q, p)):
+            t = tf._arg(axis, x)
+            inside = np.abs(t) < 1.0
+            want += [wf.bump1d(t),
+                     np.where(inside, deriv(t), 0.0) / tf.radii[axis]]
     assert all(map(_same_bits, tf.factors(q, p), want))
     nodes = wf._q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
     full = tf.factors(*nodes)
     for axis, x in enumerate(nodes):
         win, b, db = wf._bump_window(tf, axis, x)
-        t = tf._args(*nodes)[axis]
+        t = tf._arg(axis, x)
         assert np.array_equal(np.arange(x.size)[win],
                               np.flatnonzero(np.abs(t) < 1.0))
         assert _same_bits(b, full[2 * axis][win])
@@ -185,8 +195,8 @@ def test_pair_euler_detects_pressure_tilt(solved_laminar, v_two_layer):
 
 def _pushforward_value(tf, hf, params, x, y):
     """phi(x, y) = phi~(x, p) at scattered points, p from `invert_height`."""
-    tq, tp = tf._args(x, tr.invert_height(hf, params, x, y))
-    return wf.bump1d(tq) * wf.bump1d(tp)
+    p = tr.invert_height(hf, params, x, y)
+    return wf.bump1d(tf._arg(0, x)) * wf.bump1d(tf._arg(1, p))
 
 
 def _pushforward_grad(phi, hf, params, x, y):
@@ -303,7 +313,7 @@ def _full_domain_terms(ev, fields, v, params, tf, nq, npp):
     in the field's values can move each term by."""
     d, p0, c, g = params.d, params.p0, params.c, params.g
     q, p, wq, wp = wf._height_nodes(nq, npp)
-    _, pm, _, wpm = wf._midpoint_nodes(nq, npp)
+    pm, wpm = wf._midpoint_nodes(npp)
     F = {"hq": ev.hq_at(q, p), "hp": ev.hp_at(q, p),
          "hq_m": ev.hq_at(q, pm), "hp_m": ev.hp_at(q, pm)}
     if fields is not None:
@@ -461,7 +471,7 @@ def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
     window = q[np.abs(wf._wrap_q(q - q0) / rq) < 1.0]
     assert 0 < window.size < nq
     asked = 0
-    for p in (wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(nq, npp)[1]):
+    for p in (wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(npp)[0]):
         p = p[np.abs((p - pc) / rp) < 1.0]
         for name in ("hq_at", "hp_at"):
             blocks = [qc for n, qc, pc_ in ev.calls
@@ -537,7 +547,7 @@ def test_blocked_sums_match_one_block(v_two_layer, seed, q0, rq, pc, rp, nq,
     # `rows` q-nodes per block of the midpoint rule's p-window; the
     # trapezoid rule's p-window has a node more or less, so its blocks hold
     # about as many
-    n = np.sum(np.abs(wf._midpoint_nodes(nq, npp)[1] - pc) < rp)
+    n = np.sum(np.abs(wf._midpoint_nodes(npp)[0] - pc) < rp)
     blocked, whole = sums(rows * max(n, 1)), sums(nq * (npp + 1))
     terms = _full_domain_terms(hf.evaluator(), fields, v, params, tf, nq, npp)
     analytic = _full_domain_terms(f, None, v, params, tf, nq, npp)
@@ -765,6 +775,14 @@ def test_mollification_rejects_small_eps(smooth_fields):
     params, fields = smooth_fields
     with pytest.raises(ValueError):
         wf.mollification_rate(fields, params, [1e-4])
+
+
+@pytest.mark.parametrize("eps_list", [[], [0.3], [0.3, 0.3]])
+def test_mollification_rejects_a_one_point_fit(smooth_fields, eps_list):
+    # a rate is a slope: fewer than two distinct scales give none to fit
+    params, fields = smooth_fields
+    with pytest.raises(wf.MollifierError, match="two distinct scales"):
+        wf.mollification_rate(fields, params, eps_list)
 
 
 @pytest.mark.parametrize("shape,mq,mp", [
