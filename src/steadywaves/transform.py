@@ -21,7 +21,7 @@ import numpy as np
 
 from .vorticity import (DomainError, VorticityFunction, FlowParameters,
                         gamma_tilde)
-from .field import HeightField, StagnationError
+from .field import EPS_STAG, HeightField, StagnationError
 
 
 @dataclass
@@ -95,10 +95,12 @@ def stream_gradient(h_q, h_p, params: FlowParameters):
 
 
 def reconstruct_stream(hf: HeightField, params: FlowParameters):
-    """(psi, psi_x, psi_y) at the curvilinear nodes."""
+    """(psi, psi_x, psi_y) at the curvilinear nodes; raise
+    StagnationError where 1 + h_p <= EPS_STAG, as `check_admissible` and
+    the solver's residual refuse such a state."""
     hp = hf.h_p()
-    if np.min(1.0 + hp) <= 0:
-        raise StagnationError("1 + h_p <= 0 during reconstruction")
+    if np.min(1.0 + hp) <= EPS_STAG:
+        raise StagnationError(f"1 + h_p <= {EPS_STAG} during reconstruction")
     psi = np.broadcast_to(params.p0 * hf.grid.p[None, :], hf.h.shape).copy()
     psi_x, psi_y = stream_gradient(hf.h_q(), hp, params)
     return psi, psi_x, psi_y

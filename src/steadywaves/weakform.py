@@ -21,26 +21,37 @@ q-nodes on every sided column of its grid (`Grid.sided`, where h_p is
 one-sided at each jump node), so a field is resampled once per level, not
 once per pairing.  Each test function is paired over its support window
 (`_bump_window`), the nodes where the bump can be nonzero, in q-blocks of
-at most `_BLOCK_CELLS` nodes (`_blocks`): the q-window and the bump's
-q-factors are found once per call, for both rules, and what depends on p
-alone once per rule's window; each block blends its arrays in p from its
-rows (`field._blender`), adds to the sums and drops them.  The blocks keep
-every array at 64 KB, under glibc's 128 KB mmap threshold, so it comes
-from the heap, and the dozen that one block frees are reused by the next
-instead of being trimmed and faulted in again.  Window-sized arrays (about
-314 KB at (512, 768)) were mapped, zeroed and faulted in on every call:
-a fresh pass of the benchmark's cross-identity workload took 74-78 k
-minor page faults and spent 0.07-0.09 s of its 0.17-0.18 s in the
-kernel; in blocks it takes 24 faults and 0.10 s.  An evaluator with
-no node columns is evaluated on each block's nodes, an analytic field
-from p-polynomials it evaluates once per window
-(`AnalyticHeightField.at_p`).  The public `pair_*` functions and
-`cross_identity` are one-level, one-test-function calls of the same
-routines.
+at most `_BLOCK_CELLS` nodes (`_blocks`): what depends on the field's p
+alone is found once per rule's window; each block blends its arrays in p
+from its rows (`field._blender`), adds to the sums and drops them.  The
+blocks keep every array at 64 KB, under glibc's 128 KB mmap threshold, so
+it comes from the heap, and the dozen that one block frees are reused by
+the next instead of being trimmed and faulted in again.  Window-sized
+arrays (about 314 KB at (512, 768)) were mapped, zeroed and faulted in on
+every call: a fresh pass of the benchmark's cross-identity workload took
+74-78 k minor page faults and spent 0.07-0.09 s of its 0.17-0.18 s in the
+kernel; in blocks it takes 24 faults and 0.10 s.  An evaluator with no
+node columns is evaluated on each block's nodes, an analytic field from
+p-polynomials it evaluates once per window (`AnalyticHeightField.at_p`).
+The public `pair_*` functions and `cross_identity` are one-level,
+one-test-function calls of the same routines.
+
+What depends on the rule alone is built once per process, in
+`functools.lru_cache` memos whose keys are ints and the frozen
+dataclasses `VorticityFunction`, `FlowParameters` and `TestFunction`,
+never a field or an array, and whose arrays are all read-only: each
+axis's node set and weights, `_nodes(kind, n)` (at most 64 entries); the
+vorticity tables gamma_cap / (2 d^2) on the trapezoid p-nodes and
+gamma_tilde on the midpoint p-nodes, `_gamma_tables(v, params, npp)` (at
+most 32), computed on all the nodes and sliced per window; and each
+bump's window and factors on a rule's q-, trapezoid p- or midpoint
+p-nodes, `_rule_window(tf, kind, n)` (at most 256).  Calls that repeat a
+rule and a bump, field after field, build none of it again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +112,9 @@ class TestFunction:
     radii: tuple
 
     def __post_init__(self):
+        # tuples, so that a bump can key the rules' memos (`_rule_window`)
+        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "radii", tuple(self.radii))
         q0, pc = self.center
         r1, r2 = self.radii
         if not (r1 > 0 and r2 > 0 and r1 < np.pi):
@@ -141,7 +155,7 @@ class TestFunction:
 
 def bump(center, radii) -> TestFunction:
     """A rectangle-domain bump test function."""
-    return TestFunction(tuple(center), tuple(radii))
+    return TestFunction(center, radii)
 
 
 def default_lattice(n_q_centers=4, radii=(np.pi / 4, 0.2),
@@ -214,20 +228,67 @@ def _bump_window(tf: TestFunction, axis, x):
     return win, b, db / tf.radii[axis]
 
 
+# -- the rules' set-up, built once per process (see the module docstring) -----
+
+# the node sets of one axis of a rule: its q-nodes, the trapezoid rule's
+# p-nodes and the midpoint rule's p-nodes
+_Q, _P, _PM = 0, 1, 2
+
+
+def _read_only(*arrays):
+    """The arguments, each array among them made read-only: a memo hands
+    the same arrays to every caller, so no caller may change them."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _nodes(kind, n):
+    """(x, w): one axis's nodes of a rule and their weight, a scalar or,
+    for the trapezoid rule's p-nodes, an array; kind _Q gives the n
+    q-nodes, _P the trapezoid rule's n + 1 p-nodes and _PM the midpoint
+    rule's n p-nodes."""
+    if kind == _Q:
+        return _read_only(_q_nodes(n), 2.0 * np.pi / n)
+    if kind == _P:
+        w = np.full(n + 1, 1.0 / n)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return _read_only(np.linspace(-1.0, 0.0, n + 1), w)
+    return _read_only(-1.0 + (np.arange(n) + 0.5) / n, 1.0 / n)
+
+
 def _height_nodes(nq, npp):
-    q = _q_nodes(nq)
-    p = np.linspace(-1.0, 0.0, npp + 1)
-    wq = 2.0 * np.pi / nq
-    wp = np.full(npp + 1, 1.0 / npp)
-    wp[0] *= 0.5
-    wp[-1] *= 0.5
+    """(q, p, wq, wp): the trapezoid rule's nodes and weights."""
+    (q, wq), (p, wp) = _nodes(_Q, nq), _nodes(_P, npp)
     return q, p, wq, wp
 
 
 def _midpoint_nodes(npp):
     """(pm, wpm): the midpoint rule's p-nodes and weight; its q-nodes and
     weight are `_height_nodes`'s."""
-    return -1.0 + (np.arange(npp) + 0.5) / npp, 1.0 / npp
+    return _nodes(_PM, npp)
+
+
+@functools.lru_cache(maxsize=32)
+def _gamma_tables(v: VorticityFunction, params: FlowParameters, npp):
+    """(gc, gt): gamma_cap / (2 d^2) on the trapezoid rule's npp + 1
+    p-nodes and gamma_tilde on the midpoint rule's npp.  Both evaluate
+    each node on its own (Horner's rule per element), so a window's slice
+    has the bits of the table computed on the window alone."""
+    d = params.d
+    return _read_only(
+        gamma_cap(v, params, _nodes(_P, npp)[0]) / (2 * d * d),
+        gamma_tilde(v, params, _nodes(_PM, npp)[0]))
+
+
+@functools.lru_cache(maxsize=256)
+def _rule_window(tf: TestFunction, kind, n):
+    """`_bump_window` of tf on the node set `_nodes(kind, n)`."""
+    return _read_only(*_bump_window(tf, 0 if kind == _Q else 1,
+                                    _nodes(kind, n)[0]))
 
 
 # cells per q-block of a window (`_blocks`): 64 KB arrays, under glibc's
@@ -260,9 +321,9 @@ def _blocks(iq, n):
 
 def norm_grad_rect(tf: TestFunction, nq=256, npp=256):
     """L1 norm of |grad phi~| over R (the pairing normalizer)."""
-    q, p, wq, wp = _height_nodes(nq, npp)
-    _, bq, dbq = _bump_window(tf, 0, q)
-    jp, bp, dbp = _bump_window(tf, 1, p)
+    _, _, wq, wp = _height_nodes(nq, npp)
+    _, bq, dbq = _rule_window(tf, _Q, nq)
+    jp, bp, dbp = _rule_window(tf, _P, npp)
     return float(wq * np.sum(np.hypot(np.outer(dbq, bp), np.outer(bq, dbp))
                              @ wp[jp]))
 
@@ -378,15 +439,15 @@ class QuadratureLevel:
     rule's q-nodes on every sided column of its grid (Np+1, and one more
     per jump node) and kept: pairing many test functions costs one
     resampling of each.  A test function is paired over its support
-    window in q-blocks (`_blocks`): its q-window and q-factors are found
-    once per call (`sums`), for both rules, what depends on p alone (the
-    bump's p-factors, gamma_cap or gamma_tilde, the p-cells, an analytic
-    field's p-polynomials) once per rule's window, and each block blends its
-    arrays (A and B, the psi coefficients, the Euler fluxes, the Jacobian)
-    from its rows and adds to the sums; the velocity u = c + psi_y,
-    v = -psi_x is formed from the blended psi_x, psi_y, as
-    `reconstruct_fields` defines it.  An evaluator with no node columns is
-    evaluated on each block's nodes.
+    window in q-blocks (`_blocks`): its windows and factors and the
+    vorticity tables come from the rule's memos (`_rule_window`,
+    `_gamma_tables`), what depends on the field's p alone (the p-cells,
+    an analytic field's p-polynomials) is found once per rule's window,
+    and each block blends its arrays (A and B, the psi coefficients, the
+    Euler fluxes, the Jacobian) from its rows and adds to the sums; the
+    velocity u = c + psi_y, v = -psi_x is formed from the blended psi_x,
+    psi_y, as `reconstruct_fields` defines it.  An evaluator with no node
+    columns is evaluated on each block's nodes.
     """
 
     def __init__(self, params: FlowParameters, nq, npp,
@@ -395,7 +456,7 @@ class QuadratureLevel:
         if v is not None:
             for b in v.breakpoints:     # panels must not straddle a jump
                 aligned_node(b, npp)
-        self.params, self.v = params, v
+        self.params, self.v, self.nq, self.npp = params, v, nq, npp
         self.ev = None if field_like is None else _as_evaluator(field_like)
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
@@ -454,9 +515,9 @@ class QuadratureLevel:
         the cross identity, psi from the field's h-derivatives).
 
         Both rules have the same q-nodes, so tf's q-window and q-factors
-        are found once, here.
+        are looked up once, here.
         """
-        qside = _bump_window(tf, 0, self.q)
+        qside = _rule_window(tf, _Q, self.nq)
         out = {}
         if "height" in names:
             out["height"] = self._height_sum(tf, qside)
@@ -468,10 +529,10 @@ class QuadratureLevel:
     def _height_sum(self, tf, qside):
         """The trapezoid rule's part of `sums`, the height pairing."""
         iq, bq, dbq = qside
-        jp, bp, dbp = _bump_window(tf, 1, self.p)
+        jp, bp, dbp = _rule_window(tf, _P, self.npp)
         p, d = self.p[jp], self.params.d
         hq_at, hp_at = self._rows(p, "hq_at", "hp_at")
-        gc = gamma_cap(self.v, self.params, p) / (2 * d * d)
+        gc = _gamma_tables(self.v, self.params, self.npp)[0][jp]
         # the bump is separable: each block's sum contracts its arrays with
         # the p-factors, then with the q-factors
         w_dbp, w_bp, total = self.wp[jp] * dbp, self.wp[jp] * bp, 0.0
@@ -491,14 +552,14 @@ class QuadratureLevel:
         stream, euler, cross = (n in names for n in ("stream", "euler",
                                                      "cross"))
         iq, bq, dbq = qside
-        jm, bp, dbp = _bump_window(tf, 1, self.pm)
+        jm, bp, dbp = _rule_window(tf, _PM, self.npp)
         pm, p0, c = self.pm[jm], self.params.p0, self.params.c
         bq, dbq = bq[:, None], dbq[:, None]
         hq_at, hp_at = self._rows(pm, "hq_at", "hp_at")
         if stream or euler:
             psi_x_at, psi_y_at, P_at = self._rows(pm, "psi_x", "psi_y", "P")
         if stream or cross:
-            gt = gamma_tilde(self.v, self.params, pm)
+            gt = _gamma_tables(self.v, self.params, self.npp)[1][jm]
         memo = _Reusing(tf, self.ev)
         phi = PushforwardTestFunction(memo, memo, self.params)
         sums = dict.fromkeys(("stream", *EULER_NAMES, "cross"), 0.0)

@@ -144,6 +144,24 @@ def test_map_rejects_stagnation(params):
         tr.physical_map(hf, params)
 
 
+@pytest.mark.parametrize("margin, refused", [(0.5, True), (2.0, False)])
+def test_reconstruction_refuses_near_stagnation(params, v_zero, margin,
+                                                refused):
+    # h tilted in p so that 1 + h_p = margin * EPS_STAG at every node: the
+    # columns still rise, so only the no-stagnation threshold decides
+    g = Grid(8, 16)
+    h = np.tile((margin * fd.EPS_STAG - 1.0) * (g.p + 1.0), (8, 1))
+    hf = HeightField(g, h, Q=1.0)
+    assert hf.min_one_plus_hp() == pytest.approx(margin * fd.EPS_STAG,
+                                                 rel=1e-3)
+    tr.physical_map(hf, params)
+    if refused:
+        with pytest.raises(StagnationError):
+            tr.reconstruct_fields(hf, v_zero, params)
+    else:
+        tr.reconstruct_fields(hf, v_zero, params)
+
+
 def test_flat_stream_and_velocity(flat, v_zero):
     params, hf = flat
     psi, psi_x, psi_y = tr.reconstruct_stream(hf, params)

@@ -668,11 +668,16 @@ def test_level_pairings_match_one_shot_calls(sampled_fields, v_two_layer,
             assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), (tf, name)
 
 
+def _clear_memos():
+    for memo in (wf._nodes, wf._gamma_tables, wf._rule_window):
+        memo.cache_clear()
+
+
 def test_one_call_finds_the_q_window_once(sampled_fields, v_two_layer,
                                           monkeypatch):
     # both rules have the rule's q-nodes: one cross identity or one level's
     # pairings find a bump's q-window and q-factors once, and its p-window
-    # once per rule
+    # once per rule, on cold memos; a repeated call finds none
     params, hf, fields = sampled_fields
     found, window = [], wf._bump_window
 
@@ -688,9 +693,74 @@ def test_one_call_finds_the_q_window_once(sampled_fields, v_two_layer,
                                            64, 128),
                  lambda: level.pairings(tf, with_cross=True),
                  lambda: level.pairings(tf)):
+        _clear_memos()
         found.clear()
         pair()
         assert found == [0, 1, 1]
+        found.clear()
+        pair()
+        assert found == []
+
+
+def test_memos_leave_the_triples_bit_identical(v_two_layer):
+    # every triple on cold memos, then all of them in shuffled order, each
+    # on memos warmed by the other fields, bumps and levels
+    params = FlowParameters(d=1.3, g=9.8, c=1.0, p0=-0.9)
+    rng = np.random.default_rng(11)
+    fields = [random_admissible_field(rng) for _ in range(2)]
+    tfs = [wf.bump((3.0, -0.45), (1.0, 0.2)),       # wraps across q = -pi
+           wf.bump((0.4, -0.3), (np.pi / 4, 0.15))]
+    keys = [(f, tf, rule) for f in fields for tf in tfs
+            for rule in ((32, 48), (64, 96))]
+
+    def triple(key):
+        f, tf, (nq, npp) = key
+        return np.array(wf.cross_identity(f, v_two_layer, params, tf, nq,
+                                          npp))
+
+    cold = []
+    for key in keys:
+        _clear_memos()
+        cold.append(triple(key))
+    warm = {int(k): triple(keys[k]) for k in rng.permutation(len(keys))}
+    assert all(_same_bits(cold[k], warm[k]) for k in range(len(keys)))
+
+
+def test_memoized_arrays_are_read_only(v_two_layer, params):
+    wrapping = wf.bump((3.0, -0.45), (1.0, 0.2))
+    arrays = [*wf._height_nodes(32, 48), *wf._midpoint_nodes(48),
+              *wf._gamma_tables(v_two_layer, params, 48)]
+    for tf in (wrapping, wf.bump((0.4, -0.3), (np.pi / 4, 0.15))):
+        for kind in (wf._Q, wf._P, wf._PM):
+            arrays += wf._rule_window(tf, kind, 48)
+    assert isinstance(wf._rule_window(wrapping, wf._Q, 48)[0], np.ndarray)
+    # q, p, wp, pm, the two tables, b and db of 6 windows, 1 index array
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 19
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_a_bump_from_arrays_keys_the_memos():
+    tf = wf.TestFunction([0.4, -0.3], np.array([np.pi / 4, 0.15]))
+    same = wf.bump((0.4, -0.3), (np.pi / 4, 0.15))
+    assert tf == same and hash(tf) == hash(same)
+    assert wf._rule_window(tf, wf._Q, 32) is wf._rule_window(same, wf._Q, 32)
+
+
+def test_gamma_tables_are_keyed_on_depth(v_two_layer):
+    # Gamma / (2 d^2) depends on d through round-off only; the tables of
+    # two depths differ in bits, and each is its own depth's
+    p = wf._height_nodes(8, 64)[1]
+    tables = []
+    for d in (1.0, 1.3):
+        params = FlowParameters(d=d, g=9.8, c=1.0, p0=-0.9)
+        gc = wf._gamma_tables(v_two_layer, params, 64)[0]
+        assert _same_bits(gc, gamma_cap(v_two_layer, params, p) / (2 * d * d))
+        tables.append(gc)
+    assert not _same_bits(*tables)
 
 
 # -- surface identity -----------------------------------------------------------------
