@@ -22,7 +22,7 @@ from .transform import (PhysicalFields, physical_map, invert_height,
                         bernoulli_function)
 from .weakform import (bump, TestFunction, pushforward_testfn, pair_height,
                        pair_stream, pair_euler, cross_identity,
-                       surface_identity, mollification_rate, PairingReport)
+                       surface_identity, mollification_rate)
 
 __all__ = [
     "VorticityFunction", "FlowParameters", "eval_gamma", "gamma_tilde",
@@ -35,5 +35,5 @@ __all__ = [
     "reconstruct_fields", "bernoulli_function",
     "bump", "TestFunction", "pushforward_testfn", "pair_height",
     "pair_stream", "pair_euler", "cross_identity", "surface_identity",
-    "mollification_rate", "PairingReport",
+    "mollification_rate",
 ]

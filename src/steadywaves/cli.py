@@ -307,52 +307,64 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
     npp_base = g.Np
 
     # one pass per level: every field is resampled once, then each bump is
-    # paired against all five formulations; the cross identity is read at
-    # the base level
+    # paired against what the level reports: a configured level the five
+    # formulations, level 1 the cross identity too, and a level 1 outside
+    # verify.levels the cross identity alone
     names = ("height", "stream") + wf.EULER_NAMES
     norms = [wf.norm_grad_rect(tf) for tf in tfs]
     ev = hf.evaluator()
     values = {}   # (formulation, level) -> [value per bump]
     cross = []
     for lvl in dict.fromkeys([*cfg.levels, 1]):
+        asked = ["cross"] if lvl == 1 else []
+        if lvl in cfg.levels:
+            asked += ["height", "stream", "euler"]
         level = wf.QuadratureLevel(params, nq_base * lvl, npp_base * lvl, v,
                                    field_like=ev, fields=fields)
         for tf in tfs:
-            vals = level.pairings(tf, with_cross=lvl == 1)
-            for name in names:
-                values.setdefault((name, lvl), []).append(vals[name])
-            if lvl == 1:
-                lhs, rhs, gap = vals["cross"]
+            vals = level.sums(tf, *asked)
+            if "cross" in vals:
+                lhs, rhs, gap = vals.pop("cross")
                 cross.append({"center": list(tf.center), "lhs": lhs,
                               "rhs": rhs, "gap": gap})
+            for name, val in vals.items():
+                values.setdefault((name, lvl), []).append(val)
         del level   # its resampled series, before the next level's
+    surf = wf.surface_identity(ev, params, Q=hf.Q)
     del ev          # and the evaluator's, before the mollifier's
 
-    reports = []
-    rows = []  # flat CSV rows: formulation, q0, pc, level, value, normalizer
+    # each formulation's verify.json entry and verify.csv rows; its maximum
+    # is the first level's
+    pairings = []
+    lines = ["formulation,q_center,p_center,level,value,normalizer"]
     for name in names:
-        rep = wf.PairingReport(formulation=name)
+        refinement, rates = [], {}
         for lvl in cfg.levels:
             vals = values[name, lvl]
-            for tf, val, norm in zip(tfs, vals, norms):
-                if lvl == cfg.levels[0]:
-                    rep.per_testfn.append({
-                        "center": list(tf.center), "radii": list(tf.radii),
-                        "value": val, "normalizer": norm})
-                rows.append([name, tf.center[0], tf.center[1], lvl, val, norm])
-            rep.refinement.append({
-                "level": lvl,
-                "max_abs": wf.max_normalized(vals, norms)})
-        if len(rep.refinement) >= 2 and rep.refinement[-1]["max_abs"] > 0:
-            l0, l1 = rep.refinement[0], rep.refinement[-1]
-            rep.fitted_rates["refinement_order"] = float(
+            lines += [f"{name},{_fmt(tf.center[0])},{_fmt(tf.center[1])},"
+                      f"{lvl},{_fmt(val)},{_fmt(norm)}"
+                      for tf, val, norm in zip(tfs, vals, norms)]
+            refinement.append({"level": lvl,
+                               "max_abs": wf.max_normalized(vals, norms)})
+        l0, l1 = refinement[0], refinement[-1]
+        if len(refinement) >= 2 and l1["max_abs"] > 0:
+            rates["refinement_order"] = float(
                 np.log(l0["max_abs"] / l1["max_abs"])
                 / np.log(l1["level"] / l0["level"]))
-        reports.append(rep)
+        pairings.append({
+            "formulation": name,
+            "per_testfn": [{"center": list(tf.center),
+                            "radii": list(tf.radii), "value": val,
+                            "normalizer": norm}
+                           for tf, val, norm in zip(
+                               tfs, values[name, cfg.levels[0]], norms)],
+            "refinement": refinement,
+            "fitted_rates": rates,
+            "max_normalized": l0["max_abs"],
+        })
 
-    surf = wf.surface_identity(hf, params)
     out = {
-        "pairings": [r.to_dict() for r in reports],
+        "pairings": pairings,
         "cross_identity": cross,
         "surface_identity": surf,
     }
@@ -360,20 +372,16 @@ def run_verify(cfg: RunConfig, outdir, args, field_path):
         out["mollification"] = wf.mollification_rate(fields, params,
                                                      cfg.eps_list)
     write_json(Path(outdir) / "verify.json", out)
-    lines = ["formulation,q_center,p_center,level,value,normalizer"]
-    for name, q0, pc, lvl, val, norm in rows:
-        lines.append(f"{name},{_fmt(q0)},{_fmt(pc)},{lvl},{_fmt(val)},"
-                     f"{_fmt(norm)}")
     (Path(outdir) / "verify.csv").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
     write_manifest(outdir, cfg, "verify")
 
     failed = False
-    for rep in reports:
-        mx = rep.max_normalized()
+    for rep in pairings:
+        mx = rep["max_normalized"]
         verdict = "PASS" if mx <= cfg.pairing_tol else "FAIL"
         failed |= verdict == "FAIL"
-        _say(args, f"verify {rep.formulation:9s}: max normalized pairing "
+        _say(args, f"verify {rep['formulation']:9s}: max normalized pairing "
                    f"{mx:.3e} {verdict}")
     _say(args, f"verify surface  : identity gap {surf['identity_gap_rel']:.3e}, "
                f"|lhs-Q| {surf['surface_residual']:.3e}")

@@ -156,9 +156,6 @@ class HeightField:
         node."""
         return self.grid.node_dp(self.h)
 
-    def surface(self):
-        return self.h[:, -1]
-
     def surface_mean(self):
         return float(np.mean(self.h[:, -1]))
 

@@ -33,8 +33,9 @@ every call: a fresh pass of the benchmark's cross-identity workload took
 kernel; in blocks it takes 24 faults and 0.10 s.  An evaluator with no
 node columns is evaluated on each block's nodes, an analytic field from
 p-polynomials it evaluates once per window (`AnalyticHeightField.at_p`).
-The public `pair_*` functions and `cross_identity` are one-level,
-one-test-function calls of the same routines.
+The public `pair_*` functions and `cross_identity` are one-level calls
+of `QuadratureLevel.sums`, the one pairing entry: `cross_identity` is
+`sums(tf, "cross")["cross"]`.
 
 What depends on the rule alone is built once per process, in
 `functools.lru_cache` memos whose keys are ints and the frozen
@@ -52,7 +53,7 @@ rule and a bump, field after field, build none of it again.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,6 +118,9 @@ class TestFunction:
         object.__setattr__(self, "radii", tuple(self.radii))
         q0, pc = self.center
         r1, r2 = self.radii
+        if not np.all(np.isfinite([q0, pc, r1, r2])):
+            raise SupportError(f"center {self.center} and radii {self.radii} "
+                               "must be finite")
         if not (r1 > 0 and r2 > 0 and r1 < np.pi):
             raise SupportError("radii must be positive with r_q < pi")
         if not (pc - r2 > -1.0 and pc + r2 < 0.0):
@@ -377,15 +381,8 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
     pushforward gradient asks for the same h_q, h_p there, and gets them
     without a second evaluation.
     """
-    sums = QuadratureLevel(params, nq, npp, v, field_like=field_like).sums(
-        tf, "height", "cross")
-    return _cross(params, sums["height"], sums["cross"])
-
-
-def _cross(params, height, rhs):
-    """(lhs, rhs, gap) of the cross identity from its two sides' sums."""
-    lhs = params.p0 ** 2 * height
-    return lhs, rhs, abs(lhs - rhs)
+    return QuadratureLevel(params, nq, npp, v, field_like=field_like).sums(
+        tf, "cross")["cross"]
 
 
 class _Reusing:
@@ -511,19 +508,25 @@ class QuadratureLevel:
         """{name: pairing} of tf, for names among "height" (the height
         pairing, on the trapezoid rule) and the midpoint rule's "stream"
         (the reconstructed fields' stream pairing), "euler" (the three
-        Euler pairings, under EULER_NAMES) and "cross" (the stream side of
-        the cross identity, psi from the field's h-derivatives).
+        Euler pairings, under EULER_NAMES) and "cross" (the cross
+        identity's (lhs, rhs, gap): lhs = p0^2 times the height pairing,
+        rhs the stream pairing with psi from the field's h-derivatives).
 
         Both rules have the same q-nodes, so tf's q-window and q-factors
         are looked up once, here.
         """
         qside = _rule_window(tf, _Q, self.nq)
         out = {}
-        if "height" in names:
-            out["height"] = self._height_sum(tf, qside)
+        if "height" in names or "cross" in names:
+            height = self._height_sum(tf, qside)
+            if "height" in names:
+                out["height"] = height
         midpoint = [name for name in names if name != "height"]
         if midpoint:
             out.update(self._midpoint_sums(tf, qside, *midpoint))
+        if "cross" in names:
+            lhs, rhs = self.params.p0 ** 2 * height, out["cross"]
+            out["cross"] = lhs, rhs, abs(lhs - rhs)
         return out
 
     def _height_sum(self, tf, qside):
@@ -588,15 +591,6 @@ class QuadratureLevel:
         w = self.wq * self.wpm
         return {key: float(w * sums[key]) for name in names
                 for key in (EULER_NAMES if name == "euler" else (name,))}
-
-    def pairings(self, tf: TestFunction, with_cross=False):
-        """{formulation: value} of the five pairings of tf, and with
-        `with_cross` the cross identity's (lhs, rhs, gap) under "cross"."""
-        out = self.sums(tf, "height", "stream", "euler",
-                        *(("cross",) if with_cross else ()))
-        if with_cross:
-            out["cross"] = _cross(self.params, out["height"], out["cross"])
-        return out
 
 
 def _stream_sum(gt, psi_x, psi_y, px, py, p0):
@@ -786,26 +780,3 @@ def max_normalized(values, normalizers):
     """max |value| / normalizer over the pairs, 0 for none."""
     return max((abs(v) / max(n, 1e-300) for v, n in zip(values, normalizers)),
                default=0.0)
-
-
-@dataclass
-class PairingReport:
-    """Values of one formulation's pairings across test functions and levels."""
-
-    formulation: str
-    per_testfn: list = field(default_factory=list)
-    refinement: list = field(default_factory=list)
-    fitted_rates: dict = field(default_factory=dict)
-
-    def max_normalized(self):
-        return max_normalized([e["value"] for e in self.per_testfn],
-                              [e["normalizer"] for e in self.per_testfn])
-
-    def to_dict(self):
-        return {
-            "formulation": self.formulation,
-            "per_testfn": self.per_testfn,
-            "refinement": self.refinement,
-            "fitted_rates": self.fitted_rates,
-            "max_normalized": self.max_normalized(),
-        }

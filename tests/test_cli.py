@@ -17,7 +17,7 @@ from steadywaves import laminar
 from steadywaves import modal
 from steadywaves import transform as tr
 from steadywaves import weakform as wf
-from steadywaves.field import HeightField
+from steadywaves.field import HeightField, SampledEvaluator
 from steadywaves.grid import Grid
 from steadywaves.solver import residual
 from steadywaves.vorticity import FlowParameters, two_layer
@@ -556,6 +556,51 @@ def test_verify_matches_per_call_pairings(tmp_path, levels):
         assert abs(entry["lhs"] - lhs) <= 1e-12 * norm
         assert abs(entry["rhs"] - rhs) <= 1e-12 * norm
         assert abs(entry["gap"] - gap) <= 1e-12 * norm
+
+
+def _solved_smoke_case(tmp_path, levels):
+    """(config, output directory) of the two-layer smoke case at
+    verify.levels = `levels`, solved into that directory."""
+    cfg = write_cfg(tmp_path, TWO_LAYER_CFG + f"verify.levels = {levels}\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return cfg, out
+
+
+def _verify(cfg, out):
+    return main(["verify", "--config", cfg, "--out", str(out / "v"),
+                 "--field", str(out / "field.csv"), "--quiet"])
+
+
+def test_verify_asks_each_level_for_what_it_reports(tmp_path, monkeypatch):
+    # the configured levels pair the five formulations and not the cross
+    # identity; level 1, outside verify.levels, pairs the cross identity
+    # alone (npp is 64 times the level on this grid)
+    cfg, out = _solved_smoke_case(tmp_path, "3, 2")
+    asked, sums = {}, wf.QuadratureLevel.sums
+
+    def recording(self, tf, *names):
+        asked.setdefault(self.npp // 64, set()).update(names)
+        return sums(self, tf, *names)
+
+    monkeypatch.setattr(wf.QuadratureLevel, "sums", recording)
+    assert _verify(cfg, out) == 0
+    assert asked == {1: {"cross"}, 2: {"height", "stream", "euler"},
+                     3: {"height", "stream", "euler"}}
+
+
+def test_verify_builds_one_sampled_evaluator(tmp_path, monkeypatch):
+    # the levels and the surface identity share one evaluator of the field
+    cfg, out = _solved_smoke_case(tmp_path, "1, 2")
+    built, init = [], SampledEvaluator.__init__
+
+    def counting(self, hf):
+        built.append(hf)
+        init(self, hf)
+
+    monkeypatch.setattr(SampledEvaluator, "__init__", counting)
+    assert _verify(cfg, out) == 0
+    assert len(built) == 1
 
 
 # -- CSV files -----------------------------------------------------------------

@@ -214,7 +214,8 @@ def test_level_keeps_one_hp_array_on_the_sided_columns():
     g, v, params = hf.grid, THREE_PIECE, THREE_PIECE_PARAMS
     level = wf.QuadratureLevel(params, 2 * g.Nq, g.Np, v, field_like=hf,
                                fields=tr.reconstruct_fields(hf, v, params))
-    level.pairings(wf.bump((0.0, -0.5), (np.pi / 4, 0.3)), with_cross=True)
+    level.sums(wf.bump((0.0, -0.5), (np.pi / 4, 0.3)),
+               "height", "stream", "euler", "cross")
     assert sorted(level._columns) == sorted(
         ("hq_at", "hp_at", "psi_x", "psi_y", "P"))
     for cols, grid in level._columns.values():

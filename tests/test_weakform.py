@@ -110,6 +110,14 @@ def test_support_validation():
     wf.bump((3.0, -0.5), (np.pi / 2, 0.3))       # q-wrap is fine
 
 
+@pytest.mark.parametrize("q0", [np.nan, np.inf, -np.inf])
+def test_non_finite_q_center_rejected(q0):
+    # such a center wraps to NaN, so every factor would be 0 and the cross
+    # identity and the normalizer would read a silent 0
+    with pytest.raises(wf.SupportError, match="finite"):
+        wf.bump((q0, -0.5), (0.5, 0.2))
+
+
 # -- height pairing ----------------------------------------------------------------
 
 
@@ -427,7 +435,7 @@ def test_windowed_sums_match_full_domain(v_two_layer, seed, q0, rq, pc, rp,
     # verify's shared level, which blends each window from its node columns
     level = wf.QuadratureLevel(params, nq, npp, v, field_like=ev,
                                fields=fields)
-    vals = level.pairings(tf, with_cross=True)
+    vals = level.sums(tf, "height", "stream", "euler", "cross")
     lhs, rhs, _ = vals.pop("cross")
     _assert_sums(dict(vals, lhs=lhs, rhs=rhs), sampled)
 
@@ -538,7 +546,7 @@ def test_blocked_sums_match_one_block(v_two_layer, seed, q0, rq, pc, rp, nq,
             mp.setattr(wf, "_BLOCK_CELLS", cells)
             level = wf.QuadratureLevel(params, nq, npp, v, field_like=hf,
                                        fields=fields)
-            out = level.pairings(tf, with_cross=True)
+            out = level.sums(tf, "height", "stream", "euler", "cross")
             out["lhs"], out["rhs"], _ = out.pop("cross")
             out["analytic_lhs"], out["analytic_rhs"], _ = wf.cross_identity(
                 f, v, params, tf, nq, npp)
@@ -573,7 +581,8 @@ def test_windowed_pairings_keep_the_fft_resampling(v_two_layer, monkeypatch):
     wf.pair_stream(fields, v_two_layer, params, phi, nq=64, npp=64)
     wf.pair_euler(fields, params, phi, nq=64, npp=64, v=v_two_layer)
     wf.QuadratureLevel(params, 64, 64, v_two_layer, field_like=hf,
-                       fields=fields).pairings(tf, with_cross=True)
+                       fields=fields).sums(tf, "height", "stream", "euler",
+                                           "cross")
 
 
 @pytest.fixture(scope="module")
@@ -592,7 +601,7 @@ LEVEL_SERIES = 2 + len(("psi_x", "psi_y", "P"))
 
 def _pair_lattice(level):
     for tf in wf.default_lattice():
-        level.pairings(tf, with_cross=True)
+        level.sums(tf, "height", "stream", "euler", "cross")
 
 
 @pytest.mark.parametrize("lvl", [1, 2])
@@ -640,7 +649,7 @@ def test_level_resamples_each_series_once(sampled_fields, v_two_layer,
         level = wf.QuadratureLevel(params, 128, 64, v_two_layer,
                                    field_like=hf, fields=fields)
         for tf in tfs:
-            level.pairings(tf, with_cross=True)
+            level.sums(tf, "height", "stream", "euler", "cross")
         counts.append(len(calls))
     assert counts[1] == counts[0] <= LEVEL_SERIES, counts
 
@@ -661,7 +670,7 @@ def test_level_pairings_match_one_shot_calls(sampled_fields, v_two_layer,
                "cross": wf.cross_identity(hf, v, params, tf, nq, npp)}
         one.update(zip(wf.EULER_NAMES,
                        wf.pair_euler(fields, params, phi, nq, npp, v=v)))
-        shared = level.pairings(tf, with_cross=True)
+        shared = level.sums(tf, "height", "stream", "euler", "cross")
         assert shared.keys() == one.keys()
         for name, value in shared.items():
             a, b = np.atleast_1d(value), np.atleast_1d(one[name])
@@ -691,8 +700,9 @@ def test_one_call_finds_the_q_window_once(sampled_fields, v_two_layer,
                                fields=fields)
     for pair in (lambda: wf.cross_identity(hf, v_two_layer, params, tf,
                                            64, 128),
-                 lambda: level.pairings(tf, with_cross=True),
-                 lambda: level.pairings(tf)):
+                 lambda: level.sums(tf, "height", "stream", "euler",
+                                    "cross"),
+                 lambda: level.sums(tf, "height", "stream", "euler")):
         _clear_memos()
         found.clear()
         pair()
