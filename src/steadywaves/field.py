@@ -276,13 +276,15 @@ class AnalyticHeightField:
         self._Cp = self._C[:, 1:] * np.arange(1, deg)   # the p-derivative
         self._k = ks.astype(float)
 
-    def _kq(self, q):
-        return np.outer(np.asarray(q, dtype=float), self._k)
+    def at_q(self, q):
+        """The q-factors (cos(k q), -k sin(k q)) at q (nq,), (nq, n_k) each."""
+        kq = np.outer(np.asarray(q, dtype=float), self._k)
+        return np.cos(kq), np.sin(kq) * -self._k
 
     def at_p(self, p):
-        """{name: f}: h_at, hq_at and hp_at on q x p as functions f(q) of q
-        alone, with p's polynomials evaluated once, here: C and C_p times
-        the Vandermonde rows p^0, p^1, ..., built by repeated products as
+        """{name: f}: h_at, hq_at and hp_at on q x p as functions f(cq, sq)
+        of q's factors (`at_q`), with p's polynomials evaluated once, here:
+        C and C_p times the Vandermonde rows p^0, p^1, ..., built as
         `npoly.polyvander` builds them (which also turns -0.0 into 0.0)."""
         x = np.array(p, dtype=float, ndmin=1) + 0.0
         vander = np.empty((self._C.shape[1], x.size))
@@ -290,18 +292,17 @@ class AnalyticHeightField:
         for i in range(1, len(vander)):
             np.multiply(vander[i - 1], x, out=vander[i])
         P, Pp = self._C @ vander, self._Cp @ vander[:-1]
-        return {"h_at": lambda q: np.cos(self._kq(q)) @ P,
-                "hq_at": lambda q: (np.sin(self._kq(q)) * -self._k) @ P,
-                "hp_at": lambda q: np.cos(self._kq(q)) @ Pp}
+        return {"h_at": lambda cq, sq: cq @ P, "hq_at": lambda cq, sq: sq @ P,
+                "hp_at": lambda cq, sq: cq @ Pp}
 
     def h_at(self, q, p):
-        return self.at_p(p)["h_at"](q)
+        return self.at_p(p)["h_at"](*self.at_q(q))
 
     def hq_at(self, q, p):
-        return self.at_p(p)["hq_at"](q)
+        return self.at_p(p)["hq_at"](*self.at_q(q))
 
     def hp_at(self, q, p):
-        return self.at_p(p)["hp_at"](q)
+        return self.at_p(p)["hp_at"](*self.at_q(q))
 
     def sample(self, grid: Grid, Q=None) -> HeightField:
         """Sample onto a grid as a HeightField, with an exactly zero bed row.

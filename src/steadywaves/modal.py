@@ -68,6 +68,7 @@ class LaminarModes:
         # the complex FFT of both DCT-Is of `solve`, reused: a fresh one
         # per transform costs about as much as the FFT itself
         self._spec = np.empty((Np, nh + 1), dtype=complex)
+        self._column = None     # (c, J^{-1} c) of `solve_column`
         both = (abs(self.A0) + abs(self.A1)).tocoo()
         self.kl = kl = int(np.max(both.row - both.col, initial=0))
         self.ku = ku = int(np.max(both.col - both.row, initial=0))
@@ -106,6 +107,13 @@ class LaminarModes:
         x = _dct1(self.solve_modal(bhat).T, self._spec)
         x /= 2 * self.nh
         return x.T.ravel()
+
+    def solve_column(self, c):
+        """J^{-1} c, kept: a bordered closure's Q column c is the same at
+        every solve these modes precondition, so it is solved once."""
+        if self._column is None or not np.array_equal(self._column[0], c):
+            self._column = c, self.solve(c)
+        return self._column[1]
 
     def _solve_k1(self, b):
         """M_1^{-1} b, b (Np,): the k = 1 block's own columns of the band LU

@@ -440,7 +440,7 @@ def _bordered(modes, c, w):
     dQ = (w.z - eta) / (w.M^{-1} c).  The amplitude row l sees only odd
     cosine modes and c only k = 0, so l.M^{-1} c = 0: every closure takes w.
     """
-    xc = modes.solve(c)
+    xc = modes.solve_column(c)
 
     def solve(y):
         z = modes.solve(y[:-1])

@@ -30,9 +30,12 @@ the next instead of being trimmed and faulted in again.  Window-sized
 arrays (about 314 KB at (512, 768)) were mapped, zeroed and faulted in on
 every call: a fresh pass of the benchmark's cross-identity workload took
 74-78 k minor page faults and spent 0.07-0.09 s of its 0.17-0.18 s in the
-kernel; in blocks it takes 24 faults and 0.10 s.  An evaluator with no
-node columns is evaluated on each block's nodes, an analytic field from
-p-polynomials it evaluates once per window (`AnalyticHeightField.at_p`).
+kernel; in blocks it takes 24 faults and 0.10 s.  An analytic field
+evaluates its p-polynomials once per rule's window (`at_p`) and its
+q-factors once per bump's q-window, shared by both rules (`at_q`); any
+other evaluator with no node columns is asked on each block's nodes.
+Each midpoint-rule block forms the field's psi once (`stream_gradient`),
+for the pushforward gradient and the cross identity's stream side.
 The public `pair_*` functions and `cross_identity` are one-level calls
 of `QuadratureLevel.sums`, the one pairing entry: `cross_identity` is
 `sums(tf, "cross")["cross"]`.
@@ -176,7 +179,8 @@ class PushforwardTestFunction:
     gradient uses the field's derivatives:
         phi_x = phi~_q - (h_q/(1+h_p)) phi~_p,
         phi_y = phi~_p / (d (1+h_p)).
-    `grad_xy_at_qp(q, p)` gives (phi_x, phi_y) on the tensor grid (q, p).
+    `grad_xy_at_qp(q, p)` gives (phi_x, phi_y) on the tensor grid (q, p),
+    from two hooks: phi~'s (q, p) gradient and the field's psi_x, psi_y.
     """
 
     def __init__(self, tf: TestFunction, field_like, params: FlowParameters):
@@ -185,10 +189,15 @@ class PushforwardTestFunction:
         self.params = params
 
     def grad_xy_at_qp(self, q, p):
-        tq, tp = self.tf.grad(q, p)
-        psi_x, psi_y = stream_gradient(self.field.hq_at(q, p),
-                                       self.field.hp_at(q, p), self.params)
-        return _pushforward_grad(tq, tp, psi_x, psi_y, self.params.p0)
+        return _pushforward_grad(*self._bump_grad(q, p), *self._psi(q, p),
+                                 self.params.p0)
+
+    def _bump_grad(self, q, p):
+        return self.tf.grad(q, p)
+
+    def _psi(self, q, p):
+        return stream_gradient(self.field.hq_at(q, p),
+                               self.field.hp_at(q, p), self.params)
 
 
 def pushforward_testfn(tf: TestFunction, field_like,
@@ -378,48 +387,25 @@ def cross_identity(field_like, v: VorticityFunction, params: FlowParameters,
     rules (trapezoid vs midpoint in p), so the gap is a genuine discretization
     residual that vanishes under refinement.  The stream side takes psi
     from the field's own h-derivatives at the midpoint nodes; the
-    pushforward gradient asks for the same h_q, h_p there, and gets them
-    without a second evaluation.
+    pushforward gradient reads the same psi, formed once per q-block.
     """
     return QuadratureLevel(params, nq, npp, v, field_like=field_like).sums(
         tf, "cross")["cross"]
 
 
-class _Reusing:
-    """A pushforward's test function and field, fed one q-block at a time.
+class _BlockPushforward(PushforwardTestFunction):
+    """The pushforward over one q-block at a time: its hooks return the
+    block's bump gradient `grad` and psi `psi`, set before each call, so
+    `grad_xy_at_qp`, each block's one entry, evaluates neither again."""
 
-    `keep` gives it a block's arrays, the test function's gradient and the
-    field's h_q and h_p at the block's nodes (q, p); a request for them at
-    those very arrays q and p is answered with what was kept, any other is
-    passed on to `tf` or `ev`.  It keeps one entry per method, so it holds
-    one block's arrays.
-    """
+    def __init__(self, params: FlowParameters):
+        self.params = params
 
-    def __init__(self, tf, ev):
-        self.tf, self.ev, self._kept = tf, ev, {}
+    def _bump_grad(self, q, p):
+        return self.grad
 
-    def keep(self, q, p, **arrays):
-        for name, out in arrays.items():
-            self._kept[name] = q, p, out
-
-    def grad(self, q, p):
-        return self._reuse(self.tf, "grad", q, p)
-
-    def h_at(self, q, p):
-        return self._reuse(self.ev, "h_at", q, p)
-
-    def hq_at(self, q, p):
-        return self._reuse(self.ev, "hq_at", q, p)
-
-    def hp_at(self, q, p):
-        return self._reuse(self.ev, "hp_at", q, p)
-
-    def _reuse(self, owner, name, q, p):
-        q1, p1, out = self._kept.get(name, (None, None, None))
-        if q1 is not q or p1 is not p:
-            out = getattr(owner, name)(q, p)
-            self._kept[name] = q, p, out
-        return out
+    def _psi(self, q, p):
+        return self.psi
 
 
 EULER_NAMES = ("euler_R1", "euler_R2", "euler_R3")
@@ -479,27 +465,29 @@ class QuadratureLevel:
             self._columns[name] = _trig_eval(series, self.q, deriv), grid
         return self._columns[name]
 
-    def _rows(self, p, *names):
-        """For each series name, a function of a q-block b (a slice of the
-        rule's q-nodes) that gives the series on b's nodes x p.  Sampled
-        series are blended from their node columns, on p-cells found here
-        once per grid; an analytic field's p-polynomials are evaluated here
-        once (`at_p`); any other evaluator is asked on each block."""
+    def _rows(self, p, *names, qf=None):
+        """For each series name, a function of a q-block (rel, b) that
+        gives the series on b's nodes x p.  Sampled series are blended from
+        their node columns, on p-cells found here once per grid; an analytic
+        field's p-polynomials are evaluated here once (`at_p`), its q-factors
+        qf once per window (`at_q`), of which a block takes rows rel; any
+        other evaluator is asked on each block."""
         blend, at_p, out = {}, None, []
         for name in names:
             if name.endswith("_at") and not isinstance(self.ev,
                                                        SampledEvaluator):
-                if hasattr(self.ev, "at_p"):
+                if qf is not None:
                     at_p = at_p or self.ev.at_p(p)
-                    out.append(lambda b, f=at_p[name]: f(self.q[b]))
+                    out.append(lambda rel, b, f=at_p[name]:
+                               f(qf[0][rel], qf[1][rel]))
                 else:
-                    out.append(lambda b, f=getattr(self.ev, name):
+                    out.append(lambda rel, b, f=getattr(self.ev, name):
                                f(self.q[b], p))
                 continue
             cols, grid = self._node_columns(name)
             if id(grid) not in blend:
                 blend[id(grid)] = _blender(*grid.p_cell(p))
-            out.append(lambda b, cols=cols, f=blend[id(grid)]: f(cols[b]))
+            out.append(lambda rel, b, c=cols, f=blend[id(grid)]: f(c[b]))
         return out
 
     # -- pairings -------------------------------------------------------------
@@ -513,9 +501,11 @@ class QuadratureLevel:
         rhs the stream pairing with psi from the field's h-derivatives).
 
         Both rules have the same q-nodes, so tf's q-window and q-factors
-        are looked up once, here.
+        and an analytic field's q-factors there are found once, here.
         """
-        qside = _rule_window(tf, _Q, self.nq)
+        iq, bq, dbq = _rule_window(tf, _Q, self.nq)
+        qside = iq, bq, dbq, (self.ev.at_q(self.q[iq])
+                              if hasattr(self.ev, "at_q") else None)
         out = {}
         if "height" in names or "cross" in names:
             height = self._height_sum(tf, qside)
@@ -531,16 +521,16 @@ class QuadratureLevel:
 
     def _height_sum(self, tf, qside):
         """The trapezoid rule's part of `sums`, the height pairing."""
-        iq, bq, dbq = qside
+        iq, bq, dbq, qf = qside
         jp, bp, dbp = _rule_window(tf, _P, self.npp)
         p, d = self.p[jp], self.params.d
-        hq_at, hp_at = self._rows(p, "hq_at", "hp_at")
+        hq_at, hp_at = self._rows(p, "hq_at", "hp_at", qf=qf)
         gc = _gamma_tables(self.v, self.params, self.npp)[0][jp]
         # the bump is separable: each block's sum contracts its arrays with
         # the p-factors, then with the q-factors
         w_dbp, w_bp, total = self.wp[jp] * dbp, self.wp[jp] * bp, 0.0
         for rel, b in _blocks(iq, p.size):
-            hq, u = hq_at(b), 1.0 + hp_at(b)
+            hq, u = hq_at(rel, b), 1.0 + hp_at(rel, b)
             A = _speed(hq, u ** 2, d) + gc
             total += bq[rel] @ (A @ w_dbp) + dbq[rel] @ (hq / u @ w_bp)
         return float(self.wq * total)
@@ -548,38 +538,35 @@ class QuadratureLevel:
     def _midpoint_sums(self, tf, qside, *names):
         """The midpoint rule's part of `sums`.
 
-        Each q-block's pushforward gradient is asked of
-        `PushforwardTestFunction.grad_xy_at_qp`, over the field's h_q,
-        h_p and the bump's gradient that the block has just formed.
+        Each q-block forms the field's psi once, for the cross identity's
+        stream side and for the pushforward gradient, which it asks of
+        `PushforwardTestFunction.grad_xy_at_qp` (`_BlockPushforward`).
         """
         stream, euler, cross = (n in names for n in ("stream", "euler",
                                                      "cross"))
-        iq, bq, dbq = qside
+        iq, bq, dbq, qf = qside
         jm, bp, dbp = _rule_window(tf, _PM, self.npp)
         pm, p0, c = self.pm[jm], self.params.p0, self.params.c
         bq, dbq = bq[:, None], dbq[:, None]
-        hq_at, hp_at = self._rows(pm, "hq_at", "hp_at")
+        hq_at, hp_at = self._rows(pm, "hq_at", "hp_at", qf=qf)
         if stream or euler:
             psi_x_at, psi_y_at, P_at = self._rows(pm, "psi_x", "psi_y", "P")
         if stream or cross:
             gt = _gamma_tables(self.v, self.params, self.npp)[1][jm]
-        memo = _Reusing(tf, self.ev)
-        phi = PushforwardTestFunction(memo, memo, self.params)
+        phi = _BlockPushforward(self.params)
         sums = dict.fromkeys(("stream", *EULER_NAMES, "cross"), 0.0)
         for rel, b in _blocks(iq, pm.size):
-            q, hq, hp = self.q[b], hq_at(b), hp_at(b)
-            memo.keep(q, pm, hq_at=hq, hp_at=hp,
-                      grad=(dbq[rel] * bp, bq[rel] * dbp))
-            px, py = phi.grad_xy_at_qp(q, pm)
+            psi = stream_gradient(hq_at(rel, b), hp_at(rel, b), self.params)
+            phi.grad, phi.psi = (dbq[rel] * bp, bq[rel] * dbp), psi
+            px, py = phi.grad_xy_at_qp(self.q[b], pm)
             if cross:
-                sums["cross"] += _stream_sum(
-                    gt, *stream_gradient(hq, hp, self.params), px, py, p0)
+                sums["cross"] += _stream_sum(gt, *psi, px, py, p0)
             if stream or euler:
-                psi_x, psi_y = psi_x_at(b), psi_y_at(b)
+                psi_x, psi_y = psi_x_at(rel, b), psi_y_at(rel, b)
             if stream:
                 sums["stream"] += _stream_sum(gt, psi_x, psi_y, px, py, p0)
             if euler:
-                P = P_at(b)
+                P = P_at(rel, b)
                 u, vv, jac = c + psi_y, -psi_x, p0 / psi_y
                 uv, val = u * vv, bq[rel] * bp
                 sums["euler_R1"] += np.sum(

@@ -685,6 +685,23 @@ def test_laminar_modes_built_once_per_schedule_run(v_two_layer,
     assert len(builds) == 1
 
 
+def test_q_column_solved_once_per_modes(v_two_layer, params_critical,
+                                        monkeypatch):
+    # every solve of a run of the schedule borders the modes with the same
+    # Q column c, so its modal solve M^{-1} c is made once for the run
+    hf0 = _laminar_start(v_two_layer, params_critical, 32, 64)
+    c = HeightSystem(hf0.grid, v_two_layer,
+                     params_critical).borders["meanzero"][0]
+    solves, solve = [], LaminarModes.solve
+    monkeypatch.setattr(LaminarModes, "solve", lambda self, b: solves.append(
+        (id(self), np.array_equal(b, c))) or solve(self, b))
+    res = solver._follow(hf0, v_two_layer, params_critical, CHAIN_SCHEDULE,
+                         1e-10, 50)
+    assert res.converged and len(CHAIN_SCHEDULE) == 4
+    assert len({modes for modes, _ in solves}) == 1
+    assert sum(column for _, column in solves) == 1
+
+
 def test_continuation_chains_through_the_half_grid(v_two_layer,
                                                    params_critical,
                                                    small_floor):

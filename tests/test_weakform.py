@@ -491,6 +491,85 @@ def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
     assert asked == len(ev.calls)
 
 
+def _midpoint_blocks(tf, nq, npp):
+    """The number of q-blocks of tf's window on the midpoint rule."""
+    iq = wf._rule_window(tf, wf._Q, nq)[0]
+    jm = wf._rule_window(tf, wf._PM, npp)[0]
+    return len(list(wf._blocks(iq, wf._midpoint_nodes(npp)[0][jm].size)))
+
+
+def _counting_stream_gradient(monkeypatch):
+    calls, grad = [], wf.stream_gradient
+    monkeypatch.setattr(wf, "stream_gradient",
+                        lambda *a: calls.append(1) or grad(*a))
+    return calls
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_cross_identity_forms_psi_once_per_block(v_two_layer, sampled,
+                                                 monkeypatch):
+    # the pushforward gradient and the stream side read one psi per block
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    f = random_admissible_field(np.random.default_rng(3))
+    if sampled:
+        f = f.sample(Grid(64, 96, aligned_jumps=(-0.5,)), Q=12.0)
+    calls = _counting_stream_gradient(monkeypatch)
+    nq, npp = 512, 768
+    for tf in (wf.bump((3 * np.pi / 4, -0.45), (np.pi / 4, 0.2)),
+               wf.bump((3.0, -0.45), (1.0, 0.2))):   # wraps across q = -pi
+        calls.clear()
+        wf.cross_identity(f, v_two_layer, params, tf, nq, npp)
+        assert len(calls) == _midpoint_blocks(tf, nq, npp) > 1
+
+
+def test_level_forms_psi_once_per_block(sampled_fields, v_two_layer,
+                                        monkeypatch):
+    params, hf, fields = sampled_fields
+    tf = wf.bump((3 * np.pi / 4, -0.45), (np.pi / 4, 0.2))
+    level = wf.QuadratureLevel(params, 512, 768, v_two_layer, field_like=hf,
+                               fields=fields)
+    calls = _counting_stream_gradient(monkeypatch)
+    level.sums(tf, "cross", "stream", "euler")
+    assert len(calls) == _midpoint_blocks(tf, 512, 768) > 1
+
+
+def test_analytic_q_factors_once_per_sums_call(v_two_layer, monkeypatch):
+    # cos(k q) and -k sin(k q) on the bump's q-window, for both rules and
+    # every block and series
+    params = FlowParameters(d=1.0, g=9.8, c=1.0, p0=-1.0)
+    f = random_admissible_field(np.random.default_rng(3))
+    asked, at_q = [], AnalyticHeightField.at_q
+    monkeypatch.setattr(AnalyticHeightField, "at_q",
+                        lambda self, q: asked.append(np.array(q))
+                        or at_q(self, q))
+    tf = wf.bump((3.0, -0.45), (1.0, 0.2))
+    level = wf.QuadratureLevel(params, 512, 768, v_two_layer, field_like=f)
+    for names in (("cross",), ("height", "cross"), ("height",)):
+        asked.clear()
+        level.sums(tf, *names)
+        iq = wf._rule_window(tf, wf._Q, 512)[0]
+        assert len(asked) == 1 and np.array_equal(asked[0], level.q[iq])
+
+
+@pytest.mark.parametrize("nq,npp", [(32, 48), (64, 96)])
+def test_window_q_factors_give_the_block_by_block_bits(v_two_layer, nq, npp):
+    # the lattice's triples from q-factors formed once per window, against
+    # the same field asked block by block as a generic evaluator
+    params = FlowParameters(d=1.3, g=9.8, c=1.0, p0=-0.9)
+    f = random_admissible_field(np.random.default_rng(12))
+    tfs = wf.default_lattice() + [wf.bump((3.0, -0.45), (1.0, 0.2))]
+    assert not isinstance(wf._rule_window(tfs[0], wf._Q, nq)[0], np.ndarray)
+    assert isinstance(wf._rule_window(tfs[-1], wf._Q, nq)[0], np.ndarray)
+    ev = _Counting(f)
+    for tf in tfs:
+        window = np.array(wf.cross_identity(f, v_two_layer, params, tf, nq,
+                                            npp))
+        blocks = np.array(wf.cross_identity(ev, v_two_layer, params, tf, nq,
+                                            npp))
+        assert _same_bits(window, blocks)
+    assert ev.calls
+
+
 def test_cross_identity_memory_is_a_few_block_arrays(v_two_layer):
     # a one-shot call holds a fixed number of q-block arrays at a time,
     # however large its bump's window: at (512, 768) the first bump's window
