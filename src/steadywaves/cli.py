@@ -10,6 +10,12 @@ the file is streamed one leading row (a q-row) at a time, each made by one
 or two `%` calls on a line template that holds the texts of the columns'
 repeated rows, each formatted once (`write_csv`).
 
+`solve` also writes `field.npz` beside `field.csv`: the exact h and the
+SHA-256 of the CSV's bytes.  `transform` and `verify` take h from it only
+when that digest is the one of the `--field` file they are given and h has
+the configured grid's shape and dtype; any other CSV is parsed
+(`read_field`), so `field.csv` stays the interface.
+
 Exit codes: 0 success, 2 validation error, 3 non-convergence (also no
 laminar flow for the vorticity, or an exactly singular laminar modal
 block), 4 verification-threshold failure.
@@ -22,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -162,10 +169,22 @@ def make_grid(cfg: RunConfig) -> Grid:
     return Grid(cfg.Nq, cfg.Np, aligned_jumps=cfg.vorticity.breakpoints)
 
 
+def _sha256(path):
+    """The SHA-256 hex digest of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_field(outdir, hf: HeightField, summary):
+    """`field.csv`, its sidecar `field.npz` (h and the CSV's digest) and
+    `field.json`."""
     g = hf.grid
-    write_csv(Path(outdir) / "field.csv", ["q", "p", "h"],
-              [g.q[:, None], g.p, hf.h])
+    path = Path(outdir) / "field.csv"
+    write_csv(path, ["q", "p", "h"], [g.q[:, None], g.p, hf.h])
+    np.savez(path.with_suffix(".npz"), h=hf.h, csv_sha256=_sha256(path))
     write_json(Path(outdir) / "field.json", summary)
 
 
@@ -173,11 +192,36 @@ class SchemaError(ValueError):
     """Field file does not match the configured grid."""
 
 
-def read_field(path, cfg: RunConfig) -> HeightField:
+def _sidecar_h(path, shape):
+    """h from the `.npz` beside the field CSV `path`, or None unless the
+    sidecar exists, its `csv_sha256` is the digest of the CSV's bytes and
+    its h is a float64 array of `shape`.
+
+    The digest ties h to the very bytes it was written as, and "%.17g"
+    round-trips every double, so h is the array the CSV parses to.  Its q
+    and p columns were written from a grid of this shape, whose nodes
+    depend on the shape alone, so they need no check either.
+    """
+    try:
+        with (zipfile.ZipFile(Path(path).with_suffix(".npz")) as z,
+              z.open("csv_sha256.npy") as digest_npy,
+              z.open("h.npy") as h_npy):
+            digest = np.lib.format.read_array(digest_npy)
+            h = np.lib.format.read_array(h_npy)
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None     # no sidecar, or none that loads
+    if (str(digest) != _sha256(path) or h.dtype != np.float64
+            or h.shape != shape):
+        return None
+    return np.ascontiguousarray(h)
+
+
+def _parse_field(path, g: Grid):
+    """h from the field CSV `path`, its columns and nodes checked against
+    the grid `g`."""
     header, data = read_csv(path)
     if header != ["q", "p", "h"]:
         raise SchemaError(f"{path}: expected columns q,p,h, got {header}")
-    g = make_grid(cfg)
     n_expected = g.Nq * (g.Np + 1)
     if data.shape[0] != n_expected:
         raise SchemaError(f"{path}: {data.shape[0]} rows, grid needs "
@@ -187,6 +231,17 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     for name, col, want in zip("qp", data[:, :2].T, nodes):
         if np.max(np.abs(col.reshape(want.shape) - want)) > 1e-12:
             raise SchemaError(f"{path}: {name}-grid mismatch with config")
+    return h
+
+
+def read_field(path, cfg: RunConfig) -> HeightField:
+    """The field at the CSV `path` on the configured grid, with the Q of
+    its summary JSON: h from the digest-checked sidecar (`_sidecar_h`) or
+    else parsed from the CSV, and checked admissible either way."""
+    g = make_grid(cfg)
+    h = _sidecar_h(path, (g.Nq, g.Np + 1))
+    if h is None:
+        h = _parse_field(path, g)
     side = Path(path).with_suffix(".json")
     if not side.exists():
         side = Path(path).parent / "field.json"

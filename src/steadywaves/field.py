@@ -276,9 +276,12 @@ class AnalyticHeightField:
         self._Cp = self._C[:, 1:] * np.arange(1, deg)   # the p-derivative
         self._k = ks.astype(float)
 
+    def _kq(self, q):
+        return np.outer(np.asarray(q, dtype=float), self._k)
+
     def at_q(self, q):
         """The q-factors (cos(k q), -k sin(k q)) at q (nq,), (nq, n_k) each."""
-        kq = np.outer(np.asarray(q, dtype=float), self._k)
+        kq = self._kq(q)
         return np.cos(kq), np.sin(kq) * -self._k
 
     def at_p(self, p):
@@ -295,14 +298,15 @@ class AnalyticHeightField:
         return {"h_at": lambda cq, sq: cq @ P, "hq_at": lambda cq, sq: sq @ P,
                 "hp_at": lambda cq, sq: cq @ Pp}
 
+    # each forms only the q-factor its `at_p` function reads
     def h_at(self, q, p):
-        return self.at_p(p)["h_at"](*self.at_q(q))
+        return self.at_p(p)["h_at"](np.cos(self._kq(q)), None)
 
     def hq_at(self, q, p):
-        return self.at_p(p)["hq_at"](*self.at_q(q))
+        return self.at_p(p)["hq_at"](None, np.sin(self._kq(q)) * -self._k)
 
     def hp_at(self, q, p):
-        return self.at_p(p)["hp_at"](*self.at_q(q))
+        return self.at_p(p)["hp_at"](np.cos(self._kq(q)), None)
 
     def sample(self, grid: Grid, Q=None) -> HeightField:
         """Sample onto a grid as a HeightField, with an exactly zero bed row.

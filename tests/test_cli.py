@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import steadywaves
+from steadywaves import cli
 from steadywaves.cli import main, read_csv, read_field, write_csv, write_field
 from steadywaves.config import load_config
 from steadywaves import laminar
@@ -464,6 +466,7 @@ def test_determinism(tmp_path):
 
     fa, fb = gather(outs[0]), gather(outs[1])
     assert fa.keys() == fb.keys()
+    assert "field.npz" in fa
     for k in fa:
         assert fa[k] == fb[k], f"outputs differ in {k}"
 
@@ -601,6 +604,168 @@ def test_verify_builds_one_sampled_evaluator(tmp_path, monkeypatch):
     monkeypatch.setattr(SampledEvaluator, "__init__", counting)
     assert _verify(cfg, out) == 0
     assert len(built) == 1
+
+
+# -- the field sidecar ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def solved_smoke_field(tmp_path_factory):
+    """(config, directory) of the two-layer smoke case solved once."""
+    out = tmp_path_factory.mktemp("sidecar")
+    cfg = write_cfg(out, TWO_LAYER_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    return cfg, out
+
+
+def _copy_field(src, dst):
+    """field.csv, field.json and field.npz copied into a new `dst`."""
+    dst.mkdir()
+    for name in ("field.csv", "field.json", "field.npz"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst / "field.csv"
+
+
+def _parsed_h(path):
+    _, data = read_csv(path)
+    return data[:, 2].reshape(16, 65)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _counting_read_csv(monkeypatch):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_csv(path)
+
+    monkeypatch.setattr(cli, "read_csv", counting)
+    return calls
+
+
+def _resaved(new_h):
+    """A spoiler that saves the sidecar again with new_h(h) for its h."""
+    def resave(path, sidecar):
+        with np.load(sidecar) as z:
+            arrays = {name: z[name] for name in z.files}
+        np.savez(sidecar, **dict(arrays, h=new_h(arrays["h"])))
+    return resave
+
+
+def test_sidecar_holds_h_and_the_csv_digest(solved_smoke_field):
+    # the exact h of the solve, and the SHA-256 of the CSV bytes beside it
+    _, out = solved_smoke_field
+    with np.load(out / "field.npz") as z:
+        assert sorted(z.files) == ["csv_sha256", "h"]
+        digest, h = str(z["csv_sha256"]), z["h"]
+    assert digest == hashlib.sha256((out / "field.csv").read_bytes()).hexdigest()
+    assert h.dtype == np.float64 and h.shape == (16, 65)
+    assert np.array_equal(_bits(h), _bits(_parsed_h(out / "field.csv")))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sidecar_read_is_the_parsed_field_bit_for_bit(
+        solved_smoke_field, tmp_path, monkeypatch, order):
+    # the sidecar path reads no CSV text: read_csv and loadtxt both raise.
+    # An h stored in Fortran order is read into C order, as the parse's is
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f")
+    parsed = _parsed_h(path)
+    _resaved(lambda h: np.asarray(h, order=order))(
+        path, path.with_suffix(".npz"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(cli, "read_csv", refuse)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    hf = read_field(path, load_config(cfg))
+    monkeypatch.undo()
+    path.with_suffix(".npz").unlink()
+    ref = read_field(path, load_config(cfg))
+    assert hf.grid == ref.grid and hf.Q == ref.Q
+    assert hf.h.flags.c_contiguous
+    for h in (hf.h, ref.h):
+        assert np.array_equal(_bits(h), _bits(parsed))
+
+
+def _edit_one_h_byte(path, sidecar):
+    # the last digit of one interior h value
+    lines = path.read_text().splitlines(keepends=True)
+    q, p, h = lines[40].rstrip("\n").split(",")
+    digit = "1" if h[-1] != "1" else "2"
+    lines[40] = f"{q},{p},{h[:-1]}{digit}\n"
+    path.write_text("".join(lines))
+
+
+def _other_run(path, sidecar):
+    # a sidecar written with another field on the same grid
+    g = Grid(16, 64, aligned_jumps=(-0.5,))
+    other = path.parent.parent / "other"
+    other.mkdir()
+    write_field(other, HeightField(g, 0.5 * _parsed_h(path), Q=1.0),
+                {"Q": 1.0})
+    sidecar.write_bytes((other / "field.npz").read_bytes())
+
+
+@pytest.mark.parametrize("spoil", [
+    _edit_one_h_byte,
+    _other_run,
+    _resaved(lambda h: h[:, :-1]),
+    _resaved(lambda h: h.reshape(-1)),
+    _resaved(lambda h: h.astype(np.float32)),
+    _resaved(lambda h: h.astype(">f8")),
+    lambda path, sidecar: sidecar.unlink(),
+    lambda path, sidecar: sidecar.write_bytes(b"not a zip file"),
+    lambda path, sidecar: sidecar.write_bytes(b""),
+], ids=["edited byte", "other run", "shape", "flat", "float32",
+        "big-endian", "missing", "not a zip", "empty"])
+def test_spoilt_sidecar_falls_back_to_the_parse(
+        solved_smoke_field, tmp_path, monkeypatch, spoil):
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f")
+    spoil(path, path.with_suffix(".npz"))
+    calls = _counting_read_csv(monkeypatch)
+    hf = read_field(path, load_config(cfg))
+    assert calls == [path]
+    assert np.array_equal(_bits(hf.h), _bits(_parsed_h(path)))
+
+
+def test_edited_q_column_beside_its_sidecar_exits_2(
+        solved_smoke_field, tmp_path, capsys):
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f")
+    lines = path.read_text().splitlines(keepends=True)
+    q, rest = lines[1].split(",", 1)
+    lines[1] = f"{float(q) + 1e-9!r},{rest}"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "t"),
+                 "--field", str(path), "--quiet"]) == 2
+    assert "q-grid mismatch" in capsys.readouterr().err
+
+
+def test_transform_and_verify_bytes_do_not_depend_on_the_sidecar(
+        solved_smoke_field, tmp_path, monkeypatch):
+    # with the sidecar the CSV is never parsed; without it, it is
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f")
+    runs = {}
+    for name in ("sidecar", "parsed"):
+        calls = _counting_read_csv(monkeypatch)
+        runs[name] = tmp_path / name
+        for command in ("transform", "verify"):
+            assert main([command, "--config", cfg, "--out", str(runs[name]),
+                         "--field", str(path), "--quiet"]) == 0
+        assert len(calls) == (0 if name == "sidecar" else 2)
+        path.with_suffix(".npz").unlink(missing_ok=True)
+    for name in ("fields.csv", "eta.csv", "transform.json", "verify.json",
+                 "verify.csv"):
+        assert (runs["sidecar"] / name).read_bytes() == \
+            (runs["parsed"] / name).read_bytes(), name
 
 
 # -- CSV files -----------------------------------------------------------------

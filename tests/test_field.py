@@ -274,7 +274,8 @@ def test_analytic_gemm_matches_per_term_sum(terms, q, p):
        p=hnp.arrays(float, st.integers(0, 16), elements=st.floats(-1.0, 0.0)))
 def test_analytic_at_p_is_the_polyvander_product(terms, q, p):
     # at_p's Vandermonde rows give the bits of npoly.polyvander's, -0.0
-    # in p included
+    # in p included; h_at, hq_at and hp_at, which form only the q-factor
+    # they read, give the same bits
     f = fd.AnalyticHeightField(terms)
     P, Pp = (C @ npoly.polyvander(p, C.shape[1] - 1).T
              for C in (f._C, f._Cp))
@@ -282,9 +283,10 @@ def test_analytic_at_p_is_the_polyvander_product(terms, q, p):
     want = {"h_at": np.cos(kq) @ P, "hq_at": (np.sin(kq) * -f._k) @ P,
             "hp_at": np.cos(kq) @ Pp}
     for name, f_q in f.at_p(p).items():
-        got = f_q(*f.at_q(q))
-        assert got.shape == want[name].shape
-        assert np.array_equal(got.view(np.int64), want[name].view(np.int64))
+        for got in (f_q(*f.at_q(q)), getattr(f, name)(q, p)):
+            assert got.shape == want[name].shape
+            assert np.array_equal(got.view(np.int64),
+                                  want[name].view(np.int64))
 
 
 def test_analytic_gemm_repeated_and_zero_wavenumbers():
