@@ -9,9 +9,8 @@ distributional pairings.
 
 __version__ = "0.1.0"
 
-from .vorticity import (VorticityFunction, FlowParameters, eval_gamma,
-                        gamma_tilde, gamma_cap, bound_gamma, zero_vorticity,
-                        two_layer)
+from .vorticity import (VorticityFunction, FlowParameters, gamma_tilde,
+                        gamma_cap, zero_vorticity, two_layer)
 from .laminar import LaminarFlow, solve_lambda, laminar_height, laminar_Q
 from .grid import Grid
 from .field import HeightField, AnalyticHeightField, random_admissible_field
@@ -25,8 +24,8 @@ from .weakform import (bump, TestFunction, pushforward_testfn, pair_height,
                        surface_identity, mollification_rate)
 
 __all__ = [
-    "VorticityFunction", "FlowParameters", "eval_gamma", "gamma_tilde",
-    "gamma_cap", "bound_gamma", "zero_vorticity", "two_layer",
+    "VorticityFunction", "FlowParameters", "gamma_tilde", "gamma_cap",
+    "zero_vorticity", "two_layer",
     "LaminarFlow", "solve_lambda", "laminar_height", "laminar_Q",
     "Grid", "HeightField", "AnalyticHeightField", "random_admissible_field",
     "newton_solve", "continuation", "residual", "jacobian", "NewtonResult",

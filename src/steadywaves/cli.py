@@ -203,13 +203,14 @@ def _sidecar_h(path, shape):
     depend on the shape alone, so they need no check either.
     """
     try:
-        with (zipfile.ZipFile(Path(path).with_suffix(".npz")) as z,
-              z.open("csv_sha256.npy") as digest_npy,
-              z.open("h.npy") as h_npy):
-            digest = np.lib.format.read_array(digest_npy)
-            h = np.lib.format.read_array(h_npy)
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
-        return None     # no sidecar, or none that loads
+        with np.load(Path(path).with_suffix(".npz"),
+                     allow_pickle=False) as z:
+            digest, h = z["csv_sha256"], z["h"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile):
+        # no sidecar, or none that loads; a plain .npy loads as an array,
+        # which `with` refuses by TypeError
+        return None
     if (str(digest) != _sha256(path) or h.dtype != np.float64
             or h.shape != shape):
         return None
@@ -236,17 +237,16 @@ def _parse_field(path, g: Grid):
 
 def read_field(path, cfg: RunConfig) -> HeightField:
     """The field at the CSV `path` on the configured grid, with the Q of
-    its summary JSON: h from the digest-checked sidecar (`_sidecar_h`) or
-    else parsed from the CSV, and checked admissible either way."""
+    its own summary `<stem>.json` and no other: h from the digest-checked
+    sidecar (`_sidecar_h`) or else parsed from the CSV, and checked
+    admissible either way."""
     g = make_grid(cfg)
     h = _sidecar_h(path, (g.Nq, g.Np + 1))
     if h is None:
         h = _parse_field(path, g)
     side = Path(path).with_suffix(".json")
     if not side.exists():
-        side = Path(path).parent / "field.json"
-    if not side.exists():
-        raise SchemaError(f"missing field summary JSON next to {path}")
+        raise SchemaError(f"missing field summary {side}")
     Q = json.loads(side.read_text())["Q"]
     hf = HeightField(g, h, Q=Q)
     try:
@@ -283,7 +283,7 @@ def run_solve(cfg: RunConfig, outdir, args):
                                          mode="fixed_Q", Q=cfg.Q,
                                          tol=cfg.tol, max_iter=cfg.max_iter)
         hf, iters, res_inf = result.field, result.iterations, result.residual_inf
-        chain = [[g.Nq, g.Np]]
+        chain, error = [[g.Nq, g.Np]], None
     else:
         lf = laminar_mod.solve(cfg.vorticity, cfg.params, g.p)
         hf0 = HeightField(g, np.tile(lf.h, (g.Nq, 1)), Q=lf.Q)
@@ -291,20 +291,19 @@ def run_solve(cfg: RunConfig, outdir, args):
                                        cfg.amplitude_schedule, tol=cfg.tol,
                                        max_iter=cfg.max_iter)
         chain = cont.grid_chain
-        if not cont.converged:
-            print(f"error: continuation failed at amplitude "
-                  f"{cont.failed_amplitude}: {cont.message}", file=sys.stderr)
-            if cont.fields:
-                last = cont.fields[-1]
-                write_field(outdir, last, _solve_summary(
-                    last, cfg, -1, _residual_inf(last, cfg), chain))
-            write_manifest(outdir, cfg, "solve")
-            return 3
-        hf = cont.fields[-1]
-        res_inf = _residual_inf(hf, cfg)
-        iters = len(cont.fields)
-    write_field(outdir, hf, _solve_summary(hf, cfg, iters, res_inf, chain))
+        error = None if cont.converged else (
+            f"continuation failed at amplitude {cont.failed_amplitude}: "
+            f"{cont.message}")
+        # a failed continuation still writes its last converged field
+        hf = cont.fields[-1] if cont.fields else None
+        iters = -1 if error else len(cont.fields)
+        res_inf = None if hf is None else _residual_inf(hf, cfg)
+    if hf is not None:
+        write_field(outdir, hf, _solve_summary(hf, cfg, iters, res_inf, chain))
     write_manifest(outdir, cfg, "solve")
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 3
     _say(args, f"solve: Q = {hf.Q:.12g}, residual_inf = {res_inf:.3e}")
     return 0
 

@@ -319,7 +319,7 @@ class AnalyticHeightField:
         return HeightField(grid, h, self.Q if Q is None else Q)
 
 
-def random_admissible_field(rng, max_hp=0.2, kmax=3, mmax=2, Q=0.0):
+def random_admissible_field(rng, max_hp=0.2, Q=0.0):
     """Random smooth even periodic field with 1 + h_p > 0 guaranteed.
 
     Coefficients are drawn with mode-decaying scales and the whole field is
@@ -328,8 +328,8 @@ def random_admissible_field(rng, max_hp=0.2, kmax=3, mmax=2, Q=0.0):
     exceed max_hp by a few ulp.  max_hp < 1.
     """
     terms = []
-    for k in range(kmax + 1):
-        for m in range(mmax + 1):
+    for k in range(4):
+        for m in range(3):
             c = rng.standard_normal() / (1.0 + k + m) ** 2
             base = npoly.polymul([1.0, 1.0], npoly.polypow([0.0, 1.0], m) if m
                                  else [1.0])

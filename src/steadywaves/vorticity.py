@@ -178,11 +178,6 @@ class VorticityFunction:
         return float(lo), float(hi)
 
 
-def eval_gamma(v: VorticityFunction, p, side="right"):
-    """One-sided evaluation of the vorticity function."""
-    return v.eval(p, side=side)
-
-
 def gamma_tilde(v: VorticityFunction, params: FlowParameters, p):
     """gamma_tilde(p) = integral_0^p p0 * gamma; continuous, 0 at p=0."""
     return params.p0 * v.integral(p)
@@ -223,11 +218,6 @@ def gamma_cap_critical_points(v: VorticityFunction):
     """Sorted points of [-1, 0] where gamma_cap may take a local extremum."""
     return np.unique(np.concatenate(
         [cand for _, cand in _extremum_candidates(v)]))
-
-
-def bound_gamma(v: VorticityFunction):
-    """(inf, sup) of gamma over [-1, 0]."""
-    return v.bounds()
 
 
 def zero_vorticity():

@@ -587,7 +587,7 @@ def _stream_sum(gt, psi_x, psi_y, px, py, p0):
                    + 0.5 * (psi_x ** 2 - psi_y ** 2) * py) * (p0 / psi_y))
 
 
-def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
+def surface_identity(field_like, params: FlowParameters, Q=None):
     """Pointwise algebraic surface identity and the dynamic-condition residual.
 
     Both sides are computed from the same h-derivatives on the surface row:
@@ -604,9 +604,7 @@ def surface_identity(field_like, params: FlowParameters, Q=None, nq=None):
             raise ValueError("Q must be supplied")
     d, p0, g = params.d, params.p0, params.g
     grid = getattr(field_like, "grid", None)
-    if nq is None:
-        nq = grid.Nq if grid else 256
-    q = _q_nodes(nq)
+    q = _q_nodes(grid.Nq if grid else 256)
     p0v = np.array([0.0])
     h = ev.h_at(q, p0v)[:, 0]
     hq = ev.hq_at(q, p0v)[:, 0]

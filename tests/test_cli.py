@@ -390,7 +390,7 @@ def test_invalid_config_exits_2_with_one_error_line(
         assert not (tmp_path / "v" / "verify.json").exists()
 
 
-def test_solve_nonconvergent_amplitude_exit_code(tmp_path):
+def test_solve_nonconvergent_amplitude_exit_code(tmp_path, monkeypatch):
     # far-from-critical data cannot support a finite-amplitude wave
     cfg_text = TWO_LAYER_CFG.replace(
         "solver.amplitude_schedule = 0.0",
@@ -402,7 +402,18 @@ def test_solve_nonconvergent_amplitude_exit_code(tmp_path):
     # its summary is strict JSON and reports the written field's residual
     summary = _strict_json(out / "field.json")
     assert summary["iterations"] == -1
+    # its sidecar holds the digest of the CSV beside it, so h is read from
+    # the sidecar and the CSV is never parsed
+    with np.load(out / "field.npz") as z:
+        assert str(z["csv_sha256"]) == hashlib.sha256(
+            (out / "field.csv").read_bytes()).hexdigest()
+
+    def refuse(path):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(cli, "read_csv", refuse)
     hf = read_field(out / "field.csv", load_config(cfg))
+    monkeypatch.undo()
     interior, surface = residual(hf, two_layer(3.0), FlowParameters(
         d=1.0, g=9.8, c=1.0, p0=-1.0))
     assert summary["residual_inf"] == max(np.max(np.abs(interior)),
@@ -711,6 +722,20 @@ def _other_run(path, sidecar):
     sidecar.write_bytes((other / "field.npz").read_bytes())
 
 
+def _npy_as_npz(path, sidecar):
+    # a plain .npy of the right h, saved under the sidecar's name
+    with open(sidecar, "wb") as fh:
+        np.save(fh, _parsed_h(path))
+
+
+def _truncated_zip(path, sidecar):
+    # the zip cut after its first local file header, whose fixed 30 bytes
+    # end with the lengths of the name and the extra field that follow
+    data = sidecar.read_bytes()
+    name_len, extra_len = np.frombuffer(data[26:30], dtype="<u2")
+    sidecar.write_bytes(data[:30 + int(name_len) + int(extra_len)])
+
+
 @pytest.mark.parametrize("spoil", [
     _edit_one_h_byte,
     _other_run,
@@ -721,8 +746,10 @@ def _other_run(path, sidecar):
     lambda path, sidecar: sidecar.unlink(),
     lambda path, sidecar: sidecar.write_bytes(b"not a zip file"),
     lambda path, sidecar: sidecar.write_bytes(b""),
+    _npy_as_npz,
+    _truncated_zip,
 ], ids=["edited byte", "other run", "shape", "flat", "float32",
-        "big-endian", "missing", "not a zip", "empty"])
+        "big-endian", "missing", "not a zip", "empty", "npy", "truncated"])
 def test_spoilt_sidecar_falls_back_to_the_parse(
         solved_smoke_field, tmp_path, monkeypatch, spoil):
     cfg, out = solved_smoke_field
@@ -746,6 +773,23 @@ def test_edited_q_column_beside_its_sidecar_exits_2(
     assert main(["transform", "--config", cfg, "--out", str(tmp_path / "t"),
                  "--field", str(path), "--quiet"]) == 2
     assert "q-grid mismatch" in capsys.readouterr().err
+
+
+def test_borrowed_summary_exits_2(solved_smoke_field, tmp_path, capsys):
+    # a field's Q comes from its own <stem>.json: a CSV copied under
+    # another name beside its run's field.json is refused, not paired with
+    # the Q of whatever field.json sits in its directory
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f").with_name("mine.csv")
+    path.write_bytes((out / "field.csv").read_bytes())
+    for command in ("transform", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--field", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "mine.json" in err
+    assert not (tmp_path / "o" / "transform.json").exists()
 
 
 def test_transform_and_verify_bytes_do_not_depend_on_the_sidecar(

@@ -6,36 +6,35 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from steadywaves.vorticity import (VorticityFunction, FlowParameters,
-                                   eval_gamma, gamma_tilde, gamma_cap,
-                                   bound_gamma, zero_vorticity, two_layer,
-                                   DomainError)
+                                   gamma_tilde, gamma_cap, zero_vorticity,
+                                   two_layer, DomainError)
 
 
 def test_zero_vorticity_everywhere(v_zero):
     for p in (-1.0, -0.5, -0.25, 0.0):
-        assert eval_gamma(v_zero, p) == 0.0
+        assert v_zero.eval(p) == 0.0
 
 
 def test_two_layer_values(v_two_layer):
-    assert eval_gamma(v_two_layer, -0.75) == 3.0
-    assert eval_gamma(v_two_layer, -0.25) == 0.0
+    assert v_two_layer.eval(-0.75) == 3.0
+    assert v_two_layer.eval(-0.25) == 0.0
     # one-sided limits at the jump
-    assert eval_gamma(v_two_layer, -0.5, side="left") == 3.0
-    assert eval_gamma(v_two_layer, -0.5, side="right") == 0.0
+    assert v_two_layer.eval(-0.5, side="left") == 3.0
+    assert v_two_layer.eval(-0.5, side="right") == 0.0
     assert v_two_layer.jump_points == (-0.5,)
 
 
 def test_domain_error(v_two_layer, params):
     with pytest.raises(DomainError):
-        eval_gamma(v_two_layer, -1.5)
+        v_two_layer.eval(-1.5)
     with pytest.raises(DomainError):
-        eval_gamma(v_two_layer, 0.5)
+        v_two_layer.eval(0.5)
     # NaN is outside the domain too, alone or among valid points
     for p in (np.nan, np.array([-0.5, np.nan, -0.25])):
         with pytest.raises(DomainError):
             gamma_cap(v_two_layer, params, p)
         with pytest.raises(DomainError):
-            eval_gamma(v_two_layer, p)
+            v_two_layer.eval(p)
     # an empty window of p-nodes is no error
     assert gamma_cap(v_two_layer, params, np.array([])).shape == (0,)
 
@@ -102,7 +101,7 @@ def test_gamma_tilde_two_layer_hand_value(v_two_layer, params):
     expected = -params.p0 * 3.0 / 2.0
     assert gamma_tilde(v_two_layer, params, -1.0) == pytest.approx(expected,
                                                                    abs=1e-14)
-    oracle, _ = quad(lambda s: eval_gamma(v_two_layer, s), -1.0, -0.5)
+    oracle, _ = quad(v_two_layer.eval, -1.0, -0.5)
     assert gamma_tilde(v_two_layer, params, -1.0) == pytest.approx(
         -params.p0 * oracle, abs=1e-12)
 
@@ -139,17 +138,17 @@ def test_tilde_derivative_is_p0_gamma(params):
     for p in (-0.9, -0.7, -0.3, -0.1):
         fd = (gamma_tilde(v, params, p + hstep)
               - gamma_tilde(v, params, p - hstep)) / (2 * hstep)
-        assert fd == pytest.approx(params.p0 * eval_gamma(v, p), abs=1e-8)
+        assert fd == pytest.approx(params.p0 * v.eval(p), abs=1e-8)
 
 
 def test_bounds():
-    assert bound_gamma(zero_vorticity()) == (0.0, 0.0)
-    assert bound_gamma(two_layer(3.0)) == (0.0, 3.0)
+    assert zero_vorticity().bounds() == (0.0, 0.0)
+    assert two_layer(3.0).bounds() == (0.0, 3.0)
     v_lin = VorticityFunction(pieces=((-1.0, 0.0, (0.0, 1.0)),))
-    assert bound_gamma(v_lin) == (-1.0, 0.0)
+    assert v_lin.bounds() == (-1.0, 0.0)
     # interior extremum: gamma = p(1+p) has min -1/4 at p = -1/2
     v_par = VorticityFunction(pieces=((-1.0, 0.0, (0.0, 1.0, 1.0)),))
-    lo, hi = bound_gamma(v_par)
+    lo, hi = v_par.bounds()
     assert lo == pytest.approx(-0.25, abs=1e-14)
     assert hi == 0.0
 
