@@ -14,8 +14,8 @@ from .vorticity import (VorticityFunction, FlowParameters, gamma_tilde,
 from .laminar import LaminarFlow, solve_lambda, laminar_height, laminar_Q
 from .grid import Grid
 from .field import HeightField, AnalyticHeightField, random_admissible_field
-from .solver import (newton_solve, continuation, residual, jacobian,
-                     NewtonResult, ConvergenceError, StagnationError)
+from .solver import (newton_solve, continuation, residual, NewtonResult,
+                     ConvergenceError, StagnationError)
 from .transform import (PhysicalFields, physical_map, invert_height,
                         reconstruct_stream, reconstruct_fields,
                         bernoulli_function)
@@ -28,7 +28,7 @@ __all__ = [
     "zero_vorticity", "two_layer",
     "LaminarFlow", "solve_lambda", "laminar_height", "laminar_Q",
     "Grid", "HeightField", "AnalyticHeightField", "random_admissible_field",
-    "newton_solve", "continuation", "residual", "jacobian", "NewtonResult",
+    "newton_solve", "continuation", "residual", "NewtonResult",
     "ConvergenceError", "StagnationError",
     "PhysicalFields", "physical_map", "invert_height", "reconstruct_stream",
     "reconstruct_fields", "bernoulli_function",

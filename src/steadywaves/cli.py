@@ -237,9 +237,9 @@ def _parse_field(path, g: Grid):
 
 def read_field(path, cfg: RunConfig) -> HeightField:
     """The field at the CSV `path` on the configured grid, with the Q of
-    its own summary `<stem>.json` and no other: h from the digest-checked
-    sidecar (`_sidecar_h`) or else parsed from the CSV, and checked
-    admissible either way."""
+    its own summary `<stem>.json` and no other, a finite number: h from
+    the digest-checked sidecar (`_sidecar_h`) or else parsed from the CSV,
+    and checked admissible either way."""
     g = make_grid(cfg)
     h = _sidecar_h(path, (g.Nq, g.Np + 1))
     if h is None:
@@ -247,8 +247,14 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     side = Path(path).with_suffix(".json")
     if not side.exists():
         raise SchemaError(f"missing field summary {side}")
-    Q = json.loads(side.read_text())["Q"]
-    hf = HeightField(g, h, Q=Q)
+    try:
+        Q = json.loads(side.read_text())["Q"]
+        finite = type(Q) in (int, float) and np.isfinite(Q)   # no bool
+    except (ValueError, KeyError, TypeError):
+        finite = False
+    if not finite:
+        raise SchemaError(f"{side}: Q is not a finite number")
+    hf = HeightField(g, h, Q=float(Q))
     try:
         hf.check_admissible()
     except AdmissibilityError as exc:
@@ -340,13 +346,9 @@ def run_transform(cfg: RunConfig, outdir, args, field_path):
     return 0
 
 
-def _lattice(cfg: RunConfig):
-    return wf.default_lattice(cfg.n_q_centers, cfg.radii, cfg.p_centers)
-
-
 def run_verify(cfg: RunConfig, outdir, args, field_path):
     hf = read_field(field_path, cfg)
-    tfs = _lattice(cfg)
+    tfs = wf.default_lattice(cfg.n_q_centers, cfg.radii, cfg.p_centers)
     if not tfs:
         raise ConfigError("empty test-function lattice")
     v, params = cfg.vorticity, cfg.params

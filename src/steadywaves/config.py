@@ -158,6 +158,13 @@ def parse_config(text: str) -> RunConfig:
     if eps_list and (problem := mollifier_scales_problem(eps_list, Nq, Np)):
         raise ConfigError(f"verify.eps_list: {problem}")
 
+    tol = values.get("solver.tol", 1e-10)
+    schedule = values.get("solver.amplitude_schedule", [0.0])
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"solver.tol must be finite and > 0, got {tol}")
+    if not np.all(np.isfinite(schedule)):
+        raise ConfigError("solver.amplitude_schedule must be finite")
+
     radii = values.get("verify.radii", [np.pi / 4, 0.2])
     if len(radii) != 2:
         raise ConfigError("verify.radii needs exactly two numbers")
@@ -175,8 +182,8 @@ def parse_config(text: str) -> RunConfig:
         Np=Np,
         mode=mode,
         Q=values.get("solver.Q"),
-        amplitude_schedule=values.get("solver.amplitude_schedule", [0.0]),
-        tol=values.get("solver.tol", 1e-10),
+        amplitude_schedule=schedule,
+        tol=tol,
         max_iter=values.get("solver.max_iter", 50),
         pairing_tol=values.get("verify.pairing_tol", 1e-4),
         levels=levels,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .grid import Grid
+from .grid import Grid, q_nodes
 
 
 def _trig_coeffs(rows, grid):
@@ -40,22 +40,17 @@ def _trig_coeffs(rows, grid):
     return c
 
 
-def _q_nodes(nq):
-    """The nq uniform periodic nodes q_j = -pi + 2 pi j / nq."""
-    return -np.pi + 2.0 * np.pi / nq * np.arange(nq)
-
-
 def _trig_eval(c, q, deriv=False):
     """Evaluate the series (nh+1, M) at q (nq,): real result (nq, M).
 
-    When q is the full node set `_q_nodes(nq)`, nq a multiple of the sample
+    When q is the full node set `q_nodes(nq)`, nq a multiple of the sample
     count 2 nh, the series is resampled exactly by a zero-padded inverse FFT
     (`_trig_resample`); any other q is summed densely (`_trig_dense`).
     """
     q = np.asarray(q, dtype=float)
     nh = c.shape[0] - 1
     if (q.ndim == 1 and q.size and nh > 0 and q.size % (2 * nh) == 0
-            and np.array_equal(q, _q_nodes(q.size))):
+            and np.array_equal(q, q_nodes(q.size))):
         return _trig_resample(c, q.size, deriv)
     return _trig_dense(c, q, deriv)
 
@@ -70,7 +65,7 @@ def _trig_dense(c, q, deriv=False):
 
 
 def _trig_resample(c, nq, deriv=False):
-    """The series (nh+1, M) at `_q_nodes(nq)`, nq a multiple of 2 nh.
+    """The series (nh+1, M) at `q_nodes(nq)`, nq a multiple of 2 nh.
 
     exp(i k q_j) = (-1)^k exp(2 pi i k j / nq), so the values are an inverse
     real FFT of length nq of the coefficients, zero-padded above nh.
@@ -156,12 +151,9 @@ class HeightField:
         node."""
         return self.grid.node_dp(self.h)
 
-    def surface_mean(self):
-        return float(np.mean(self.h[:, -1]))
-
     def amplitude(self, d=1.0):
         """d * (h(0, 0) - h(pi, 0)) / 2, crest-minus-trough half height."""
-        return d * (self.h[self.grid.i_q0, -1] - self.h[0, -1]) / 2.0
+        return d * (self.h[self.grid.Nq // 2, -1] - self.h[0, -1]) / 2.0
 
     def min_one_plus_hp(self):
         return float(1.0 + np.min(self.h_p()))   # rounding is monotone
@@ -335,7 +327,7 @@ def random_admissible_field(rng, max_hp=0.2, Q=0.0):
                                  else [1.0])
             terms.append((k, base, c))
     f = AnalyticHeightField(terms, Q=Q)
-    qs = np.linspace(-np.pi, np.pi, 128, endpoint=False)
+    qs = q_nodes(128)
     ps = np.linspace(-1.0, 0.0, 257)
     scale = np.max(np.abs(f.hp_at(qs, ps)))
     factor = max_hp / scale if scale > 0 else 1.0

@@ -49,6 +49,11 @@ def mollifier_scales_problem(eps_list, Nq, Np):
     return None
 
 
+def q_nodes(nq):
+    """The nq uniform periodic nodes q_j = -pi + 2 pi j / nq."""
+    return -np.pi + 2.0 * np.pi / nq * np.arange(nq)
+
+
 def fd_weights(z, x, m):
     """Finite-difference weights for the m-th derivative at z from nodes x.
 
@@ -108,7 +113,7 @@ class Grid:
         dp = 1.0 / self.Np
         object.__setattr__(self, "dq", dq)
         object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "q", -np.pi + dq * np.arange(self.Nq))
+        object.__setattr__(self, "q", q_nodes(self.Nq))
         object.__setattr__(self, "p", -1.0 + dp * np.arange(self.Np + 1))
 
         jidx = [0, *(aligned_node(b, self.Np) for b in jumps), self.Np]
@@ -163,17 +168,6 @@ class Grid:
     def jump_nodes(self):
         """p-node indices of the aligned vorticity breakpoints."""
         return tuple(self._layer_edges[1:-1])
-
-    def qmirror(self, i):
-        """Reflect a reduced q-index into the valid range [0, Nq/2]."""
-        nh = self.Nq // 2
-        i = abs(i)
-        return 2 * nh - i if i > nh else i
-
-    @property
-    def i_q0(self):
-        """Full-grid index of q = 0."""
-        return self.Nq // 2
 
     def reduced_from_full(self, arr):
         """Restrict a full even array (Nq, ...) to reduced columns q in [0, pi]."""

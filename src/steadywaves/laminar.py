@@ -77,16 +77,6 @@ def _rule(v: VorticityFunction, params: FlowParameters, edges):
             np.repeat(cell, len(_GL_NODES)))
 
 
-def normalization_integral(v: VorticityFunction, params: FlowParameters, lam):
-    """integral_{-1}^0 (lam + gamma_cap(p))**(-1/2) dp on the graded panels.
-
-    Summed as 1 + integral (integrand - 1), so that the width of [-1, 0]
-    is exact and lam = 1 solves the irrotational case exactly.
-    """
-    G, w, _ = _rule(v, params, np.array([-1.0, 0.0]))
-    return 1.0 + float(w @ ((lam + G) ** -0.5 - 1.0))
-
-
 def _newton_bisect(fun, lo, hi):
     """Root of fun in [lo, hi], where fun(lo) > 0 > fun(hi).
 
@@ -116,7 +106,9 @@ def solve_lambda(v: VorticityFunction, params: FlowParameters,
                  tol=1e-12) -> float:
     """The unique lam with |I(lam) - 1| <= tol + |I'(lam)| ulp(lam).
 
-    I is `normalization_integral`.  The test is on the backward error: near
+    I(lam) = integral_{-1}^0 (lam + gamma_cap(p))**(-1/2) dp on the graded
+    panels, summed as 1 + integral (integrand - 1), so that the width of
+    [-1, 0] is exact.  The test is on the backward error: near
     the admissibility floor |I'| is in the thousands, and one ulp of a
     correct lam moves I by more than tol.
     """

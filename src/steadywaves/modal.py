@@ -18,7 +18,8 @@ therefore splits into the nh + 1 independent banded p-blocks
 one per cosine mode cos(k q).  All of them are factorized in one LAPACK
 band LU (`dgbtrf`, partial pivoting) of their block-diagonal matrix, held
 in band storage with kl sub- and ku superdiagonals read off A0 and A1 (4
-each for the grid's 4th-order p-stencils), and solved by `dgbtrs`.  The
+each for the grid's 4th-order p-stencils; 4 and 3 when gamma = 0), and
+solved by `dgbtrs`.  The
 entries between two blocks are exact zeros, so a pivot search never
 reaches past its block and every multiplier across a block boundary is an
 exact zero: the factorization is the per-mode LU of each M_k.  The k = 1
@@ -30,7 +31,6 @@ near-null vector is the wave mode.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 
@@ -49,10 +49,12 @@ class SingularModeError(np.linalg.LinAlgError):
 class LaminarModes:
     """Exact inverse of a q-invariant fixed-Q Jacobian, mode by mode.
 
-    The Jacobian is given by its p-blocks A0 and A1 (Np x Np, sparse) in
-    the solver's (r, j) layout, rows and unknowns alike: columns
-    j = 1 .. Np, rows the interior residuals j < Np and then the surface
-    row.  Vectors in that layout, flattened, have index r*Np + (j-1).
+    The Jacobian is given by its p-blocks A0 and A1 (Np x Np) in the
+    solver's (r, j) layout, rows and unknowns alike: columns j = 1 .. Np,
+    rows the interior residuals j < Np and then the surface row.  Vectors
+    in that layout, flattened, have index r*Np + (j-1).  Each block is its
+    row-offset table (Np, 2 s + 1): entry [i, s + o] is the block's entry
+    (i, i + o), and 0 where i + o leaves 0 .. Np - 1.
 
     `lu` and `piv` are `dgbtrf`'s factors of the block diagonal
     diag(M_0 .. M_nh) in LAPACK band storage: 2 kl + ku + 1 rows, entry
@@ -61,17 +63,18 @@ class LaminarModes:
     `SingularModeError` if a block is exactly singular.
     """
 
-    def __init__(self, A0, A1, nh, Np):
-        self.nh, self.Np = nh, Np
-        self.A0, self.A1 = sp.csr_matrix(A0), sp.csr_matrix(A1)
+    def __init__(self, A0, A1, nh):
+        Np, s = A0.shape[0], A0.shape[1] // 2
+        self.nh, self.Np, self.A0, self.A1 = nh, Np, A0, A1
         self.eig_L = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)
         # the complex FFT of both DCT-Is of `solve`, reused: a fresh one
         # per transform costs about as much as the FFT itself
         self._spec = np.empty((Np, nh + 1), dtype=complex)
         self._column = None     # (c, J^{-1} c) of `solve_column`
-        both = (abs(self.A0) + abs(self.A1)).tocoo()
-        self.kl = kl = int(np.max(both.row - both.col, initial=0))
-        self.ku = ku = int(np.max(both.col - both.row, initial=0))
+        # the offsets o = j - i of the entries either block holds
+        o = np.flatnonzero(np.any((A0 != 0.0) | (A1 != 0.0), axis=0)) - s
+        self.kl = kl = int(np.max(-o, initial=0))
+        self.ku = ku = int(np.max(o, initial=0))
         # Fortran order, which dgbtrf takes without a copy; viewed as
         # [band row, column within a block, mode k], each diagonal of every
         # block is one strided slice, filled in place
@@ -79,8 +82,9 @@ class LaminarModes:
         blocks = band.reshape(band.shape[0], Np, nh + 1, order="F")
         for o in range(-kl, ku + 1):
             diag = blocks[kl + ku - o, max(o, 0):Np + min(o, 0)]
-            np.multiply.outer(self.A1.diagonal(o), self.eig_L, out=diag)
-            diag += self.A0.diagonal(o)[:, None]
+            rows = slice(max(-o, 0), Np - max(o, 0))
+            np.multiply.outer(A1[rows, s + o], self.eig_L, out=diag)
+            diag += A0[rows, s + o, None]
         self.lu, self.piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
         if info > 0:
             k, j = divmod(info - 1, Np)

@@ -46,9 +46,9 @@ that assembles the Jacobian (`HeightSystem.jacobian_matrix`, which reads it
 off 27 actions, one per colour class of unknowns).  `scipy.sparse.linalg`
 is imported in that fallback branch only, when a step first takes it, so
 that a run which never falls back never loads it; its `splu` is looked up
-on the module at call time.  The modal p-blocks are read off 27 such
-actions at the q-mean, on a strip of three q-columns, so the Jacobian's
-partials are written once, in `_pointwise`.  The
+on the module at call time.  The modal p-blocks are rows of the same
+probes' table (`_probed`) at the q-mean, on a strip of three q-columns, so
+the Jacobian's partials are written once, in `_pointwise`.  The
 continuation seed cos(q) phi_1(p) and the critical gravity come from the
 k = 1 modal block.
 
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .vorticity import VorticityFunction, FlowParameters, gamma_cap
+from .vorticity import VorticityFunction, FlowParameters, gamma_cap, speed_term
 from .grid import Grid, GridError, _STENCIL
 from .field import (EPS_STAG, AdmissibilityError, HeightField,
                     StagnationError, prolong)
@@ -113,19 +113,11 @@ class ContinuationResult:
     grid_chain: list = dataclasses.field(default_factory=list)
 
 
-def _speed(hq, u2, d):
-    """K = -(1 + d^2 h_q^2) / (2 d^2 u2), u2 = (1 + h_p)^2.
-
-    K is the kinetic part of both the vertical flux A and the surface row.
-    """
-    return -(1.0 + d * d * hq ** 2) / (2 * d * d * u2)
-
-
-def _speed_term(hq, hp, d):
-    """K (`_speed`) and its partials (dK/dh_q, dK/dh_p)."""
+def _speed_partials(hq, hp, d):
+    """K (`vorticity.speed_term`) and its partials (dK/dh_q, dK/dh_p)."""
     u = 1.0 + hp
     u2 = u ** 2
-    K = _speed(hq, u2, d)
+    K = speed_term(hq, u2, d)
     return K, -hq / u2, -2.0 * K / u
 
 
@@ -188,10 +180,10 @@ class HeightSystem:
         fluxes' derivatives.
         """
         d = self.params.d
-        K, K_hq, K_hp = _speed_term(s["hq_half"], s["hp_half"], d)
+        K, K_hq, K_hp = _speed_partials(s["hq_half"], s["hp_half"], d)
         m = 1.0 + s["hp_edge"]
         B = s["dq_edge"] / m
-        K_top, Kt_hq, Kt_hp = _speed_term(s["hq_top"], s["hp_top"], d)
+        K_top, Kt_hq, Kt_hp = _speed_partials(s["hq_top"], s["hp_top"], d)
         return (K + self.A_gamma, B, K_top), (
             [(K_hp, "hp_half"), (K_hq, "hq_half")],
             [(1.0 / m, "dq_edge"), (-B / m, "hp_edge")],
@@ -204,11 +196,11 @@ class HeightSystem:
         probed on a strip of three reduced q-columns (`_probed`): at a
         q-invariant state the Jacobian is I (x) A0 + L (x) A1 (`modal`),
         so the strip's column 0 reaches row 0 through A0 and row 1 through
-        A1, and nothing of the full grid is probed.
+        A1, both rows of `_probed`'s table, and nothing else is probed.
         """
-        Np = self.grid.Np
         J = self._probed(np.tile(self.mw @ H, (3, 1)))
-        return LaminarModes(J[:Np, :Np], J[Np:2 * Np, :Np], self.nh, Np)
+        # copies, so that the modes do not keep the whole strip's table
+        return LaminarModes(J[0, :, 1].copy(), J[1, :, 0].copy(), self.nh)
 
     def locate(self, r):
         """Where the largest |entry| of a `residual_vector` sits, as text.
@@ -263,10 +255,10 @@ class HeightSystem:
 
         Unknowns: h at (r, j), u = r*Np + (j-1), plus Q appended for the
         meanzero/amplitude closures (border `borders[mode]`); the fixed-Q
-        block is `_probed`.  Newton assembles the Jacobian only for a
-        SuperLU fallback.
+        block is `_probed`'s table.  Newton assembles the Jacobian only for
+        a SuperLU fallback.
         """
-        J = self._probed(H)
+        J = _csr(self._probed(H))
         if self.borders[mode] is None:
             return J
         c, ell = self.borders[mode]
@@ -275,16 +267,19 @@ class HeightSystem:
                           sp.csr_matrix(np.append(ell, 0.0))), format="csr")
 
     def _probed(self, H):
-        """The fixed-Q Jacobian at H, any number of reduced q-columns.
+        """The fixed-Q Jacobian at H, any number of reduced q-columns, as
+        its table by row and offset, (rows, Np, 3, m): entry
+        [r, j - 1, 1 + dr, reach + dj] is row (r, j)'s coefficient of the
+        unknown (r + dr, j + dj), 0 where that leaves the strip.
 
         Read off its action `linearize`, probed once per colour class of
         unknowns (Curtis, Powell & Reid 1974): row (r', j') reaches only
-        the columns r' +- 1 and j' +- (_STENCIL - 1), so each class
-        (r mod 3, j mod m), m = 2 (_STENCIL - 1) + 1, meets a row in at most
+        the columns r' +- 1 and j' +- reach, reach = _STENCIL - 1, so each
+        class (r mod 3, j mod m), m = 2 reach + 1, meets a row in at most
         one column, found by index arithmetic.
         """
         rows, Np, reach = H.shape[0], self.grid.Np, _STENCIL - 1
-        n, m = rows * Np, 2 * reach + 1
+        m = 2 * reach + 1
         jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
         r, j = np.arange(rows)[:, None], np.arange(Np)  # unknown (r, j + 1)
         probes, vals = np.empty((3, m, rows, Np)), np.empty((rows, Np, 3 * m))
@@ -298,13 +293,7 @@ class HeightSystem:
             vals[..., k] = np.where(
                 (rc >= 0) & (rc < rows) & (jc >= 0) & (jc < Np),
                 probes[rc % 3, jc % m, r, j], 0.0)
-        del probes
-        vals = vals.reshape(n, 3 * m)
-        keep = vals != 0.0
-        cols = np.arange(n, dtype=np.int32)[:, None] + np.int32(dr * Np + dj)
-        return sp.csr_matrix((vals[keep], cols[keep],
-                              np.append(0, np.cumsum(keep.sum(axis=1)))),
-                             shape=(n, n))
+        return vals.reshape(rows, Np, 3, m)
 
     def linearize(self, terms):
         """The fixed-Q Jacobian's action u -> J u at the state whose terms
@@ -326,6 +315,21 @@ class HeightSystem:
         return jac
 
 
+def _csr(vals):
+    """The CSR matrix of a table by row and offset (`HeightSystem._probed`),
+    its zeros left out."""
+    rows, Np = vals.shape[:2]
+    n, reach = rows * Np, _STENCIL - 1
+    dr, dj = np.mgrid[-1:2, -reach:reach + 1]
+    vals = vals.reshape(n, -1)
+    keep = vals != 0.0
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.int32(
+        (dr * Np + dj).ravel())
+    return sp.csr_matrix((vals[keep], cols[keep],
+                          np.append(0, np.cumsum(keep.sum(axis=1)))),
+                         shape=(n, n))
+
+
 # -- public operations --------------------------------------------------------
 
 
@@ -335,23 +339,6 @@ def residual(hf: HeightField, v: VorticityFunction, params: FlowParameters):
     interior, surface, _ = sys_.residual_parts(sys_.reduce(hf), hf.Q)
     return (hf.grid.full_from_reduced(interior),
             hf.grid.full_from_reduced(surface))
-
-
-def jacobian(hf: HeightField, v: VorticityFunction, params: FlowParameters,
-             mode="fixed_Q"):
-    """Analytic sparse Jacobian in the even-reduced (r, j) layout.
-
-    mode 'fixed_Q': h unknown.  'fixed_amplitude' means the mean-zero
-    closure (the amplitude-0 row of `newton_solve`), as does 'meanzero';
-    'amplitude' is the crest-minus-trough closure.  Any other mode raises
-    ValueError.
-    """
-    if mode not in ("fixed_Q", "fixed_amplitude", "meanzero", "amplitude"):
-        raise ValueError(f"unknown mode {mode!r}: expected 'fixed_Q', "
-                         "'fixed_amplitude', 'meanzero' or 'amplitude'")
-    sys_ = HeightSystem(hf.grid, v, params)
-    mode = "meanzero" if mode == "fixed_amplitude" else mode
-    return sys_.jacobian_matrix(sys_.reduce(hf), hf.Q, mode)
 
 
 # Newton-Krylov: preconditioned GMRES with Eisenstat-Walker forcing terms

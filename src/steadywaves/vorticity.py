@@ -8,7 +8,9 @@ used by the formulations,
     gamma_cap(p)   = integral_0^p  2 d^2 * gamma(s) / p0 ds
 
 are computed in closed form from the polynomial coefficients, so they are
-continuous across jumps and exact to round-off.
+continuous across jumps and exact to round-off.  The speed term K
+(`speed_term`) and gamma_cap make the vertical flux A of the solver and
+the height pairing.
 """
 
 from __future__ import annotations
@@ -167,16 +169,6 @@ class VorticityFunction:
         """I(p) = integral_0^p gamma(s) ds, exact and continuous."""
         return self._piecewise("integral", p, "right")
 
-    def bounds(self):
-        """(inf, sup) of gamma over [-1, 0], exact per-piece extrema."""
-        lo, hi = np.inf, -np.inf
-        for (a, b, _), cs in zip(self.pieces, self._coeffs):
-            cand = [npoly.polyval(t, cs)
-                    for t in [a, b, *_roots_in(npoly.polyder(cs), a, b)]]
-            lo = min(lo, min(cand))
-            hi = max(hi, max(cand))
-        return float(lo), float(hi)
-
 
 def gamma_tilde(v: VorticityFunction, params: FlowParameters, p):
     """gamma_tilde(p) = integral_0^p p0 * gamma; continuous, 0 at p=0."""
@@ -186,6 +178,15 @@ def gamma_tilde(v: VorticityFunction, params: FlowParameters, p):
 def gamma_cap(v: VorticityFunction, params: FlowParameters, p):
     """gamma_cap(p) = 2 d^2 / p0 * integral_0^p gamma; continuous, 0 at p=0."""
     return (2.0 * params.d ** 2 / params.p0) * v.integral(p)
+
+
+def speed_term(hq, u2, d):
+    """K = -(1 + d^2 h_q^2) / (2 d^2 u2), u2 = (1 + h_p)^2.
+
+    K is the kinetic part of both the surface row and the vertical flux
+    A = K + gamma_cap / (2 d^2).
+    """
+    return -(1.0 + d * d * hq ** 2) / (2 * d * d * u2)
 
 
 def _roots_in(cs, a, b):

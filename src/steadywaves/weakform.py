@@ -60,14 +60,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vorticity import VorticityFunction, FlowParameters, gamma_cap, gamma_tilde
-from .field import (HeightField, SampledEvaluator, _blender, _q_nodes,
-                    _trig_coeffs, _trig_eval)
+from .vorticity import (VorticityFunction, FlowParameters, gamma_cap,
+                        gamma_tilde, speed_term)
+from .field import (HeightField, SampledEvaluator, _blender, _trig_coeffs,
+                    _trig_eval)
 # callers also reach the sampled-field interpolant as weakform.interp_rows
 from .field import interp_rows  # noqa: F401
-from .grid import aligned_node, mollifier_scales_problem
+from .grid import aligned_node, mollifier_scales_problem, q_nodes
 from .transform import PhysicalFields, bernoulli_F, stream_gradient
-from .solver import _speed
 
 
 class SupportError(ValueError):
@@ -264,7 +264,7 @@ def _nodes(kind, n):
     q-nodes, _P the trapezoid rule's n + 1 p-nodes and _PM the midpoint
     rule's n p-nodes."""
     if kind == _Q:
-        return _read_only(_q_nodes(n), 2.0 * np.pi / n)
+        return _read_only(q_nodes(n), 2.0 * np.pi / n)
     if kind == _P:
         w = np.full(n + 1, 1.0 / n)
         w[0] *= 0.5
@@ -277,12 +277,6 @@ def _height_nodes(nq, npp):
     """(q, p, wq, wp): the trapezoid rule's nodes and weights."""
     (q, wq), (p, wp) = _nodes(_Q, nq), _nodes(_P, npp)
     return q, p, wq, wp
-
-
-def _midpoint_nodes(npp):
-    """(pm, wpm): the midpoint rule's p-nodes and weight; its q-nodes and
-    weight are `_height_nodes`'s."""
-    return _nodes(_PM, npp)
 
 
 @functools.lru_cache(maxsize=32)
@@ -443,7 +437,7 @@ class QuadratureLevel:
         self.ev = None if field_like is None else _as_evaluator(field_like)
         self.fields = fields
         self.q, self.p, self.wq, self.wp = _height_nodes(nq, npp)
-        self.pm, self.wpm = _midpoint_nodes(npp)
+        self.pm, self.wpm = _nodes(_PM, npp)
         self._columns = {}
 
     # -- the field at a window's nodes -----------------------------------------
@@ -531,7 +525,7 @@ class QuadratureLevel:
         w_dbp, w_bp, total = self.wp[jp] * dbp, self.wp[jp] * bp, 0.0
         for rel, b in _blocks(iq, p.size):
             hq, u = hq_at(rel, b), 1.0 + hp_at(rel, b)
-            A = _speed(hq, u ** 2, d) + gc
+            A = speed_term(hq, u ** 2, d) + gc
             total += bq[rel] @ (A @ w_dbp) + dbq[rel] @ (hq / u @ w_bp)
         return float(self.wq * total)
 
@@ -592,7 +586,7 @@ def surface_identity(field_like, params: FlowParameters, Q=None):
 
     Both sides are computed from the same h-derivatives on the surface row:
       lhs = -2 p0^2 K + 2 g d (1 + h),   K = -(1 + d^2 h_q^2)/(2 d^2 (1+h_p)^2)
-      (the speed term of the solver's surface row, `solver._speed`),
+      (the speed term of the solver's surface row, `vorticity.speed_term`),
       rhs = |grad psi|^2 + 2 g (y + d).
     Their gap is pure round-off for any admissible field; |lhs - Q| is the
     surface-condition residual.
@@ -604,12 +598,12 @@ def surface_identity(field_like, params: FlowParameters, Q=None):
             raise ValueError("Q must be supplied")
     d, p0, g = params.d, params.p0, params.g
     grid = getattr(field_like, "grid", None)
-    q = _q_nodes(grid.Nq if grid else 256)
+    q = q_nodes(grid.Nq if grid else 256)
     p0v = np.array([0.0])
     h = ev.h_at(q, p0v)[:, 0]
     hq = ev.hq_at(q, p0v)[:, 0]
     hp = ev.hp_at(q, p0v)[:, 0]
-    K = _speed(hq, (1.0 + hp) ** 2, d)
+    K = speed_term(hq, (1.0 + hp) ** 2, d)
     lhs = -2 * p0 ** 2 * K + 2 * g * d * (1.0 + h)
     psi_x, psi_y = stream_gradient(hq, hp, params)
     y = d * h

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -189,6 +190,36 @@ def test_cli_loads_no_scipy_beyond_sparse_and_lapack(tmp_path):
     assert after_run == [], f"solve, transform and verify load {after_run}; {named}"
 
 
+def _imports(module):
+    """Every module name `steadywaves.<module>` imports, at any depth of its
+    code, read from its source: `from .a import b` names steadywaves.a and
+    steadywaves.a.b, so a submodule imported from its package counts too."""
+    path = Path(steadywaves.__file__).with_name(f"{module}.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["steadywaves" if node.level else "",
+                                          node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_pairings_import_no_solver_and_modal_no_sparse_matrix():
+    # the speed term lives in vorticity, so the transform and the pairings
+    # need nothing of the solver; the modal blocks arrive as tables, so
+    # modal needs numpy and LAPACK only
+    for module in ("weakform", "transform"):
+        solver = {n for n in _imports(module)
+                  if n.split(".")[:2] == ["steadywaves", "solver"]}
+        assert not solver, f"{module} imports {sorted(solver)}"
+    sparse = {n for n in _imports("modal")
+              if n.split(".")[:2] == ["scipy", "sparse"]}
+    assert not sparse, f"modal imports {sorted(sparse)}"
+
+
 def test_solve_flat_fixed_Q(tmp_path):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     out = tmp_path / "run"
@@ -369,7 +400,13 @@ def small_two_layer_field(tmp_path_factory):
     ("grid.Nq", "7"), ("grid.Np", "4"), ("verify.eps_list", "0.01"),
     ("verify.eps_list", "0.8"), ("verify.eps_list", "0.8, 0.8"),
     ("verify.radii", "0.5, 0.6"), ("solver.max_iter", "-1"),
-    ("verify.levels", "0"), ("verify.levels", "2, 2")])
+    ("verify.levels", "0"), ("verify.levels", "2, 2"),
+    # a tol that is not finite and positive ends every Newton solve at
+    # iteration 0 or never, and an amplitude that is not finite fails its
+    # step: both are refused with the config
+    ("solver.tol", "inf"), ("solver.tol", "0"), ("solver.tol", "-1e-10"),
+    ("solver.tol", "nan"), ("solver.amplitude_schedule", "0.0, nan"),
+    ("solver.amplitude_schedule", "0.0, inf")])
 def test_invalid_config_exits_2_with_one_error_line(
         tmp_path, capsys, small_two_layer_field, key, value):
     # the grid, the bump support and the config (which also checks the
@@ -384,7 +421,8 @@ def test_invalid_config_exits_2_with_one_error_line(
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
-    if key in ("solver.max_iter", "verify.levels", "verify.eps_list"):
+    if key.startswith("solver.") or key in ("verify.levels",
+                                            "verify.eps_list"):
         assert key in err
     if key == "verify.eps_list":    # rejected with the config, before verify
         assert not (tmp_path / "v" / "verify.json").exists()
@@ -790,6 +828,27 @@ def test_borrowed_summary_exits_2(solved_smoke_field, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "mine.json" in err
     assert not (tmp_path / "o" / "transform.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"amplitude": 0.0}', "Q = 20.2", "[20.2]", '{"Q": "20.2"}',
+    '{"Q": null}', '{"Q": NaN}', '{"Q": Infinity}', '{"Q": true}'],
+    ids=["no-Q", "not-json", "list", "string", "null", "nan", "inf", "true"])
+def test_unusable_summary_exits_2(solved_smoke_field, tmp_path, capsys, text):
+    # a summary whose Q is not a finite number is refused by name, before
+    # any output: not a traceback, nor a NaN, inf or True taken for Q
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f")
+    path.with_suffix(".json").write_text(text)
+    for command in ("transform", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--field", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "field.json" in err
+    assert not (tmp_path / "o" / "transform.json").exists()
+    assert not (tmp_path / "o" / "verify.json").exists()
 
 
 def test_transform_and_verify_bytes_do_not_depend_on_the_sidecar(

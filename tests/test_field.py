@@ -8,7 +8,7 @@ from conftest import THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves import field as fd
 from steadywaves import transform as tr
 from steadywaves import weakform as wf
-from steadywaves.grid import Grid, fd_weights
+from steadywaves.grid import Grid, fd_weights, q_nodes
 
 
 def _rows(data, Nq, parity):
@@ -25,7 +25,7 @@ def _rows(data, Nq, parity):
 
 
 def _series_longdouble(c, nq, deriv):
-    """The cosine series (nh+1, M) at the exact nodes `_q_nodes(nq)`,
+    """The cosine series (nh+1, M) at the exact nodes `q_nodes(nq)`,
     summed in extended precision: the reference for both evaluation paths."""
     pi = 4 * np.arctan(np.longdouble(1))
     q = -pi + 2 * pi * np.arange(nq, dtype=np.longdouble) / nq
@@ -41,7 +41,7 @@ def _series_longdouble(c, nq, deriv):
 def _assert_resampler_matches_series(rows, Nq, m, deriv):
     c = fd._trig_coeffs(rows, Grid(Nq, 8))
     ref = _series_longdouble(c, m * Nq, deriv)
-    fast = fd._trig_eval(c, fd._q_nodes(m * Nq), deriv)
+    fast = fd._trig_eval(c, q_nodes(m * Nq), deriv)
     assert np.max(np.abs(fast - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -61,15 +61,15 @@ def test_resampler_nyquist_derivative(Nq):
     _assert_resampler_matches_series(rows, Nq, 1, True)
 
 
-@pytest.mark.parametrize("q", [fd._q_nodes(24),            # not a multiple
-                               fd._q_nodes(32) + 1e-3,      # not the nodes
+@pytest.mark.parametrize("q", [q_nodes(24),               # not a multiple
+                               q_nodes(32) + 1e-3,         # not the nodes
                                np.linspace(-1.0, 1.0, 7),
-                               fd._q_nodes(32)[5:12] + 1e-3,  # shifted subset
-                               fd._q_nodes(32)[3:4],        # a single node
-                               fd._q_nodes(1024)[:2],       # too sparse
-                               fd._q_nodes(48)[8:24],       # a window of 16
-                               np.roll(fd._q_nodes(32), 5),  # out of order
-                               fd._q_nodes(32)[np.r_[0:8, 24:32]]])  # wraps
+                               q_nodes(32)[5:12] + 1e-3,   # shifted subset
+                               q_nodes(32)[3:4],           # a single node
+                               q_nodes(1024)[:2],          # too sparse
+                               q_nodes(48)[8:24],          # a window of 16
+                               np.roll(q_nodes(32), 5),    # out of order
+                               q_nodes(32)[np.r_[0:8, 24:32]]])  # wraps
 def test_other_nodes_take_the_dense_sum(q, monkeypatch):
     # only a full node set is resampled by the FFT; a subset of the nodes,
     # even a window of 2 nh of them, is summed densely
@@ -99,7 +99,7 @@ def test_each_node_column_is_resampled_once(monkeypatch):
     ev = fd.HeightField(g, h, Q=1.0).evaluator()
     below, above = np.flatnonzero(g.sided == Np // 2)
     assert not np.array_equal(ev._ahp[:, below], ev._ahp[:, above])  # jumps
-    q, p = fd._q_nodes(2 * Nq), np.linspace(-1.0, 0.0, 2 * Np + 1)
+    q, p = q_nodes(2 * Nq), np.linspace(-1.0, 0.0, 2 * Np + 1)
     e, t = g.p_cell(p)
 
     def per_p(series, deriv=False):
@@ -123,7 +123,7 @@ def test_each_node_column_is_resampled_once(monkeypatch):
         assert getattr(ev, name)(q, p[:0]).shape == (2 * Nq, 0)
 
     tf = wf.bump((np.pi / 2, -0.4), (np.pi / 4, 0.2))
-    pm = wf._midpoint_nodes(2 * Np)[0]
+    pm = wf._nodes(wf._PM, 2 * Np)[0]
     jm = wf._bump_window(tf, 1, pm)[0]
     cells = g.p_cell(pm[jm])[0]
     cols.clear()
@@ -172,7 +172,7 @@ def test_each_cell_blends_its_own_layers_hp():
     # far off, so a cell that read it would fail here
     hf = _kinked_three_layer()
     g, ev = hf.grid, hf.evaluator()
-    q = fd._q_nodes(2 * g.Nq)
+    q = q_nodes(2 * g.Nq)
     t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     for jc in range(g.Np):
         ends = np.column_stack([_one_sided_hp(g, hf.h, j, jc)
@@ -366,3 +366,12 @@ def test_prolongation_is_fourth_order_across_a_jump():
         assert 12.0 <= coarse / finer <= 20.0
     with pytest.raises(ValueError, match="cannot prolong"):
         fd.prolong(hf, Grid(32, Np, aligned_jumps=(-0.5,)))
+
+
+@pytest.mark.parametrize("nq", [8, 24, 128, 2048])
+def test_q_nodes_are_the_grid_and_linspace_nodes(nq):
+    # one formula for the q-nodes, with the bits of the grid's old
+    # -pi + dq * arange and of the linspace that sampled random fields
+    want = np.linspace(-np.pi, np.pi, nq, endpoint=False)
+    assert q_nodes(nq).tobytes() == want.tobytes()
+    assert Grid(nq, 8).q.tobytes() == want.tobytes()

@@ -44,7 +44,9 @@ def test_lambda_small_vorticity_limit(params):
 
 def test_normalization_monotone_in_lambda(v_two_layer, params):
     lams = np.linspace(0.2, 5.0, 12)
-    vals = [laminar.normalization_integral(v_two_layer, params, l)
+    # I(lam) = 1 + h(0), the profile's height at the surface
+    ends = np.array([-1.0, 0.0])
+    vals = [1.0 + laminar.laminar_height(l, v_two_layer, params, ends)[-1]
             for l in lams]
     assert np.all(np.diff(vals) < 0)
 

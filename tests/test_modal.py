@@ -15,13 +15,30 @@ from steadywaves.modal import LaminarModes, SingularModeError
 from steadywaves.field import HeightField, random_admissible_field
 from steadywaves.grid import Grid
 from steadywaves.solver import HeightSystem
-from steadywaves.vorticity import FlowParameters, VorticityFunction, two_layer
+from steadywaves.vorticity import (FlowParameters, VorticityFunction,
+                                   two_layer, zero_vorticity)
 
 
 def laminar_state(v, params, Nq, Np):
     g = Grid(Nq, Np, aligned_jumps=(-0.5,))
     lf = laminar.solve(v, params, g.p)
     return HeightField(g, np.tile(lf.h, (Nq, 1)), Q=lf.Q)
+
+
+def _dense(table):
+    """The Np x Np block whose row-offset table (Np, 2 s + 1) is `table`:
+    entry [i, s + o] is the block's entry (i, i + o)."""
+    Np, s = table.shape[0], table.shape[1] // 2
+    A = np.zeros((Np, Np))
+    for o in range(-s, s + 1):
+        i = np.arange(max(-o, 0), Np - max(o, 0))
+        A[i, i + o] = table[i, s + o]
+    return A
+
+
+def _M(modes, k):
+    """The dense modal block M_k = A0 + eig_L[k] A1."""
+    return _dense(modes.A0) + modes.eig_L[k] * _dense(modes.A1)
 
 
 def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
@@ -35,7 +52,7 @@ def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
     K = J.toarray()
     blocks = K.reshape(nh + 1, Np, nh + 1, Np)
     scale = np.max(np.abs(K))
-    A1 = modes.A1.toarray()
+    A1 = _dense(modes.A1)
     assert np.max(np.abs(blocks[1, :, 0] - A1)) <= 1e-14 * scale
     # the mirrored neighbour at q = 0 counts twice
     assert np.max(np.abs(blocks[0, :, 1] - 2 * A1)) <= 1e-14 * scale
@@ -45,7 +62,7 @@ def test_dct_block_diagonalizes_laminar_jacobian(v_two_layer, params):
     TK = np.einsum("kr,rjsi->kjsi", T, blocks)
     D = np.einsum("kjsi,sl->kjli", TK, np.linalg.inv(T))
     for k in range(nh + 1):
-        M_k = (modes.A0 + modes.eig_L[k] * modes.A1).toarray()
+        M_k = _M(modes, k)
         assert np.max(np.abs(D[k, :, k] - M_k)) <= 1e-12 * scale
         D[k, :, k] = 0.0
     assert np.max(np.abs(D)) <= 1e-12 * scale
@@ -65,10 +82,39 @@ def test_modal_blocks_match_jacobian_blocks(v, par, Nq, Np, rng):
     Hbar = np.broadcast_to(sys_.mw @ H, H.shape)
     K = sys_.jacobian_matrix(Hbar, 0.0, "fixed_Q")
     scale = abs(K).max()
-    A0 = K[Np:2 * Np, Np:2 * Np]
-    A1 = K[Np:2 * Np, 2 * Np:3 * Np]
-    assert abs(modes.A0 - A0).max() <= 1e-14 * scale
-    assert abs(modes.A1 - A1).max() <= 1e-14 * scale
+    A0 = K[Np:2 * Np, Np:2 * Np].toarray()
+    A1 = K[Np:2 * Np, 2 * Np:3 * Np].toarray()
+    assert np.max(np.abs(_dense(modes.A0) - A0)) <= 1e-14 * scale
+    assert np.max(np.abs(_dense(modes.A1) - A1)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("v,jumps,band", [
+    (two_layer(3.0), (-0.5,), (4, 4)),
+    (THREE_PIECE, THREE_PIECE.breakpoints, (4, 4)),
+    (zero_vorticity(), (), (4, 3)),
+], ids=["two-layer", "three-piece", "zero"])
+def test_offset_tables_are_the_strip_jacobians_diagonals(v, jumps, band, rng):
+    # the tables `laminar_modes` hands to LaminarModes against the diagonals
+    # of the CSR Jacobian assembled on the same three-column strip: A0 is
+    # block (0, 0), A1 block (1, 0); every entry has the same bits (a zero
+    # the CSR matrix leaves out is a +0.0 of the table), and the band's
+    # widths are the tables' nonzero offsets
+    g = Grid(16, 48, aligned_jumps=jumps)
+    sys_ = HeightSystem(g, v, THREE_PIECE_PARAMS)
+    H = sys_.reduce(random_admissible_field(rng).sample(g, Q=8.0))
+    modes = sys_.laminar_modes(H)
+    J = sys_.jacobian_matrix(np.tile(sys_.mw @ H, (3, 1)), 0.0, "fixed_Q")
+    Np, s = g.Np, modes.A0.shape[1] // 2
+    assert modes.A0.shape == modes.A1.shape == (Np, 2 * s + 1)
+    for table, block in ((modes.A0, J[:Np, :Np]),
+                         (modes.A1, J[Np:2 * Np, :Np])):
+        assert block.nnz == np.count_nonzero(table)
+        for o in range(-s, s + 1):
+            rows = slice(max(-o, 0), Np - max(o, 0))
+            assert table[rows, s + o].tobytes() == block.diagonal(o).tobytes()
+            assert not np.any(table[:max(-o, 0), s + o])
+            assert not np.any(table[Np - max(o, 0):, s + o])
+    assert (modes.kl, modes.ku) == band
 
 
 @pytest.mark.parametrize("v,par,Nq,Np", [
@@ -88,7 +134,7 @@ def test_solve_modal_matches_dense_block_solves(v, par, Nq, Np, rng):
     bhat = rng.standard_normal((sys_.nh + 1, Np))
     x = modes.solve_modal(bhat)
     for k in range(sys_.nh + 1):
-        M_k = (modes.A0 + modes.eig_L[k] * modes.A1).toarray()
+        M_k = _M(modes, k)
         want = np.linalg.solve(M_k, bhat[k])
         scale = np.linalg.norm(M_k, 2)
         for y in (x[k], want):
@@ -100,18 +146,18 @@ def test_solve_modal_matches_dense_block_solves(v, par, Nq, Np, rng):
 
 
 def test_singular_modal_block_is_named():
-    # diagonal p-blocks with only M_1 = A0 + eig_L[1] A1 exactly singular,
-    # in its p-row 3; every other M_k has the nonzero eig_L[k] - eig_L[1]
-    # there
+    # diagonal p-blocks, as row-offset tables of the one offset 0, with only
+    # M_1 = A0 + eig_L[1] A1 exactly singular, in its p-row 3; every other
+    # M_k has the nonzero eig_L[k] - eig_L[1] there
     nh, Np = 8, 5
     eig_1 = 2.0 * np.cos(np.pi * np.arange(nh + 1) / nh)[1]
-    A0 = sp.diags([3.0, 3.0, -eig_1, 3.0, 3.0])
+    A0 = np.array([[3.0], [3.0], [-eig_1], [3.0], [3.0]])
     with pytest.raises(SingularModeError,
                        match=r"block k = 1 .* p-row j = 3 of 5") as exc:
-        LaminarModes(A0, sp.identity(Np), nh, Np)
+        LaminarModes(A0, np.ones((Np, 1)), nh)
     assert isinstance(exc.value, np.linalg.LinAlgError)
-    A0 = sp.diags([3.0, 3.0, -eig_1 + 0.5, 3.0, 3.0])
-    LaminarModes(A0, sp.identity(Np), nh, Np)
+    A0[2] += 0.5
+    LaminarModes(A0, np.ones((Np, 1)), nh)
 
 
 def test_laminar_modes_peak_memory_is_the_band_storage(v_two_layer,

@@ -141,18 +141,6 @@ def test_tilde_derivative_is_p0_gamma(params):
         assert fd == pytest.approx(params.p0 * v.eval(p), abs=1e-8)
 
 
-def test_bounds():
-    assert zero_vorticity().bounds() == (0.0, 0.0)
-    assert two_layer(3.0).bounds() == (0.0, 3.0)
-    v_lin = VorticityFunction(pieces=((-1.0, 0.0, (0.0, 1.0)),))
-    assert v_lin.bounds() == (-1.0, 0.0)
-    # interior extremum: gamma = p(1+p) has min -1/4 at p = -1/2
-    v_par = VorticityFunction(pieces=((-1.0, 0.0, (0.0, 1.0, 1.0)),))
-    lo, hi = v_par.bounds()
-    assert lo == pytest.approx(-0.25, abs=1e-14)
-    assert hi == 0.0
-
-
 def test_piece_validation():
     with pytest.raises(ValueError):
         VorticityFunction(pieces=((-1.0, -0.5, (1.0,)),))  # gap to 0

@@ -10,7 +10,7 @@ from scipy.ndimage import convolve1d
 from steadywaves import field as fd
 from steadywaves.vorticity import FlowParameters, gamma_cap, gamma_tilde
 from steadywaves import laminar
-from steadywaves.grid import Grid
+from steadywaves.grid import Grid, q_nodes
 from steadywaves.field import (HeightField, AnalyticHeightField,
                                random_admissible_field)
 from steadywaves import transform as tr
@@ -91,7 +91,7 @@ def test_bump_factors_are_bump1d_bits(q0, rq, pc, rp, q, p, nq, npp):
             want += [wf.bump1d(t),
                      np.where(inside, deriv(t), 0.0) / tf.radii[axis]]
     assert all(map(_same_bits, tf.factors(q, p), want))
-    nodes = wf._q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
+    nodes = q_nodes(nq), np.linspace(-1.0, 0.0, npp + 1)
     full = tf.factors(*nodes)
     for axis, x in enumerate(nodes):
         win, b, db = wf._bump_window(tf, axis, x)
@@ -321,7 +321,7 @@ def _full_domain_terms(ev, fields, v, params, tf, nq, npp):
     in the field's values can move each term by."""
     d, p0, c, g = params.d, params.p0, params.c, params.g
     q, p, wq, wp = wf._height_nodes(nq, npp)
-    pm, wpm = wf._midpoint_nodes(npp)
+    pm, wpm = wf._nodes(wf._PM, npp)
     F = {"hq": ev.hq_at(q, p), "hp": ev.hp_at(q, p),
          "hq_m": ev.hq_at(q, pm), "hp_m": ev.hp_at(q, pm)}
     if fields is not None:
@@ -475,11 +475,11 @@ def test_cross_identity_evaluates_only_the_window(v_two_layer, sampled):
     nq, npp = 512, 768
     wf.cross_identity(ev, v_two_layer, params, wf.bump((q0, pc), (rq, rp)),
                       nq, npp)
-    q = wf._q_nodes(nq)
+    q = q_nodes(nq)
     window = q[np.abs(wf._wrap_q(q - q0) / rq) < 1.0]
     assert 0 < window.size < nq
     asked = 0
-    for p in (wf._height_nodes(nq, npp)[1], wf._midpoint_nodes(npp)[0]):
+    for p in (wf._height_nodes(nq, npp)[1], wf._nodes(wf._PM, npp)[0]):
         p = p[np.abs((p - pc) / rp) < 1.0]
         for name in ("hq_at", "hp_at"):
             blocks = [qc for n, qc, pc_ in ev.calls
@@ -495,7 +495,7 @@ def _midpoint_blocks(tf, nq, npp):
     """The number of q-blocks of tf's window on the midpoint rule."""
     iq = wf._rule_window(tf, wf._Q, nq)[0]
     jm = wf._rule_window(tf, wf._PM, npp)[0]
-    return len(list(wf._blocks(iq, wf._midpoint_nodes(npp)[0][jm].size)))
+    return len(list(wf._blocks(iq, wf._nodes(wf._PM, npp)[0][jm].size)))
 
 
 def _counting_stream_gradient(monkeypatch):
@@ -634,7 +634,7 @@ def test_blocked_sums_match_one_block(v_two_layer, seed, q0, rq, pc, rp, nq,
     # `rows` q-nodes per block of the midpoint rule's p-window; the
     # trapezoid rule's p-window has a node more or less, so its blocks hold
     # about as many
-    n = np.sum(np.abs(wf._midpoint_nodes(npp)[0] - pc) < rp)
+    n = np.sum(np.abs(wf._nodes(wf._PM, npp)[0] - pc) < rp)
     blocked, whole = sums(rows * max(n, 1)), sums(nq * (npp + 1))
     terms = _full_domain_terms(hf.evaluator(), fields, v, params, tf, nq, npp)
     analytic = _full_domain_terms(f, None, v, params, tf, nq, npp)
@@ -817,7 +817,7 @@ def test_memos_leave_the_triples_bit_identical(v_two_layer):
 
 def test_memoized_arrays_are_read_only(v_two_layer, params):
     wrapping = wf.bump((3.0, -0.45), (1.0, 0.2))
-    arrays = [*wf._height_nodes(32, 48), *wf._midpoint_nodes(48),
+    arrays = [*wf._height_nodes(32, 48), *wf._nodes(wf._PM, 48),
               *wf._gamma_tables(v_two_layer, params, 48)]
     for tf in (wrapping, wf.bump((0.4, -0.3), (np.pi / 4, 0.15))):
         for kind in (wf._Q, wf._P, wf._PM):
