@@ -245,7 +245,7 @@ def read_field(path, cfg: RunConfig) -> HeightField:
     if h is None:
         h = _parse_field(path, g)
     side = Path(path).with_suffix(".json")
-    if not side.exists():
+    if not side.is_file():
         raise SchemaError(f"missing field summary {side}")
     try:
         Q = json.loads(side.read_text())["Q"]
@@ -348,9 +348,7 @@ def run_transform(cfg: RunConfig, outdir, args, field_path):
 
 def run_verify(cfg: RunConfig, outdir, args, field_path):
     hf = read_field(field_path, cfg)
-    tfs = wf.default_lattice(cfg.n_q_centers, cfg.radii, cfg.p_centers)
-    if not tfs:
-        raise ConfigError("empty test-function lattice")
+    tfs = wf.default_lattice()
     v, params = cfg.vorticity, cfg.params
     fields = transform_mod.reconstruct_fields(hf, v, params)
     g = hf.grid
@@ -514,8 +512,8 @@ def main(argv=None):
             if args.command == "transform":
                 return run_transform(cfg, outdir, args, args.field)
             return run_verify(cfg, outdir, args, args.field)
-    except (ConfigError, GridError, SchemaError, wf.SupportError,
-            wf.MollifierError, FileNotFoundError) as exc:
+    except (ConfigError, GridError, SchemaError, wf.MollifierError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (solver_mod.ConvergenceError, solver_mod.StagnationError) as exc:

@@ -16,14 +16,16 @@ Example::
     verify.pairing_tol = 1e-4
 
 `#` starts a comment; `vorticity.piece` is repeatable, everything else is
-single-valued.  Unknown keys are rejected.
+single-valued.  Unknown keys are rejected.  Every number must be finite
+and within its key's bound (`_BOUNDS`), checked as its line is parsed
+(`vorticity.piece` by `VorticityFunction`).
+`verify` pairs `weakform.default_lattice()`, which no key changes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .grid import AlignmentError, aligned_node, mollifier_scales_problem
 from .vorticity import VorticityFunction, FlowParameters
@@ -46,17 +48,19 @@ _SCALAR_KEYS = {
     "solver.tol": float,
     "solver.max_iter": int,
     "verify.pairing_tol": float,
-    "verify.n_q_centers": int,
     "output.dir": str,
 }
 
 _LIST_KEYS = {
     "solver.amplitude_schedule": float,
     "verify.levels": int,
-    "verify.radii": float,
-    "verify.p_centers": float,
     "verify.eps_list": float,
 }
+
+# the keys with a bound, which each of their values must exceed (">") or
+# reach (">=")
+_BOUNDS = {"solver.tol": (">", 0), "verify.pairing_tol": (">", 0),
+           "solver.max_iter": (">=", 0), "verify.levels": (">=", 1)}
 
 _REQUIRED = ("physics.d", "physics.g", "physics.c", "physics.p0",
              "grid.Nq", "grid.Np", "solver.mode")
@@ -75,12 +79,21 @@ class RunConfig:
     max_iter: int
     pairing_tol: float
     levels: list
-    radii: tuple
-    p_centers: list
-    n_q_centers: int
     eps_list: list
     output_dir: str
     raw_text: str = ""
+
+
+def _check_numbers(ln, key, value):
+    """Refuse a number of `key` on line `ln` that is not finite, or that is
+    beyond the key's bound in `_BOUNDS`."""
+    if isinstance(value, str):
+        return
+    op, bound = _BOUNDS.get(key, (">", -math.inf))
+    for x in value if isinstance(value, list) else [value]:
+        if not (math.isfinite(x) and (x > bound if op == ">" else x >= bound)):
+            rule = "finite" + (f" and {op} {bound}" if key in _BOUNDS else "")
+            raise ConfigError(f"line {ln}: {key} must be {rule}, got {x}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -115,6 +128,7 @@ def parse_config(text: str) -> RunConfig:
                     values[key] = [_LIST_KEYS[key](x) for x in val.split(",")]
             except ValueError:
                 raise ConfigError(f"line {ln}: cannot parse {key} from {val!r}")
+            _check_numbers(ln, key, values[key])
         else:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
 
@@ -148,32 +162,12 @@ def parse_config(text: str) -> RunConfig:
             aligned_node(b, Np)
         except AlignmentError as exc:
             raise ConfigError(f"grid.Np = {Np}: {exc}") from None
-    for key, least in (("solver.max_iter", 0), ("verify.levels", 1)):
-        if np.min(values.get(key, least)) < least:
-            raise ConfigError(f"{key} must be >= {least}")
     levels = values.get("verify.levels", [1, 2])
     if len(set(levels)) < len(levels):
         raise ConfigError(f"verify.levels repeats a level: {levels}")
     eps_list = values.get("verify.eps_list", [])    # empty: no mollifier
     if eps_list and (problem := mollifier_scales_problem(eps_list, Nq, Np)):
         raise ConfigError(f"verify.eps_list: {problem}")
-
-    tol = values.get("solver.tol", 1e-10)
-    schedule = values.get("solver.amplitude_schedule", [0.0])
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"solver.tol must be finite and > 0, got {tol}")
-    if not np.all(np.isfinite(schedule)):
-        raise ConfigError("solver.amplitude_schedule must be finite")
-
-    radii = values.get("verify.radii", [np.pi / 4, 0.2])
-    if len(radii) != 2:
-        raise ConfigError("verify.radii needs exactly two numbers")
-    n_q_centers = values.get("verify.n_q_centers", 4)
-    if n_q_centers < 1:
-        raise ConfigError("verify.n_q_centers must be >= 1")
-    p_centers = values.get("verify.p_centers", [-0.75, -0.5, -0.25])
-    if not p_centers:
-        raise ConfigError("verify.p_centers must not be empty")
 
     return RunConfig(
         params=params,
@@ -182,14 +176,11 @@ def parse_config(text: str) -> RunConfig:
         Np=Np,
         mode=mode,
         Q=values.get("solver.Q"),
-        amplitude_schedule=schedule,
-        tol=tol,
+        amplitude_schedule=values.get("solver.amplitude_schedule", [0.0]),
+        tol=values.get("solver.tol", 1e-10),
         max_iter=values.get("solver.max_iter", 50),
         pairing_tol=values.get("verify.pairing_tol", 1e-4),
         levels=levels,
-        radii=(radii[0], radii[1]),
-        p_centers=list(p_centers),
-        n_q_centers=n_q_centers,
         eps_list=eps_list,
         output_dir=values.get("output.dir", "out"),
         raw_text=text,

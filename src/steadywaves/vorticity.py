@@ -60,7 +60,8 @@ class FlowParameters:
     c      wave speed (> 0)
     p0     relative mass flux (< 0)
     P_atm  atmospheric pressure in dynamic-pressure units
-    Q      Bernoulli head of the surface condition; None until determined
+
+    Each must be finite.
     """
 
     d: float
@@ -68,9 +69,11 @@ class FlowParameters:
     c: float
     p0: float
     P_atm: float = 0.0
-    Q: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.d > 0:
             raise ValueError(f"depth d must be positive, got {self.d}")
         if not self.g > 0:
@@ -86,7 +89,8 @@ class VorticityFunction:
     """gamma as ordered polynomial pieces partitioning [-1, 0].
 
     pieces: tuple of (p_lo, p_hi, coeffs) with ascending-power coeffs,
-    intervals contiguous and increasing, first p_lo = -1, last p_hi = 0.
+    intervals contiguous and increasing, first p_lo = -1, last p_hi = 0,
+    every edge and coefficient finite.
     """
 
     pieces: tuple
@@ -103,6 +107,9 @@ class VorticityFunction:
         if pieces[0][0] != -1.0 or pieces[-1][1] != 0.0:
             raise ValueError("pieces must cover [-1, 0] exactly")
         for (lo, hi, cs) in pieces:
+            if not np.all(np.isfinite([lo, hi, *cs])):
+                raise ValueError(f"piece [{lo}, {hi}] with coefficients "
+                                 f"{cs} is not finite")
             if not hi > lo:
                 raise ValueError(f"empty or reversed piece [{lo}, {hi}]")
             if not cs:

@@ -283,9 +283,14 @@ def test_missing_field_in_config(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, FLAT_CFG + "solver.colour = blue\n")
-    assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "solver.colour" in capsys.readouterr().err
+    # verify pairs the fixed bump lattice of weakform.default_lattice(), so
+    # no key chooses its q-centers, radii or p-centers
+    for line in ("solver.colour = blue", "verify.p_centers = -0.5"):
+        cfg = write_cfg(tmp_path, FLAT_CFG + line + "\n")
+        assert main(["laminar", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["verify.levels = 3",
@@ -381,8 +386,10 @@ def test_reversed_p_column_rejected(tmp_path, capsys):
 
 
 def test_empty_lattice_rejected(tmp_path, capsys):
+    # no key sizes the lattice: verify.n_q_centers is an unknown key
     cfg = write_cfg(tmp_path, FLAT_CFG + "verify.n_q_centers = 0\n")
     assert main(["laminar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'verify.n_q_centers'" in capsys.readouterr().err
 
 
 SMALL_TWO_LAYER_CFG = TWO_LAYER_CFG.replace("grid.Np = 64", "grid.Np = 32")
@@ -401,31 +408,48 @@ def small_two_layer_field(tmp_path_factory):
     ("verify.eps_list", "0.8"), ("verify.eps_list", "0.8, 0.8"),
     ("verify.radii", "0.5, 0.6"), ("solver.max_iter", "-1"),
     ("verify.levels", "0"), ("verify.levels", "2, 2"),
-    # a tol that is not finite and positive ends every Newton solve at
-    # iteration 0 or never, and an amplitude that is not finite fails its
-    # step: both are refused with the config
+    # every number must be finite, and a tol must be > 0: a tol that is not
+    # ends every Newton solve at iteration 0 or never, an amplitude that is
+    # not finite fails its step, a non-finite physics value makes a NaN
+    # laminar flow, and a pairing_tol that is NaN or negative fails every
+    # formulation: each is refused with the config
     ("solver.tol", "inf"), ("solver.tol", "0"), ("solver.tol", "-1e-10"),
     ("solver.tol", "nan"), ("solver.amplitude_schedule", "0.0, nan"),
-    ("solver.amplitude_schedule", "0.0, inf")])
+    ("solver.amplitude_schedule", "0.0, inf"),
+    ("physics.P_atm", "nan"), ("physics.g", "inf"),
+    ("verify.pairing_tol", "nan"), ("verify.pairing_tol", "-1"),
+    ("verify.eps_list", "nan, 0.8"), ("verify.eps_list", "0.8, inf")])
 def test_invalid_config_exits_2_with_one_error_line(
         tmp_path, capsys, small_two_layer_field, key, value):
-    # the grid, the bump support and the config (which also checks the
-    # mollifier scale) each reject their own value by a named error class,
-    # which main reports
+    # the grid and the config (which also checks the mollifier scale and
+    # refuses an unknown key such as verify.radii) each reject their own
+    # value by a named error class, which main reports
+    # before any output file is written, from laminar as from verify
     lines = [ln for ln in SMALL_TWO_LAYER_CFG.splitlines()
              if not ln.startswith(key + " ")]
     cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
-    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
-                 "--field", str(small_two_layer_field), "--quiet"])
+    for command in ("laminar", "verify"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "v"),
+                     "--field", str(small_two_layer_field), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        if not key.startswith("grid."):
+            assert key in err
+    assert not list((tmp_path / "v").glob("*"))
+
+
+def test_non_finite_fixed_Q_exits_2(tmp_path, capsys):
+    # refused with the config, not handed to the Newton solve
+    cfg = write_cfg(tmp_path, FLAT_CFG.replace("solver.Q = 20.6",
+                                               "solver.Q = nan"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
-    if key.startswith("solver.") or key in ("verify.levels",
-                                            "verify.eps_list"):
-        assert key in err
-    if key == "verify.eps_list":    # rejected with the config, before verify
-        assert not (tmp_path / "v" / "verify.json").exists()
+    assert "solver.Q" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_nonconvergent_amplitude_exit_code(tmp_path, monkeypatch):
@@ -828,6 +852,23 @@ def test_borrowed_summary_exits_2(solved_smoke_field, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "mine.json" in err
     assert not (tmp_path / "o" / "transform.json").exists()
+
+
+def test_summary_that_is_not_a_file_exits_2(
+        solved_smoke_field, tmp_path, capsys):
+    # a <stem>.json that exists but is a directory is no summary
+    cfg, out = solved_smoke_field
+    path = _copy_field(out, tmp_path / "f").with_name("dir.csv")
+    path.write_bytes((out / "field.csv").read_bytes())
+    path.with_suffix(".json").mkdir()
+    for command in ("transform", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--field", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "dir.json" in err
+    assert not list((tmp_path / "o").glob("*"))
 
 
 @pytest.mark.parametrize("text", [

@@ -156,3 +156,23 @@ def test_flow_parameter_validation():
         FlowParameters(d=-1.0, g=9.8, c=1.0, p0=-1.0)
     with pytest.raises(ValueError):
         FlowParameters(d=1.0, g=9.8, c=1.0, p0=0.5)
+
+
+@pytest.mark.parametrize("name", ["d", "g", "c", "p0", "P_atm"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_flow_parameters_refuse_non_finite(name, value):
+    # an infinite depth or gravity would make a NaN or infinite laminar
+    # flow; no constant of the flow may be anything but finite
+    good = dict(d=1.0, g=9.8, c=1.0, p0=-1.0, P_atm=0.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FlowParameters(**dict(good, **{name: value}))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_vorticity_refuses_non_finite_pieces(value):
+    with pytest.raises(ValueError, match="not finite"):
+        two_layer(value)
+    with pytest.raises(ValueError, match="not finite"):
+        VorticityFunction(pieces=((-1.0, value, (1.0,)), (value, 0.0, (0.0,))))
+    with pytest.raises(ValueError, match="not finite"):
+        VorticityFunction(pieces=((-1.0, 0.0, (1.0, value)),))
