@@ -13,7 +13,6 @@ two of its own layer (`Grid.p_cell`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,22 +132,19 @@ class Grid:
         # one operator row (on a column of Np+1 nodes) per stencil: the cell
         # midpoints p_half on their own layer (Dp_half), then the sided
         # columns on their own layer (Dp_sided); Dp_node is Dp_sided's first
-        # copy of each node, so the layer below at a jump node.  The _STENCIL
-        # in-layer nodes nearest the target, ties to the lower node, all lie
-        # within _STENCIL nodes of `center`.
+        # copy of each node, so the layer below at a jump node.  Each
+        # stencil is the _STENCIL in-layer nodes nearest the target, ties to
+        # the lower node: the run from center - _STENCIL // 2, clipped into
+        # the layer, `center` being the target node or its cell's lower node.
         p_half = self.p[:-1] + 0.5 * dp
         target = np.concatenate((p_half, self.p[sided]))
         center = np.concatenate((jc, sided))
         cell = np.concatenate((jc, np.clip(sided - 1 + upper, 0, Np - 1)))
         edges = np.array(jidx)
         layer = np.searchsorted(edges, cell, side="right") - 1
-        lo, hi = edges[layer, None], edges[layer + 1, None]
-        cand = center[:, None] + np.arange(-_STENCIL, _STENCIL + 1)
-        dist = np.where((lo <= cand) & (cand <= hi),
-                        np.abs(self.p[np.clip(cand, 0, Np)] - target[:, None]),
-                        np.inf)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :_STENCIL]
-        idx = np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
+        lo = np.clip(center - _STENCIL // 2, edges[layer],
+                     edges[layer + 1] - (_STENCIL - 1))
+        idx = lo[:, None] + np.arange(_STENCIL)
         w = fd_weights(target, self.p[idx], 1)
         for name, rows in (("Dp_half", slice(Np)),
                            ("Dp_sided", slice(Np, None)),
@@ -158,11 +154,6 @@ class Grid:
                 (wt.ravel(), i.ravel(), np.arange(0, wt.size + 1, _STENCIL)),
                 shape=(len(wt), Np + 1)))
         object.__setattr__(self, "p_half", p_half)
-
-    @cached_property
-    def operators(self):
-        """The reduced grid's operators as 1-D factors, built on first use."""
-        return ReducedOperators(self)
 
     @property
     def jump_nodes(self):
@@ -178,14 +169,6 @@ class Grid:
         """Mirror reduced columns (q in [0, pi]) to the full even q-grid."""
         nh = self.Nq // 2
         return red[np.abs(np.arange(self.Nq) - nh)]
-
-    def mean_weights_reduced(self):
-        """Trapezoid weights over one period for reduced surface columns."""
-        nh = self.Nq // 2
-        w = np.full(nh + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        return w / (2.0 * nh)
 
     def node_dp(self, hcols):
         """Per-layer 4th-order p-derivative at all nodes; hcols ([M,] Np+1).
@@ -204,50 +187,3 @@ class Grid:
                      self.Np - 1)
         return (np.searchsorted(self.sided, jc, side="right") - 1,
                 np.clip((p - self.p[jc]) / self.dp, 0.0, 1.0))
-
-
-class ReducedOperators:
-    """The reduced grid's operators on H (nh+1, Np+1).
-
-    Row r of H is the reduced column q_r = r dq in [0, pi], column j the
-    p-node p_j.  `sample` applies every operator to an array: H itself
-    (h); the central h_q, mirrored at q = 0 and pi, so h_q = 0 there (hq);
-    the per-layer h_p at nodes and half nodes (hp, hp_half, the grid's
-    Dp_node and Dp_half applied by `dp` as one product); h_q at half nodes
-    (hq_half); dh/dq and h_p at the half q-edges of interior nodes
-    (dq_edge, hp_edge); h, h_q and h_p on the surface (h_top, hq_top,
-    hp_top).  `div` takes a flux pair (A at half nodes, B at half edges) to
-    its divergence at interior nodes; B is odd about q = 0 and pi, so the
-    edge next to either counts twice.
-    """
-
-    def __init__(self, g: Grid):
-        self.Np, self.dq, self.dp_step = g.Np, g.dq, g.dp
-        self._dp = sp.vstack((g.Dp_node, g.Dp_half), format="csr")
-
-    def dp(self, H):
-        """h_p of H at nodes and at half nodes, from one sparse product."""
-        S = (self._dp @ H.T).T
-        return S[:, :self.Np + 1], S[:, self.Np + 1:]
-
-    def sample(self, H):
-        """Every operator applied to H, by name."""
-        dq = self.dq
-        hp, hp_half = self.dp(H)
-        hq = np.empty_like(H)
-        hq[[0, -1]] = 0.0
-        np.subtract(H[2:], H[:-2], out=hq[1:-1])
-        hq[1:-1] /= 2 * dq
-        return {"h": H, "hq": hq, "hp": hp, "hp_half": hp_half,
-                "hq_half": 0.5 * (hq[:, 1:] + hq[:, :-1]),
-                "dq_edge": (H[1:, 1:-1] - H[:-1, 1:-1]) / dq,
-                "hp_edge": 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]),
-                "h_top": H[:, -1], "hq_top": hq[:, -1], "hp_top": hp[:, -1]}
-
-    def div(self, A, B):
-        """The divergence of the flux pair (A, B) at interior nodes."""
-        d = np.empty((len(B) + 1,) + B.shape[1:])
-        np.subtract(B[1:], B[:-1], out=d[1:-1])
-        d[0], d[-1] = 2.0 * B[0], -2.0 * B[-1]
-        d /= self.dq
-        return (A[:, 1:] - A[:, :-1]) / self.dp_step + d

@@ -10,11 +10,11 @@ for h_p (so the scheme keeps its accuracy when gamma jumps, provided the
 jump is node-aligned) and the horizontal flux B = h_q / (1 + h_p) at
 half q-edges.  The solver works on the even-reduced subspace q in [0, pi],
 bed row eliminated.  The dynamic surface condition supplies the top rows.
-The residual evaluates the fluxes pointwise on the outputs of the grid's
-operators (`grid.ReducedOperators`) on the (nh+1, Np+1) state array: the
-per-layer p-stencils as one sparse product, the q-differences, averages,
-mirrors and the surface selection as slices.  The Jacobian is a sum of
-those operators scaled by the fluxes' partials, which the residual
+The residual evaluates the fluxes pointwise on the outputs of the reduced
+grid's operators (`HeightSystem.sample`) on the (nh+1, Np+1) state array:
+the grid's per-layer p-stencils as one sparse product, the q-differences,
+averages, mirrors and the surface selection as slices.  The Jacobian is a
+sum of those operators scaled by the fluxes' partials, which the residual
 evaluation returns with it.  The residual first checks no stagnation,
 1 + h_p > `field.EPS_STAG` at every node and half node, and raises
 `StagnationError` (defined in `field`) before any flux is formed; Newton's
@@ -122,7 +122,20 @@ def _speed_partials(hq, hp, d):
 
 
 class HeightSystem:
-    """Discrete residual and analytic Jacobian over the grid's operators."""
+    """Discrete residual and analytic Jacobian on the reduced grid.
+
+    A state H (nh+1, Np+1) holds h on the reduced grid: row r is the
+    reduced column q_r = r dq in [0, pi], column j the p-node p_j.
+    `sample` applies every operator to an array: H itself (h); the central
+    h_q, mirrored at q = 0 and pi, so h_q = 0 there (hq); the per-layer
+    h_p at nodes and half nodes (hp, hp_half, the grid's Dp_node and
+    Dp_half applied by `dp` as one product); h_q at half nodes (hq_half);
+    dh/dq and h_p at the half q-edges of interior nodes (dq_edge,
+    hp_edge); h, h_q and h_p on the surface (h_top, hq_top, hp_top).
+    `div` takes a flux pair (A at half nodes, B at half edges) to its
+    divergence at interior nodes; B is odd about q = 0 and pi, so the edge
+    next to either counts twice.
+    """
 
     def __init__(self, grid: Grid, v: VorticityFunction, params: FlowParameters):
         for b in v.breakpoints:
@@ -131,7 +144,7 @@ class HeightSystem:
                     f"vorticity breakpoint {b} is not registered on the grid; "
                     f"construct Grid with aligned_jumps={v.breakpoints}")
         self.grid, self.v, self.params = grid, v, params
-        self.ops = grid.operators
+        self._dp = sp.vstack((grid.Dp_node, grid.Dp_half), format="csr")
         nh = grid.Nq // 2
         self.nh = nh
         d, p0 = params.d, params.p0
@@ -140,7 +153,10 @@ class HeightSystem:
         self.A_gamma = gamma_cap(v, params, grid.p_half) / (2 * d ** 2)
         # the surface row's derivative in h(q, 0)
         self.g_top = -params.g * d / p0 ** 2
-        self.mw = grid.mean_weights_reduced()
+        # trapezoid weights of the surface mean over one period
+        mw = np.full(nh + 1, 2.0)
+        mw[[0, -1]] = 1.0
+        self.mw = mw / (2.0 * nh)
         # weights w of the closure row w . h(q, 0) - a: the surface mean, or
         # the crest-minus-trough half height d (h(0, 0) - h(pi, 0)) / 2
         amp = np.zeros(nh + 1)
@@ -167,17 +183,46 @@ class HeightSystem:
         full = self.grid.full_from_reduced(H)
         return HeightField(self.grid, full, Q)
 
+    # -- the reduced grid's operators ------------------------------------------
+
+    def dp(self, H):
+        """h_p of H at nodes and at half nodes, from one sparse product."""
+        S = (self._dp @ H.T).T
+        return S[:, :self.grid.Np + 1], S[:, self.grid.Np + 1:]
+
+    def sample(self, H):
+        """Every operator applied to H, by name."""
+        dq = self.grid.dq
+        hp, hp_half = self.dp(H)
+        hq = np.empty_like(H)
+        hq[[0, -1]] = 0.0
+        np.subtract(H[2:], H[:-2], out=hq[1:-1])
+        hq[1:-1] /= 2 * dq
+        return {"h": H, "hq": hq, "hp": hp, "hp_half": hp_half,
+                "hq_half": 0.5 * (hq[:, 1:] + hq[:, :-1]),
+                "dq_edge": (H[1:, 1:-1] - H[:-1, 1:-1]) / dq,
+                "hp_edge": 0.5 * (hp[1:, 1:-1] + hp[:-1, 1:-1]),
+                "h_top": H[:, -1], "hq_top": hq[:, -1], "hp_top": hp[:, -1]}
+
+    def div(self, A, B):
+        """The divergence of the flux pair (A, B) at interior nodes."""
+        d = np.empty((len(B) + 1,) + B.shape[1:])
+        np.subtract(B[1:], B[:-1], out=d[1:-1])
+        d[0], d[-1] = 2.0 * B[0], -2.0 * B[-1]
+        d /= self.grid.dq
+        return (A[:, 1:] - A[:, :-1]) / self.grid.dp + d
+
     # -- pointwise quantities --------------------------------------------------
 
     def _pointwise(self, s):
-        """The fluxes at a state, from its samples `ops.sample(H)`.
+        """The fluxes at a state, from its samples `sample(H)`.
 
         Returns the vertical flux A at half nodes, B = h_q/(1 + h_p) at half
         edges and the speed term on the surface, and the fixed-Q Jacobian's
         terms (f', R) for A, B and the surface row: each one's derivative is
-        the sum of f' * R(du) over its terms, R naming an operator of
-        `grid.ReducedOperators`, and the interior rows are div of the two
-        fluxes' derivatives.
+        the sum of f' * R(du) over its terms, R naming an output of
+        `sample`, and the interior rows are `div` of the two fluxes'
+        derivatives.
         """
         d = self.params.d
         K, K_hq, K_hp = _speed_partials(s["hq_half"], s["hp_half"], d)
@@ -224,14 +269,14 @@ class HeightSystem:
         1 + h_p > EPS_STAG at every node and half node of H.
         """
         d, p0, grav = self.params.d, self.params.p0, self.params.g
-        s = self.ops.sample(H)
+        s = self.sample(H)
         if not min(np.min(1.0 + s["hp_half"]),
                    np.min(1.0 + s["hp"])) > EPS_STAG:
             raise StagnationError(f"1 + h_p fell to {EPS_STAG} or below")
         (A, B, K_top), terms = self._pointwise(s)
         surface = (K_top - grav * d * (s["h_top"] + 1.0) / p0 ** 2
                    + Q / (2 * p0 ** 2))
-        return self.ops.div(A, B), surface, terms
+        return self.div(A, B), surface, terms
 
     @staticmethod
     def _rows(interior, surface):
@@ -280,7 +325,7 @@ class HeightSystem:
         """
         rows, Np, reach = H.shape[0], self.grid.Np, _STENCIL - 1
         m = 2 * reach + 1
-        jac = self.linearize(self._pointwise(self.ops.sample(H))[1])
+        jac = self.linearize(self._pointwise(self.sample(H))[1])
         r, j = np.arange(rows)[:, None], np.arange(Np)  # unknown (r, j + 1)
         probes, vals = np.empty((3, m, rows, Np)), np.empty((rows, Np, 3 * m))
         for a, b in np.ndindex(3, m):
@@ -300,18 +345,18 @@ class HeightSystem:
         `residual_parts` returned.
 
         `jacobian_matrix(H, Q, "fixed_Q")` is this action, probed; here
-        the terms are applied to u through the grid's operators, and
-        nothing is assembled.  The number of q-columns is u's.
+        the terms are applied to u through `sample` and `div`, and nothing
+        is assembled.  The number of q-columns is u's.
         """
-        o, Np = self.ops, self.grid.Np
+        Np = self.grid.Np
 
         def jac(u):
             x = np.zeros((u.size // Np, Np + 1))
             x[:, 1:] = u.reshape(len(x), Np)
-            s = o.sample(x)
+            s = self.sample(x)
             A, B, top = (sum(f * s[R] for f, R in t) for t in terms)
             del s, x        # fewer temporaries live at once
-            return self._rows(o.div(A, B), top)
+            return self._rows(self.div(A, B), top)
         return jac
 
 

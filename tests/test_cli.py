@@ -871,6 +871,28 @@ def test_summary_that_is_not_a_file_exits_2(
     assert not list((tmp_path / "o").glob("*"))
 
 
+def test_field_copied_over_another_runs_fails_the_surface_condition(
+        solved_smoke_field, tmp_path, capsys):
+    # a g = 9.8 field.csv copied over a g = 5.0 run's is read with that
+    # run's Q: the bumps never reach the surface, so only the dynamic
+    # surface condition can tell, and verify fails it
+    cfg, out = solved_smoke_field
+    other = tmp_path / "g5"
+    cfg5 = write_cfg(tmp_path, TWO_LAYER_CFG.replace("physics.g = 9.8",
+                                                     "physics.g = 5.0"))
+    assert main(["solve", "--config", cfg5, "--out", str(other),
+                 "--quiet"]) == 0
+    (other / "field.csv").write_bytes((out / "field.csv").read_bytes())
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--field", str(other / "field.csv")]) == 4
+    surface = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("verify surface")]
+    assert len(surface) == 1 and surface[0].endswith(" FAIL"), surface
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert rep["surface_identity"]["surface_residual"] > 1.0
+
+
 @pytest.mark.parametrize("text", [
     '{"amplitude": 0.0}', "Q = 20.2", "[20.2]", '{"Q": "20.2"}',
     '{"Q": null}', '{"Q": NaN}', '{"Q": Infinity}', '{"Q": true}'],

@@ -10,7 +10,6 @@ from conftest import THREE_PIECE, THREE_PIECE_PARAMS
 from steadywaves.vorticity import VorticityFunction, FlowParameters, two_layer
 from steadywaves import laminar
 from steadywaves import solver
-from steadywaves import grid as grid_module
 from steadywaves.grid import Grid, AlignmentError
 from steadywaves import field as fd
 from steadywaves.field import EPS_STAG, HeightField, random_admissible_field
@@ -87,9 +86,9 @@ def test_residual_guards_at_the_threshold(seed, margin):
     sys_ = HeightSystem(g, two_layer(3.0), params)
     H = sys_.reduce(random_admissible_field(
         np.random.default_rng(seed)).sample(g))
-    least = min(np.min(hp) for hp in sys_.ops.dp(H))
+    least = min(np.min(hp) for hp in sys_.dp(H))
     H = H + (EPS_STAG - 1.0 - least + margin) * (1.0 + g.p)
-    lowest = min(np.min(1.0 + hp) for hp in sys_.ops.dp(H))
+    lowest = min(np.min(1.0 + hp) for hp in sys_.dp(H))
     if lowest <= EPS_STAG:
         with pytest.raises(StagnationError):
             sys_.residual_parts(H, 10.0)
@@ -233,13 +232,13 @@ def test_linearize_is_the_assembled_jacobians_action(v_two_layer, params,
             assert np.max(np.abs(action(u) - J @ u)) <= 1e-14 * scale
 
 
-def test_operators_match_stencil_tables(rng):
-    # each grid operator against the index arithmetic it replaces, with a
+def test_operators_match_stencil_tables(v_zero, params, rng):
+    # each reduced operator against the index arithmetic it replaces, with a
     # 4-cell layer at the bed and a jump node inside
     g = Grid(16, 32, aligned_jumps=(-1.0 + 4 / 32, -0.5))
     nh = g.Nq // 2
     H = rng.standard_normal((nh + 1, g.Np + 1))
-    o = g.operators
+    o = HeightSystem(g, v_zero, params)
     r = np.arange(nh + 1)       # reduced neighbours, mirrored at 0 and nh
     rp, rm = nh - np.abs(nh - (r + 1)), np.abs(r - 1)
     hq, hp = (H[rp] - H[rm]) / (2 * g.dq), g.node_dp(H)
@@ -544,21 +543,6 @@ def test_continuation_zero_schedule(v_two_layer, params):
     assert np.max(np.abs(cont.fields[0].h - lf.h[None, :])) < 1e-6
 
 
-def test_operators_built_once_per_grid(v_two_layer, params_critical,
-                                       monkeypatch):
-    # every HeightSystem of a continuation reads the grid's cached 1-D
-    # operator factors
-    builds, build = [], grid_module.ReducedOperators
-    monkeypatch.setattr(grid_module, "ReducedOperators",
-                        lambda g: builds.append(g) or build(g))
-    g = Grid(16, 32, aligned_jumps=(-0.5,))
-    lf = laminar.solve(v_two_layer, params_critical, g.p)
-    hf0 = HeightField(g, np.tile(lf.h, (16, 1)), Q=lf.Q)
-    cont = continuation(hf0, v_two_layer, params_critical, [0.0, 2.5e-4, 5e-4])
-    assert cont.converged and len(cont.fields) == 3
-    assert len(builds) == 1
-
-
 @pytest.fixture(scope="module")
 def small_wave_irrotational():
     """Continuation [0, 1e-4 d] for gamma = 0 at near-critical gravity.
@@ -846,21 +830,24 @@ def _fornberg_first_derivative(z, x):
 
 def _stencil_tables_per_node(g, edges):
     """The six tables built one target at a time: the 5 nodes of the
-    target's layer nearest to it (stable sort, so ties go to the lower
-    node), then Fornberg's weights on them."""
-    def pick(target, cell):
+    target's layer nearest to it, then Fornberg's weights on them.  The
+    target sits at half-cell index t (node j at 2 j, cell jc's midpoint at
+    2 jc + 1), so distances are exact integers and a stable sort breaks
+    each tie to the lower node."""
+    def pick(target, t, cell):
         k = np.searchsorted(edges, cell, side="right") - 1
         nodes = np.arange(edges[k], edges[k + 1] + 1)
-        order = np.argsort(np.abs(g.p[nodes] - target), kind="stable")
+        order = np.argsort(np.abs(2 * nodes - t), kind="stable")
         sel = np.sort(nodes[order[:5]])
         return sel, _fornberg_first_derivative(target, g.p[sel])
 
     Np, tables = g.Np, {}
     for name, suffix, picks in (
-            ("half", "", [pick(g.p[jc] + 0.5 * g.dp, jc) for jc in range(Np)]),
-            ("node", "", [pick(g.p[j], min(max(j - 1, 0), Np - 1))
+            ("half", "", [pick(g.p[jc] + 0.5 * g.dp, 2 * jc + 1, jc)
+                          for jc in range(Np)]),
+            ("node", "", [pick(g.p[j], 2 * j, min(max(j - 1, 0), Np - 1))
                           for j in range(Np + 1)]),
-            ("node", "_hi", [pick(g.p[j], min(j, Np - 1))
+            ("node", "_hi", [pick(g.p[j], 2 * j, min(j, Np - 1))
                              for j in range(Np + 1)])):
         tables[f"{name}_idx{suffix}"] = np.array([sel for sel, _ in picks])
         tables[f"{name}_w{suffix}"] = np.array([w for _, w in picks])
@@ -906,6 +893,12 @@ def test_batched_stencil_tables_match_per_node_build(layers):
             assert got.dtype == table.dtype and got.shape == table.shape, name
             assert np.array_equal(got.view(np.int64),
                                   table.view(np.int64)), name
+
+
+def test_half_node_stencil_ties_go_to_the_lower_node():
+    # p_half[4] is as far from node 2 as from node 7, a tie that distances
+    # in floating point break toward node 7 at Np = 48
+    assert list(Grid(8, 48).Dp_half[4].indices) == [2, 3, 4, 5, 6]
 
 
 def test_three_layer_polynomial_vorticity_nonunit_params(rng):
